@@ -8,19 +8,13 @@ from .codes import (
     check_stripe_dl,
     encode_xor_count,
     erf,
-    faulty_chunk_count,
-    multi_symbol_faulty_chunk_count,
     uncorrectable,
     update_penalty,
 )
 from .engine import (
     DataLossRecord,
     EventKind,
-    SimEvent,
     SimResult,
-    affected_stripe_range,
-    next_failure_location,
-    next_failure_offset,
     run_simulation,
 )
 from .geometry import ArrayGeometry
@@ -29,11 +23,9 @@ from .profiles import (
     MISSION_HOURS,
     RberCurve,
     SsdModelProfile,
-    bad_symbol_rate,
     default_profiles,
     load_profiles,
     profile_by_name,
-    rber_at,
 )
 from .reporting import (
     AggregateReport,
@@ -46,7 +38,6 @@ from .reporting import (
 from .workload import (
     SynthWorkloadParams,
     UsageLog,
-    bits_accessed,
     dense_arrays,
     parse_usage_log,
     synthesize_usage_log,
@@ -65,7 +56,6 @@ __all__ = [
     "MISSION_HOURS",
     "PooledSsd",
     "RberCurve",
-    "SimEvent",
     "SimResult",
     "SsdModelProfile",
     "SsdPool",
@@ -73,10 +63,7 @@ __all__ = [
     "SynthWorkloadParams",
     "UpdatePenalty",
     "UsageLog",
-    "affected_stripe_range",
     "aggregate_results",
-    "bad_symbol_rate",
-    "bits_accessed",
     "brute_force_correctable",
     "check_stripe_dl",
     "default_profiles",
@@ -84,16 +71,11 @@ __all__ = [
     "emit_report",
     "encode_xor_count",
     "erf",
-    "faulty_chunk_count",
     "generate_pool",
     "load_profiles",
     "loss_breakdown",
-    "multi_symbol_faulty_chunk_count",
-    "next_failure_location",
-    "next_failure_offset",
     "parse_usage_log",
     "profile_by_name",
-    "rber_at",
     "report_from_dict",
     "report_to_dict",
     "run_simulation",

@@ -19,7 +19,7 @@ from .pool import (
     validate_pool,
 )
 from .profiles import profile_by_name
-from .reporting import aggregate_results, emit_report, report_to_dict
+from .reporting import aggregate_results, emit_report
 from .workload import (
     SynthWorkloadParams,
     parse_usage_log,

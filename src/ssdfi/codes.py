@@ -43,10 +43,6 @@ class ChunkFault:
     def is_faulty(self) -> bool:
         return self.device_failed or self.bad_block or bool(self.bad_symbols)
 
-    def is_multi_symbol(self) -> bool:
-        # Whole-chunk faults lose every symbol in the chunk.
-        return self.device_failed or self.bad_block or len(self.bad_symbols) > 1
-
 
 @dataclass(frozen=True)
 class StripeFaultState:
@@ -68,12 +64,34 @@ class StripeFaultState:
                 raise CodesError(f"bad symbol index outside chunk in chunk {idx}")
 
 
-def faulty_chunk_count(state: StripeFaultState) -> int:
-    return sum(1 for f in state.chunks.values() if f.is_faulty())
+def stripe_counts(n_failed: int, bb_devs, bs_map) -> tuple[int, int, int, int]:
+    """(faulty, multi-symbol, bad-block, bad-symbol) chunk counts of one stripe.
+
+    `n_failed` chunks sit on failed devices, `bb_devs` holds the devices
+    whose chunk is on a bad block and `bs_map` maps devices to their bad
+    symbol indices; either may be empty or None.  A chunk that is on a
+    bad block counts once, as a bad-block chunk.  Failed-device and
+    bad-block chunks count as multi-symbol.
+    """
+    n_bb = len(bb_devs) if bb_devs else 0
+    n_bs = n_bs_multi = 0
+    if bs_map:
+        for dev, syms in bs_map.items():
+            if bb_devs and dev in bb_devs:
+                continue
+            n_bs += 1
+            if len(syms) > 1:
+                n_bs_multi += 1
+    return n_failed + n_bb + n_bs, n_failed + n_bb + n_bs_multi, n_bb, n_bs
 
 
-def multi_symbol_faulty_chunk_count(state: StripeFaultState) -> int:
-    return sum(1 for f in state.chunks.values() if f.is_multi_symbol())
+# Concurrent failed devices each code survives: PMDS(1,1) loses a stripe
+# to two whole-chunk faults.
+DEVICE_TOLERANCE = {
+    ErasureCode.RAID5: 1,
+    ErasureCode.RAID6: 2,
+    ErasureCode.PMDS11: 1,
+}
 
 
 def uncorrectable(code: ErasureCode, faulty: int, multi: int) -> bool:
@@ -89,7 +107,13 @@ def uncorrectable(code: ErasureCode, faulty: int, multi: int) -> bool:
 
 def check_stripe_dl(code: ErasureCode, state: StripeFaultState) -> bool:
     """True when the stripe's data is lost under the given code."""
-    return uncorrectable(code, faulty_chunk_count(state), multi_symbol_faulty_chunk_count(state))
+    failed = {i for i, f in state.chunks.items() if f.device_failed}
+    bb_devs = {i for i, f in state.chunks.items() if f.bad_block} - failed
+    bs_map = {
+        i: f.bad_symbols for i, f in state.chunks.items() if f.bad_symbols and i not in failed
+    }
+    faulty, multi, _, _ = stripe_counts(len(failed), bb_devs, bs_map)
+    return uncorrectable(code, faulty, multi)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .codes import ErasureCode, uncorrectable
+from .codes import DEVICE_TOLERANCE, ErasureCode, stripe_counts, uncorrectable
 from .geometry import ArrayGeometry
-from .pool import PooledSsd, SsdPool
+from .pool import SsdPool
 from .profiles import SsdModelProfile, MISSION_HOURS
 from .workload import UsageLog, dense_arrays
 
@@ -48,14 +48,6 @@ class EventKind(IntEnum):
     BAD_CHIP = 3
     BAD_BLOCK = 4
     BAD_SYMBOL = 5
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time: float
-    kind: EventKind
-    device: int = -1
-    location: int = -1  # block index for BAD_BLOCK, symbol index for BAD_SYMBOL
 
 
 @dataclass(frozen=True)
@@ -79,48 +71,6 @@ class SimResult:
     config: dict
 
 
-def next_failure_offset(rate: float, u: float) -> float:
-    """Hours until the next arrival of a rate-per-hour process."""
-    if rate <= 0:
-        raise EngineError("rate must be positive")
-    if not 0 <= u < 1:
-        raise EngineError("u must be within [0, 1)")
-    return -math.log1p(-u) / rate
-
-
-def next_failure_location(n_units: int, u: float) -> int:
-    """Uniform unit index from a [0, 1) draw."""
-    if n_units < 1:
-        raise EngineError("n_units must be >= 1")
-    if not 0 <= u < 1:
-        raise EngineError("u must be within [0, 1)")
-    return int(u * n_units)
-
-
-def affected_stripe_range(geometry: ArrayGeometry, event: SimEvent) -> tuple[int, int]:
-    """Half-open stripe range a failure event touches."""
-    if event.kind is EventKind.BAD_CHIP:
-        return (0, geometry.array_stripes)
-    if event.kind is EventKind.BAD_BLOCK:
-        if not 0 <= event.location < geometry.blocks_per_device:
-            raise EngineError(f"block index {event.location} outside device")
-        start = event.location * geometry.chunks_per_block
-        return (start, start + geometry.chunks_per_block)
-    if event.kind is EventKind.BAD_SYMBOL:
-        if not 0 <= event.location < geometry.symbols_per_device:
-            raise EngineError(f"symbol index {event.location} outside device")
-        stripe = event.location // geometry.chunk_pages
-        return (stripe, stripe + 1)
-    raise EngineError(f"{event.kind.name} is not a failure event")
-
-
-_CODE_TOLERANCE = {
-    ErasureCode.RAID5: 1,
-    ErasureCode.RAID6: 2,
-    ErasureCode.PMDS11: 1,
-}
-
-
 def _cause_label(n_bc: int, n_bb: int, n_bs: int) -> str:
     return "+".join(["BC"] * n_bc + ["BB"] * n_bb + ["BS"] * n_bs)
 
@@ -131,9 +81,7 @@ class _Slot:
     __slots__ = (
         "drive",
         "gen",
-        "install_time",
         "pe_offset",
-        "rates",
         "cum",
         "bb_times",
         "bb_locs",
@@ -177,7 +125,7 @@ class _Simulation:
         self.mission = int(mission)
         self.seed = seed
         self.mirror_copy_hours = float(mirror_copy_hours)
-        self.tolerance = _CODE_TOLERANCE[code]
+        self.tolerance = DEVICE_TOLERANCE[code]
 
         n = geometry.n_devices
         self.rng_repl = np.random.default_rng(np.random.SeedSequence([seed, 2]))
@@ -226,13 +174,11 @@ class _Simulation:
     def _install(self, i: int, drive_idx: int, now: float) -> None:
         slot = self.slots[i]
         slot.drive = self.pool.drives[drive_idx]
-        slot.install_time = now
         slot.pe_offset = float(self.log_pe[i][min(int(now), self.mission - 1)]) if now else 0.0
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 3, i, slot.gen]))
 
         rber = np.interp(self.log_pe[i] - slot.pe_offset, self.curve_x, self.curve_y)
-        slot.rates = rber * self.log_bits[i]
-        slot.cum = np.concatenate(([0.0], np.cumsum(slot.rates)))
+        slot.cum = np.concatenate(([0.0], np.cumsum(rber * self.log_bits[i])))
 
         bb = np.asarray(slot.drive.mission_bb_times) + now
         bb = bb[bb < self.mission]
@@ -289,19 +235,9 @@ class _Simulation:
         for stripe in stripes:
             if stripe in self.recorded:
                 continue
-            bb_devs = self.bb_stripe.get(stripe)
-            n_bb = len(bb_devs) if bb_devs else 0
-            bs_map = self.bs_stripe.get(stripe)
-            n_bs = n_bs_multi = 0
-            if bs_map:
-                for dev, syms in bs_map.items():
-                    if bb_devs and dev in bb_devs:
-                        continue
-                    n_bs += 1
-                    if len(syms) > 1:
-                        n_bs_multi += 1
-            faulty = nf + n_bb + n_bs
-            multi = nf + n_bb + n_bs_multi
+            faulty, multi, n_bb, n_bs = stripe_counts(
+                nf, self.bb_stripe.get(stripe), self.bs_stripe.get(stripe)
+            )
             if not uncorrectable(code, faulty, multi):
                 continue
             self.recorded.add(stripe)
@@ -322,25 +258,8 @@ class _Simulation:
     # -- handlers ----------------------------------------------------------
 
     def handle_bad_chip(self, i: int, time: float) -> None:
-        slot = self.slots[i]
         # The failed device's latent faults are subsumed by the failure.
-        for block in self.slot_blocks[i]:
-            start = block * self.geometry.chunks_per_block
-            for s in range(start, start + self.geometry.chunks_per_block):
-                devs = self.bb_stripe.get(s)
-                if devs is not None:
-                    devs.discard(i)
-                    if not devs:
-                        del self.bb_stripe[s]
-        self.slot_blocks[i].clear()
-        for s in self.slot_bs[i]:
-            per = self.bs_stripe.get(s)
-            if per is not None:
-                per.pop(i, None)
-                if not per:
-                    del self.bs_stripe[s]
-        self.slot_bs[i].clear()
-
+        self._drop_latent(i)
         self.failed.add(i)
         if len(self.failed) > 1:
             self.ddf += 1
@@ -359,7 +278,7 @@ class _Simulation:
                 )
         else:
             self._judge_stripes(self._latent_stripes(), time)
-        heapq.heappush(self.heap, (time + self.ttr, EventKind.RECONSTRUCT, i, slot.gen))
+        heapq.heappush(self.heap, (time + self.ttr, EventKind.RECONSTRUCT, i, self.slots[i].gen))
 
     def handle_bad_block(self, i: int, time: float) -> None:
         slot = self.slots[i]
@@ -409,15 +328,18 @@ class _Simulation:
         self.failed.discard(i)
         if len(self.failed) <= self.tolerance:
             self.adl_epoch = False
-        slot = self.slots[i]
-        slot.gen += 1
-        self._install(i, int(self.rng_repl.integers(len(self.pool.drives))), time)
+        self._replace(i, time)
 
     def replace_worn_out(self, i: int, time: float) -> None:
         # Mirror copy onto a fresh drive: no degraded window, no records.
+        self._drop_latent(i)
+        self._replace(i, time)
+
+    def _drop_latent(self, i: int) -> None:
+        """Forget device i's bad blocks and bad symbols."""
+        cpb = self.geometry.chunks_per_block
         for block in self.slot_blocks[i]:
-            start = block * self.geometry.chunks_per_block
-            for s in range(start, start + self.geometry.chunks_per_block):
+            for s in range(block * cpb, (block + 1) * cpb):
                 devs = self.bb_stripe.get(s)
                 if devs is not None:
                     devs.discard(i)
@@ -431,8 +353,10 @@ class _Simulation:
                 if not per:
                     del self.bs_stripe[s]
         self.slot_bs[i].clear()
-        slot = self.slots[i]
-        slot.gen += 1
+
+    def _replace(self, i: int, time: float) -> None:
+        """Install a fresh pool drive in bay i; the old drive's events go stale."""
+        self.slots[i].gen += 1
         self._install(i, int(self.rng_repl.integers(len(self.pool.drives))), time)
 
     # -- main loop ----------------------------------------------------------

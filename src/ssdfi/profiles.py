@@ -9,7 +9,6 @@ generation and the per-hour bad symbol rate used by the simulator.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -41,29 +40,6 @@ class RberCurve:
             raise ProfileError("rber curve pe_cycles must be strictly increasing")
         if any(r <= 0 for _, r in self.points):
             raise ProfileError("rber values must be positive")
-
-
-def rber_at(curve: RberCurve, pe_cycles: float) -> float:
-    """Interpolated RBER at a P/E cycle count, clamped at the curve ends."""
-    if pe_cycles < 0:
-        raise ProfileError("pe_cycles must be >= 0")
-    pts = curve.points
-    if pe_cycles <= pts[0][0]:
-        return pts[0][1]
-    if pe_cycles >= pts[-1][0]:
-        return pts[-1][1]
-    xs = [p for p, _ in pts]
-    i = bisect_right(xs, pe_cycles)
-    (x0, y0), (x1, y1) = pts[i - 1], pts[i]
-    f = (pe_cycles - x0) / (x1 - x0)
-    return y0 + f * (y1 - y0)
-
-
-def bad_symbol_rate(rber: float, bits_accessed: float) -> float:
-    """Expected bad symbol arrivals in one hour given RBER and accessed bits."""
-    if rber < 0 or bits_accessed < 0:
-        raise ProfileError("rber and bits_accessed must be >= 0")
-    return rber * bits_accessed
 
 
 @dataclass(frozen=True)

@@ -54,20 +54,8 @@ class UsageLog:
         return self.hours[-1] + 1
 
 
-def bits_accessed(log: UsageLog, hour: int) -> float:
-    """Total bits read plus written during a mission hour (cyclic replay)."""
-    if hour < 0:
-        raise WorkloadError("hour must be >= 0")
-    h = hour % log.cycle_hours
-    # Logs are usually dense; fall back to search for sparse ones.
-    idx = np.searchsorted(log.hours, h)
-    if idx < len(log.hours) and log.hours[idx] == h:
-        return log.bits_read[idx] + log.bits_written[idx]
-    return 0.0
-
-
 def dense_arrays(log: UsageLog, mission_hours: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bits_accessed, cumulative pe_cycles) per hour over a mission.
+    """(bits accessed, cumulative pe_cycles) per hour over a mission.
 
     The log replays cyclically; P/E cycles accumulate across replays.
     Hours without samples carry zero access and the last known P/E.

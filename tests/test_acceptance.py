@@ -25,10 +25,10 @@ from ssdfi.codes import (
     erf,
     update_penalty,
 )
-from ssdfi.engine import next_failure_location, next_failure_offset, run_simulation
+from ssdfi.engine import _Simulation, run_simulation
 from ssdfi.geometry import ArrayGeometry
-from ssdfi.pool import COND_MEDIAN_TARGETS, generate_pool, validate_pool
-from ssdfi.profiles import RberCurve, SsdModelProfile, default_profiles
+from ssdfi.pool import COND_MEDIAN_TARGETS, PooledSsd, SsdPool, generate_pool, validate_pool
+from ssdfi.profiles import MISSION_HOURS, RberCurve, SsdModelProfile, default_profiles
 from ssdfi.reporting import aggregate_results
 from ssdfi.workload import SynthWorkloadParams, UsageLog, synthesize_usage_log
 
@@ -412,22 +412,51 @@ def test_criterion_11_breakdown_dominance(field_sweep, capfd):
 
 
 def test_criterion_12_sampler_statistics(capfd):
-    rng = np.random.default_rng(2024)
-    n = 1_000_000
-    rate = 0.004
-    u = rng.random(n)
-    offsets = -np.log1p(-u) / rate
-    # Spot check agreement with the scalar sampler.
-    assert offsets[0] == pytest.approx(next_failure_offset(rate, float(u[0])))
-    mean_err = abs(offsets.mean() - 1.0 / rate) * rate
-    bins = 32
-    locs = (rng.random(n) * bins).astype(np.int64)
-    assert next_failure_location(bins, 0.999) == bins - 1
-    observed = np.bincount(locs, minlength=bins)
-    expected = n / bins
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
-    ok = mean_err <= 0.01 and chi2 < 44.985  # chi-square df=31 at 95%
-    announce(capfd, 12, ok, f"mean error {mean_err:.2%}, chi2 {chi2:.1f} < 44.985")
+    # The engine's bad-symbol sampler on one flat-bits log whose P/E ramp
+    # crosses the upper knot of a two-knot RBER curve at hour 30,000.
+    mission = MISSION_HOURS
+    bits, pe_per_hour, knot, r0, r1 = 1e9, 0.1, 3000.0, 1e-8, 5e-8
+    hours = tuple(range(mission))
+    log = UsageLog(
+        device_id="ramp",
+        hours=hours,
+        bits_read=(bits,) * mission,
+        bits_written=(0.0,) * mission,
+        pe_cycles=tuple(h * pe_per_hour for h in hours),
+    )
+    profile = stress_profile(rber_curve=RberCurve(points=((0.0, r0), (knot, r1))))
+    pool = SsdPool("stress", 2_048, 0, tuple(PooledSsd(i, 0, (), None, False) for i in range(3)))
+    geometry = ArrayGeometry(n_devices=3, blocks_per_device=512, stripe_size=3 * 4096 * 4)
+    sim = _Simulation(geometry, R5, profile, pool, [log], 10_000.0, 10.0, mission, 2024, 1.0)
+    times, locs = sim.slots[0].bs_times, sim.slots[0].bs_locs
+
+    pe = np.arange(mission) * pe_per_hour
+    rate = np.minimum(r0 + (r1 - r0) * pe / knot, r1) * bits  # expected arrivals per hour
+    count_err = abs(len(times) - rate.sum()) / rate.sum()
+    bins = 32  # 1,095-hour bins
+    observed = np.bincount((times // (mission // bins)).astype(np.int64), minlength=bins)
+    expected = rate.reshape(bins, -1).sum(axis=1)
+    chi2_times = float(((observed - expected) ** 2 / expected).sum())
+    spd = geometry.symbols_per_device
+    observed = np.bincount(locs * bins // spd, minlength=bins)
+    expected = len(locs) / bins
+    chi2_locs = float(((observed - expected) ** 2 / expected).sum())
+
+    sim._replace(1, mission / 2)
+    late = sim.slots[1].bs_times
+    ok = (
+        len(times) >= 1_000_000
+        and count_err <= 0.01
+        and chi2_times < 46.194  # chi-square df=32 at 95%: expected counts are not fitted
+        and chi2_locs < 44.985  # chi-square df=31 at 95%
+        and 0 <= locs.min() and locs.max() < spd
+        and len(late) > 0 and late.min() > mission / 2
+    )
+    announce(
+        capfd, 12, ok,
+        f"{len(times)} arrivals, count error {count_err:.2%}, time chi2 {chi2_times:.1f} "
+        f"< 46.194, location chi2 {chi2_locs:.1f} < 44.985",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdfi.codes import (
+    DEVICE_TOLERANCE,
     ChunkFault,
     CodesError,
     ErasureCode,
@@ -11,8 +12,7 @@ from ssdfi.codes import (
     check_stripe_dl,
     encode_xor_count,
     erf,
-    faulty_chunk_count,
-    multi_symbol_faulty_chunk_count,
+    stripe_counts,
     uncorrectable,
     update_penalty,
 )
@@ -34,20 +34,24 @@ def syms(*indices):
 
 
 class TestCounts:
+    # stripe_counts(n_failed, bb_devs, bs_map) -> (faulty, multi, n_bb, n_bs)
     def test_empty(self):
-        s = state()
-        assert faulty_chunk_count(s) == 0
-        assert multi_symbol_faulty_chunk_count(s) == 0
+        assert stripe_counts(0, None, None) == (0, 0, 0, 0)
+        assert stripe_counts(0, set(), {}) == (0, 0, 0, 0)
 
     def test_chunk_counts_once(self):
-        s = state(c0=ChunkFault(bad_block=True, bad_symbols=frozenset({0})))
-        assert faulty_chunk_count(s) == 1
+        # A bad symbol on a bad-block or failed chunk adds no faulty chunk.
+        assert stripe_counts(0, {0}, {0: {0}}) == (1, 1, 1, 0)
+        block = ChunkFault(bad_block=True, bad_symbols=frozenset({0}))
+        assert not check_stripe_dl(PMDS, state(c0=block, c1=syms(1)))
+        failed = ChunkFault(device_failed=True, bad_block=True, bad_symbols=frozenset({0}))
+        assert not check_stripe_dl(PMDS, state(c0=failed, c1=syms(1)))
 
     def test_multi_symbol_rules(self):
-        assert multi_symbol_faulty_chunk_count(state(c0=syms(0))) == 0
-        assert multi_symbol_faulty_chunk_count(state(c0=BLOCK)) == 1
-        assert multi_symbol_faulty_chunk_count(state(c0=FAILED)) == 1
-        assert multi_symbol_faulty_chunk_count(state(c0=syms(0, 1), c1=syms(2, 3))) == 2
+        assert stripe_counts(0, None, {0: {0}}) == (1, 0, 0, 1)
+        assert stripe_counts(0, {0}, None) == (1, 1, 1, 0)
+        assert stripe_counts(1, None, None) == (1, 1, 0, 0)
+        assert stripe_counts(0, None, {0: {0, 1}, 1: {2, 3}}) == (2, 2, 0, 2)
 
 
 class TestStateValidation:
@@ -73,6 +77,12 @@ class TestJudge:
         assert uncorrectable(PMDS, 2, 2)
         assert not uncorrectable(PMDS, 2, 1)
         assert uncorrectable(PMDS, 3, 0)
+
+    @pytest.mark.parametrize("code", list(ErasureCode))
+    def test_device_tolerance(self, code):
+        t = DEVICE_TOLERANCE[code]
+        assert not uncorrectable(code, t, t)
+        assert uncorrectable(code, t + 1, t + 1)
 
     def test_empty_stripe_correctable_everywhere(self):
         for code in ErasureCode:

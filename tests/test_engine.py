@@ -1,17 +1,10 @@
-import math
+import heapq
 
+import numpy as np
 import pytest
 
 from ssdfi.codes import ErasureCode
-from ssdfi.engine import (
-    EngineError,
-    EventKind,
-    SimEvent,
-    affected_stripe_range,
-    next_failure_location,
-    next_failure_offset,
-    run_simulation,
-)
+from ssdfi.engine import EventKind, _Simulation, run_simulation
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import PooledSsd, SsdPool
 from ssdfi.profiles import RberCurve, SsdModelProfile
@@ -45,12 +38,12 @@ def flat_profile(rber=1e-12):
     )
 
 
-def quiet_log(pe_per_hour=0.0, hours=200):
+def quiet_log(pe_per_hour=0.0, hours=200, bits=0.0):
     pe = tuple(float(int(h * pe_per_hour)) for h in range(hours))
     return UsageLog(
         device_id="q",
         hours=tuple(range(hours)),
-        bits_read=(0.0,) * hours,
+        bits_read=(bits,) * hours,
         bits_written=(0.0,) * hours,
         pe_cycles=pe,
     )
@@ -85,48 +78,116 @@ def run(pool, code=R5, mission=150, tts=1_000_000.0, ttr=1_000_000.0, seed=0, **
     )
 
 
+def make_sim(pool, rber=1e-12, bits=0.0):
+    """A simulation set up like `run`, for driving its handlers directly."""
+    return _Simulation(
+        GEOMETRY, R5, flat_profile(rber), pool, [quiet_log(bits=bits)],
+        1_000_000.0, 1_000_000.0, 150, 0, 1.0,
+    )
+
+
+def clean_pool():
+    return scripted_pool([drive(i) for i in range(3)])
+
+
+def plant_block(sim, i, block, time):
+    slot = sim.slots[i]
+    slot.bb_times, slot.bb_locs, slot.bb_ptr = np.array([time]), np.array([block]), 0
+    sim.handle_bad_block(i, time)
+
+
+def plant_symbol(sim, i, symbol, time):
+    slot = sim.slots[i]
+    slot.bs_times, slot.bs_locs, slot.bs_ptr = np.array([time]), np.array([symbol]), 0
+    sim.handle_bad_symbol(i, time)
+
+
 class TestSamplers:
+    """The bad-symbol and bad-block schedules `_install` draws."""
+
     def test_offset_value(self):
-        assert next_failure_offset(2.0, 0.5) == pytest.approx(-math.log(0.5) / 2.0)
+        # A constant rate of 2/h: arrival times are unit exponential
+        # sums divided by the rate.
+        sim = make_sim(clean_pool(), rber=2e-6, bits=1e6)
+        times = sim._draw_bs_times(sim.slots[0], 0.0, np.random.default_rng(7))
+        assert 250 < len(times) < 350
+        gaps = np.random.default_rng(7).exponential(1.0, size=len(times))
+        assert times == pytest.approx(np.cumsum(gaps) / 2.0, rel=1e-9)
 
     def test_offset_validation(self):
-        with pytest.raises(EngineError):
-            next_failure_offset(0.0, 0.5)
-        with pytest.raises(EngineError):
-            next_failure_offset(1.0, 1.0)
+        assert len(make_sim(clean_pool()).slots[0].bs_times) == 0  # zero hazard
+        sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
+        sim._replace(0, 75.5)
+        times = sim.slots[0].bs_times
+        assert len(times) > 0
+        assert times.min() > 75.5 and times.max() < 150
 
     def test_location_value(self):
-        assert next_failure_location(10, 0.0) == 0
-        assert next_failure_location(10, 0.95) == 9
+        sim = make_sim(clean_pool(), rber=1e-3, bits=1e6)
+        slot = sim.slots[0]
+        assert len(slot.bs_locs) == len(slot.bs_times) > 100_000
+        assert slot.bs_locs.min() >= 0
+        assert slot.bs_locs.max() < GEOMETRY.symbols_per_device
 
     def test_location_validation(self):
-        with pytest.raises(EngineError):
-            next_failure_location(0, 0.5)
+        sim = make_sim(scripted_pool([drive(i, bb_times=(10.0, 60.0, 140.0)) for i in range(3)]))
+        assert list(sim.slots[0].bb_times) == [10.0, 60.0, 140.0]
+        sim._replace(0, 75.0)
+        slot = sim.slots[0]
+        # Pool times count from the install; those past the mission drop.
+        assert list(slot.bb_times) == [85.0, 135.0]
+        assert len(slot.bb_locs) == 2
+        assert all(0 <= b < GEOMETRY.blocks_per_device for b in slot.bb_locs)
 
 
 class TestAffectedStripes:
+    """Which stripes each fault marks and judges."""
+
     def test_bad_chip_spans_array(self):
-        ev = SimEvent(0.0, EventKind.BAD_CHIP, device=0)
-        assert affected_stripe_range(GEOMETRY, ev) == (0, GEOMETRY.array_stripes)
+        sim = make_sim(clean_pool())
+        last = GEOMETRY.symbols_per_device - 1
+        plant_block(sim, 1, 0, 10.0)
+        plant_symbol(sim, 2, last, 20.0)
+        assert sim.records == []
+        sim.handle_bad_chip(0, 30.0)
+        cpb = GEOMETRY.chunks_per_block
+        assert sorted(sim.recorded) == list(range(cpb)) + [GEOMETRY.array_stripes - 1]
+        assert [(r.scope, r.cause, r.stripes_lost) for r in sim.records] == [
+            ("SDL", "BC+BS", 1),
+            ("BDL", "BC+BB", cpb),
+        ]
 
     def test_bad_block_spans_block(self):
-        ev = SimEvent(0.0, EventKind.BAD_BLOCK, device=0, location=3)
+        sim = make_sim(clean_pool())
+        plant_block(sim, 0, 3, 10.0)
         cpb = GEOMETRY.chunks_per_block
-        assert affected_stripe_range(GEOMETRY, ev) == (3 * cpb, 4 * cpb)
+        assert sim.bb_stripe == {s: {0} for s in range(3 * cpb, 4 * cpb)}
 
     def test_bad_symbol_single_stripe(self):
-        ev = SimEvent(0.0, EventKind.BAD_SYMBOL, device=0, location=9)
-        stripe = 9 // GEOMETRY.chunk_pages
-        assert affected_stripe_range(GEOMETRY, ev) == (stripe, stripe + 1)
+        sim = make_sim(clean_pool())
+        plant_symbol(sim, 0, 9, 10.0)
+        cp = GEOMETRY.chunk_pages
+        assert sim.bs_stripe == {9 // cp: {0: {9 % cp}}}
 
     def test_out_of_range_location(self):
-        ev = SimEvent(0.0, EventKind.BAD_BLOCK, device=0, location=64)
-        with pytest.raises(EngineError):
-            affected_stripe_range(GEOMETRY, ev)
+        # Faults at the very end of a device stay inside the array.
+        sim = make_sim(clean_pool())
+        plant_block(sim, 0, GEOMETRY.blocks_per_device - 1, 10.0)
+        plant_symbol(sim, 1, GEOMETRY.symbols_per_device - 1, 20.0)
+        last = GEOMETRY.array_stripes - 1
+        assert max(sim.bb_stripe) == last
+        assert list(sim.bs_stripe) == [last]
 
     def test_non_failure_event(self):
-        with pytest.raises(EngineError):
-            affected_stripe_range(GEOMETRY, SimEvent(0.0, EventKind.SCRUB))
+        # Scrubs, rebuilds and wear-out replacements mark no stripe.
+        sim = make_sim(clean_pool())
+        plant_block(sim, 0, 3, 10.0)
+        sim.apply_scrub(20.0)
+        assert not sim.bb_stripe and not sim.slot_blocks[0]
+        sim.replace_worn_out(1, 30.0)
+        sim.apply_reconstruct(2, 40.0)
+        assert not sim.bb_stripe and not sim.bs_stripe
+        assert sim.records == []
 
 
 class TestScriptedScenarios:
@@ -208,6 +269,21 @@ class TestScriptedScenarios:
         # the replacement drives re-run their own schedules relative to
         # install, and the mission ends before those fire.
         assert all(r.scope != "ADL" for r in result.records)
+
+    def test_worn_out_drive_drops_its_latent_faults(self):
+        # Bay 0 takes a bad block at 40 h, bay 1 a bad chip at 100 h; a
+        # wear-out copy of bay 0 at 50 h leaves no bad block to coincide.
+        for wear_out, bdl in ((False, ["BC+BB"]), (True, [])):
+            sim = make_sim(clean_pool())
+            slot = sim.slots[0]
+            slot.bb_times, slot.bb_locs = np.array([40.0]), np.array([5])
+            events = [(40.0, EventKind.BAD_BLOCK, 0, 0), (100.0, EventKind.BAD_CHIP, 1, 0)]
+            if wear_out:
+                events.append((50.0, EventKind.WEAR_OUT, 0, 0))
+            for event in events:
+                heapq.heappush(sim.heap, event)
+            result = sim.run()
+            assert [r.cause for r in result.records if r.scope == "BDL"] == bdl
 
 
 class TestDeterminism:

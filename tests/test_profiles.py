@@ -1,21 +1,45 @@
+import numpy as np
 import pytest
 
+from ssdfi.codes import ErasureCode
+from ssdfi.engine import _Simulation
+from ssdfi.geometry import ArrayGeometry
+from ssdfi.pool import PooledSsd, SsdPool
 from ssdfi.profiles import (
     MISSION_HOURS,
     ProfileError,
     RberCurve,
     SsdModelProfile,
-    bad_symbol_rate,
     default_profiles,
     load_profiles,
     load_rber_curve,
     profile_by_name,
-    rber_at,
 )
+from ssdfi.workload import UsageLog, WorkloadError
 
 
 def make_curve():
     return RberCurve(points=((0.0, 1e-8), (1000.0, 1e-6), (3000.0, 1e-4)))
+
+
+def hourly_rates(curve, bits, pe):
+    """Bad-symbol arrivals per hour the engine sets up for a fresh drive.
+
+    One log hour per `pe` entry, each accessing `bits` bits.
+    """
+    hours = len(pe)
+    log = UsageLog("d", tuple(range(hours)), (bits,) * hours, (0.0,) * hours, tuple(pe))
+    profile = SsdModelProfile(
+        name="X", technology="MLC", pct_bad_chip=0.0, pct_bad_block=0.0,
+        median_bb=1, mean_bb=1.0, factory_bb_mean=0.0, factory_bb_std=0.0,
+        wol=10**8, bb_escalation_threshold=1, bb_escalation_factor=1.0, rber_curve=curve,
+    )
+    pool = SsdPool("X", 64, 0, (PooledSsd(0, 0, (), None, False),) * 3)
+    geometry = ArrayGeometry(n_devices=3, blocks_per_device=64, stripe_size=3 * 4096 * 4)
+    sim = _Simulation(
+        geometry, ErasureCode.RAID5, profile, pool, [log], 1e6, 1e6, hours, 0, 1.0
+    )
+    return np.diff(sim.slots[0].cum), sim.slots[0].bs_times
 
 
 class TestRberCurve:
@@ -32,30 +56,36 @@ class TestRberCurve:
             RberCurve(points=((0.0, 0.0), (10.0, 1e-7)))
 
     def test_interpolates_linearly(self):
-        curve = make_curve()
-        mid = rber_at(curve, 500.0)
-        assert mid == pytest.approx(0.5 * (1e-8 + 1e-6))
+        rates, _ = hourly_rates(make_curve(), 1.0, (500.0, 2000.0))
+        assert rates == pytest.approx([0.5 * (1e-8 + 1e-6), 0.5 * (1e-6 + 1e-4)])
 
     def test_clamps_at_ends(self):
-        curve = make_curve()
-        assert rber_at(curve, 0.0) == 1e-8
-        assert rber_at(curve, 1e9) == 1e-4
+        rates, _ = hourly_rates(make_curve(), 1.0, (0.0, 1e9))
+        assert rates == pytest.approx([1e-8, 1e-4])
 
     def test_rejects_negative_pe(self):
-        with pytest.raises(ProfileError):
-            rber_at(make_curve(), -1.0)
+        # The engine reads P/E counts only from usage logs, which reject
+        # negative ones.
+        with pytest.raises(WorkloadError):
+            UsageLog("d", (0,), (0.0,), (0.0,), (-1.0,))
 
 
 class TestBadSymbolRate:
     def test_product(self):
-        assert bad_symbol_rate(1e-8, 4e6) == pytest.approx(0.04)
+        rates, _ = hourly_rates(RberCurve(((0.0, 1e-8), (1e9, 1e-8))), 4e6, (0.0, 5.0))
+        assert rates == pytest.approx([0.04, 0.04])
 
     def test_zero_bits(self):
-        assert bad_symbol_rate(1e-8, 0.0) == 0.0
+        rates, times = hourly_rates(make_curve(), 0.0, (0.0, 2000.0))
+        assert list(rates) == [0.0, 0.0]
+        assert len(times) == 0
 
     def test_rejects_negative(self):
+        # Both factors of the rate reject negative inputs.
         with pytest.raises(ProfileError):
-            bad_symbol_rate(-1e-8, 1.0)
+            RberCurve(points=((0.0, -1e-8), (10.0, 1e-7)))
+        with pytest.raises(WorkloadError):
+            UsageLog("d", (0,), (0.0,), (-1.0,), (0.0,))
 
 
 class TestSsdModelProfile:

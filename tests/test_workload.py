@@ -5,7 +5,6 @@ from ssdfi.workload import (
     SynthWorkloadParams,
     UsageLog,
     WorkloadError,
-    bits_accessed,
     dense_arrays,
     parse_usage_log,
     synthesize_usage_log,
@@ -45,16 +44,18 @@ class TestUsageLog:
 
 
 class TestBitsAccessed:
+    # Bits read plus written per mission hour, as dense_arrays lays them out.
     def test_sampled_hour(self):
-        assert bits_accessed(make_log(), 1) == 220.0
+        bits, _ = dense_arrays(make_log(), 4)
+        assert bits[1] == 220.0 and bits[3] == 55.0
 
     def test_unsampled_hour_is_zero(self):
-        assert bits_accessed(make_log(), 2) == 0.0
+        bits, _ = dense_arrays(make_log(), 4)
+        assert bits[2] == 0.0
 
     def test_cyclic_replay(self):
-        log = make_log()
-        assert bits_accessed(log, 4) == bits_accessed(log, 0)
-        assert bits_accessed(log, 4 + 3) == bits_accessed(log, 3)
+        bits, _ = dense_arrays(make_log(), 8)
+        assert list(bits[4:]) == list(bits[:4])
 
 
 class TestDenseArrays:
