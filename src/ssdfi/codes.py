@@ -40,9 +40,6 @@ class ChunkFault:
     bad_block: bool = False
     bad_symbols: frozenset[int] = frozenset()
 
-    def is_faulty(self) -> bool:
-        return self.device_failed or self.bad_block or bool(self.bad_symbols)
-
 
 @dataclass(frozen=True)
 class StripeFaultState:

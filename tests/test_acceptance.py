@@ -278,7 +278,9 @@ def test_criterion_05_judge_oracle(capfd):
     t0 = time.perf_counter()
     agree = total = 0
     for combo in itertools.product(options, repeat=4):
-        chunks = {i: f for i, f in enumerate(combo) if f.is_faulty()}
+        chunks = {
+            i: f for i, f in enumerate(combo) if f.device_failed or f.bad_block or f.bad_symbols
+        }
         s = StripeFaultState(n_devices=4, chunk_pages=2, chunks=chunks)
         for code in (R5, R6, PMDS):
             total += 1

@@ -1,0 +1,130 @@
+"""Differential test: the production engine against the per-event reference.
+
+`reference_engine._Simulation` pushes and pops every bad-symbol arrival
+as its own heap event; `ssdfi.engine._Simulation` consumes them from one
+merged timeline between boundary events.  Both must judge the same
+stripes in the same order at the same times, so the results (records
+and their order included) and the number of `uncorrectable` calls must
+be equal.
+
+The configurations are small and dense so that every path runs within a
+short mission: a 4-device array of 32 stripes whose stripes collect
+several bad symbols between scrubs, bad chips and bad blocks from the
+criterion-8 stress profile compressed into the mission, short scrub and
+rebuild times (ADL epochs and rebuilds), and a P/E ramp that wears drives
+out every 300 hours.  Half of the seeds round every arrival up to a whole
+hour, so arrivals tie with each other across bays and with scrubs and
+wear-outs, which exercises the same-time order.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+
+import reference_engine
+import ssdfi.engine
+from ssdfi.codes import ErasureCode
+from ssdfi.geometry import ArrayGeometry
+from ssdfi.pool import SsdPool, generate_pool
+from ssdfi.profiles import MISSION_HOURS, RberCurve, SsdModelProfile
+from ssdfi.workload import UsageLog
+
+SEEDS = 1000
+MISSION = 1_200
+TTS = (30.0, 150.0, 800.0)
+TTR = (5.0, 60.0, 400.0)
+
+GEOMETRY = ArrayGeometry(
+    n_devices=4, page_size=4096, pages_per_block=8, blocks_per_device=8, stripe_size=4 * 4096 * 2
+)
+
+PROFILE = SsdModelProfile(
+    name="stress",
+    technology="MLC",
+    pct_bad_chip=0.8,
+    pct_bad_block=0.6,
+    median_bb=1,
+    mean_bb=2.0,
+    factory_bb_mean=0.0,
+    factory_bb_std=0.0,
+    wol=300,
+    bb_escalation_threshold=1,
+    bb_escalation_factor=1.0,
+    rber_curve=RberCurve(points=((0.0, 5e-8), (1e9, 5e-8))),
+)
+
+# About 0.05 bad symbols per device-hour, one P/E cycle per hour.
+LOG = UsageLog(
+    device_id="ramp",
+    hours=tuple(range(24)),
+    bits_read=(5e5,) * 24,
+    bits_written=(5e5,) * 24,
+    pe_cycles=tuple(float(h) for h in range(24)),
+)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """The criterion-8 stress pool with its schedules compressed into the mission."""
+    stress = dataclasses.replace(PROFILE, wol=10**8)
+    base = generate_pool(stress, 400, 2_048, seed=7)
+    scale = MISSION / MISSION_HOURS
+    drives = tuple(
+        dataclasses.replace(
+            d,
+            mission_bb_times=tuple(t * scale for t in d.mission_bb_times),
+            bad_chip_time=None if d.bad_chip_time is None else d.bad_chip_time * scale,
+        )
+        for d in base.drives
+    )
+    return SsdPool(base.profile_name, base.blocks_per_device, base.seed, drives)
+
+
+def _hourly(cls):
+    """`cls` with every bad-symbol arrival rounded up to a whole hour."""
+
+    class Hourly(cls):
+        def _draw_bs_times(self, slot, now, rng):
+            return np.ceil(super()._draw_bs_times(slot, now, rng))
+
+    return Hourly
+
+
+def _counting(monkeypatch, module):
+    calls = [0]
+    judge = module.uncorrectable
+
+    def uncorrectable(code, faulty, multi):
+        calls[0] += 1
+        return judge(code, faulty, multi)
+
+    monkeypatch.setattr(module, "uncorrectable", uncorrectable)
+    return calls
+
+
+@pytest.mark.parametrize("code", list(ErasureCode), ids=lambda c: c.value)
+def test_engine_matches_reference(pool, code, monkeypatch):
+    new_calls = _counting(monkeypatch, ssdfi.engine)
+    ref_calls = _counting(monkeypatch, reference_engine)
+    engines = {
+        False: (ssdfi.engine._Simulation, reference_engine._Simulation),
+        True: (_hourly(ssdfi.engine._Simulation), _hourly(reference_engine._Simulation)),
+    }
+    totals = {"records": 0, "ADL": 0, "BDL": 0, "SDL": 0, "judged": 0, "replaced": 0}
+    for seed in range(SEEDS):
+        tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
+        new, ref = engines[seed % 2 == 1]
+        args = (GEOMETRY, code, PROFILE, pool, [LOG], tts, ttr, MISSION, seed, 1.0)
+        before = new_calls[0], ref_calls[0]
+        sim = new(*args)
+        got, want = sim.run(), ref(*args).run()
+        assert got == want, f"seed {seed}"
+        judged = new_calls[0] - before[0]
+        assert judged == ref_calls[0] - before[1], f"seed {seed}"
+        totals["records"] += len(got.records)
+        totals["judged"] += judged
+        totals["replaced"] += sum(slot.gen for slot in sim.slots)
+        for rec in got.records:
+            totals[rec.scope] += 1
+    # The configuration must reach every path it is meant to cover.
+    assert min(totals.values()) > 0, totals

@@ -1,10 +1,12 @@
 import heapq
+import math
 
 import numpy as np
 import pytest
 
+import ssdfi.engine
 from ssdfi.codes import ErasureCode
-from ssdfi.engine import EventKind, _Simulation, run_simulation
+from ssdfi.engine import DataLossRecord, EventKind, _Simulation, run_simulation
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import PooledSsd, SsdPool
 from ssdfi.profiles import RberCurve, SsdModelProfile
@@ -96,10 +98,16 @@ def plant_block(sim, i, block, time):
     sim.handle_bad_block(i, time)
 
 
-def plant_symbol(sim, i, symbol, time):
+def schedule_symbols(sim, i, symbols, times):
+    """Put bay i's bad-symbol arrivals on the simulation's timeline."""
     slot = sim.slots[i]
-    slot.bs_times, slot.bs_locs, slot.bs_ptr = np.array([time]), np.array([symbol]), 0
-    sim.handle_bad_symbol(i, time)
+    slot.bs_times, slot.bs_locs = np.array(times, dtype=float), np.array(symbols, dtype=np.int64)
+    sim._merge_arrivals(i)
+
+
+def plant_symbol(sim, i, symbol, time):
+    schedule_symbols(sim, i, [symbol], [time])
+    sim._consume_arrivals(math.nextafter(time, math.inf))
 
 
 class TestSamplers:
@@ -161,7 +169,8 @@ class TestAffectedStripes:
         sim = make_sim(clean_pool())
         plant_block(sim, 0, 3, 10.0)
         cpb = GEOMETRY.chunks_per_block
-        assert sim.bb_stripe == {s: {0} for s in range(3 * cpb, 4 * cpb)}
+        assert sim.bb_block == {3: {0}}
+        assert sim._latent_stripes() == list(range(3 * cpb, 4 * cpb))
 
     def test_bad_symbol_single_stripe(self):
         sim = make_sim(clean_pool())
@@ -175,7 +184,8 @@ class TestAffectedStripes:
         plant_block(sim, 0, GEOMETRY.blocks_per_device - 1, 10.0)
         plant_symbol(sim, 1, GEOMETRY.symbols_per_device - 1, 20.0)
         last = GEOMETRY.array_stripes - 1
-        assert max(sim.bb_stripe) == last
+        assert list(sim.bb_block) == [GEOMETRY.blocks_per_device - 1]
+        assert sim._latent_stripes()[-1] == last
         assert list(sim.bs_stripe) == [last]
 
     def test_non_failure_event(self):
@@ -183,11 +193,42 @@ class TestAffectedStripes:
         sim = make_sim(clean_pool())
         plant_block(sim, 0, 3, 10.0)
         sim.apply_scrub(20.0)
-        assert not sim.bb_stripe and not sim.slot_blocks[0]
+        assert not sim.bb_block and not sim.slot_blocks[0]
         sim.replace_worn_out(1, 30.0)
         sim.apply_reconstruct(2, 40.0)
-        assert not sim.bb_stripe and not sim.bs_stripe
+        assert not sim.bb_block and not sim.bs_stripe
         assert sim.records == []
+
+    def test_symbol_at_bad_chip_hour_comes_after_the_chip(self, monkeypatch):
+        # The chip fails bay 1 at 30 h first; the symbol then lands on a
+        # stripe already short one chunk, and its own judgement is the one
+        # that records the loss (judged first, it would pass, and the
+        # chip's latent scan would judge the stripe a second time).
+        calls = []
+        judge = ssdfi.engine.uncorrectable
+        monkeypatch.setattr(
+            ssdfi.engine, "uncorrectable", lambda *a: calls.append(a) or judge(*a)
+        )
+        sim = make_sim(clean_pool())
+        schedule_symbols(sim, 2, [9], [30.0])
+        heapq.heappush(sim.heap, (30.0, EventKind.BAD_CHIP, 1, 0))
+        result = sim.run()
+        assert result.records == (DataLossRecord(30.0, "SDL", "BC+BS", 1),)
+        assert calls == [(R5, 2, 1)]
+
+    def test_arrivals_on_failed_bay_leave_no_latent_fault(self):
+        # Bay 0 fails at 10 h and is rebuilt at 60 h; its arrivals at 20 h
+        # and 30 h are subsumed, so bay 1's bad chip at 100 h meets no
+        # latent fault and loses nothing.
+        sim = make_sim(clean_pool())
+        sim.ttr = 50.0
+        schedule_symbols(sim, 0, [9, 70], [20.0, 30.0])
+        heapq.heappush(sim.heap, (10.0, EventKind.BAD_CHIP, 0, 0))
+        heapq.heappush(sim.heap, (100.0, EventKind.BAD_CHIP, 1, 0))
+        result = sim.run()
+        assert sim.slots[0].gen == 1  # rebuilt
+        assert not sim.bs_stripe and not sim.slot_bs[0]
+        assert result.records == ()
 
 
 class TestScriptedScenarios:
