@@ -19,7 +19,7 @@ from .pool import (
     validate_pool,
 )
 from .profiles import profile_by_name
-from .reporting import aggregate_results, emit_report
+from .reporting import aggregate_results, atomic_open, emit_report
 from .workload import (
     SynthWorkloadParams,
     parse_usage_log,
@@ -27,7 +27,9 @@ from .workload import (
     write_usage_log,
 )
 
-_WORKER_CTX: dict = {}
+# The grid's cells, as `run_simulation` keyword arguments without the
+# seed; set in each worker process by `_worker_init`.
+_WORKER_CELLS: list[dict] = []
 
 
 def derive_seed(master_seed: int, grid_key: str, index: int) -> int:
@@ -36,24 +38,13 @@ def derive_seed(master_seed: int, grid_key: str, index: int) -> int:
     return int.from_bytes(digest[:8], "big") & ((1 << 63) - 1)
 
 
-def _worker_init(ctx: dict) -> None:
-    _WORKER_CTX.update(ctx)
+def _worker_init(cells: list[dict]) -> None:
+    _WORKER_CELLS[:] = cells
 
 
-def _worker_run(seed: int):
-    c = _WORKER_CTX
-    return run_simulation(
-        geometry=c["geometry"],
-        code=c["code"],
-        profile=c["profile"],
-        pool=c["pool"],
-        usage_logs=c["usage_logs"],
-        tts=c["tts"],
-        ttr=c["ttr"],
-        mission=c["mission"],
-        seed=seed,
-        mirror_copy_hours=c["mirror_copy_hours"],
-    )
+def _worker_run(job: tuple[int, int]):
+    cell, seed = job
+    return run_simulation(**_WORKER_CELLS[cell], seed=seed)
 
 
 def _grid_key(code: ErasureCode, model: str, tts: float, ttr: float, stripe_kb: int) -> str:
@@ -84,9 +75,19 @@ def run_experiment(
     fmt: str = "json",
     collapse_below: float = 0.0,
 ) -> dict:
-    """Run the full configuration grid and write one report per cell."""
+    """Run the full configuration grid and write one report per cell.
+
+    Every mission of every cell is one (cell, seed) job.  With more than
+    one worker, all jobs go to a single `multiprocessing.Pool` in one
+    `map`, so no cell waits for the slowest mission of the cell before
+    it; cells of one model share its pool and usage logs.  Results come
+    back in job order and are aggregated per cell as if each cell had run
+    alone, so the reports do not depend on the worker count.  Reports and
+    `manifest.json` are written atomically.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"master_seed": master_seed, "n_sims": n_sims, "reports": {}}
+    cells: list[dict] = []
+    keys: list[str] = []
     for model in models:
         profile = profile_by_name(model)
         pool = generate_pool(
@@ -113,9 +114,8 @@ def run_experiment(
             for code in codes:
                 for tts in tts_values:
                     for ttr in ttr_values:
-                        key = _grid_key(code, model, tts, ttr, stripe_kb)
-                        seeds = [derive_seed(master_seed, key, i) for i in range(n_sims)]
-                        ctx = {
+                        keys.append(_grid_key(code, model, tts, ttr, stripe_kb))
+                        cells.append({
                             "geometry": geometry,
                             "code": code,
                             "profile": profile,
@@ -125,28 +125,36 @@ def run_experiment(
                             "ttr": ttr,
                             "mission": mission,
                             "mirror_copy_hours": 1.0,
-                        }
-                        if workers > 1:
-                            with multiprocessing.Pool(
-                                workers, initializer=_worker_init, initargs=(ctx,)
-                            ) as mp_pool:
-                                results = mp_pool.map(_worker_run, seeds)
-                        else:
-                            _worker_init(ctx)
-                            results = [_worker_run(s) for s in seeds]
-                        report = aggregate_results(
-                            results, experiment_id=key, collapse_below=collapse_below
-                        )
-                        ext = "json" if fmt == "json" else "csv"
-                        path = out_dir / f"{key}.{ext}"
-                        emit_report(report, path, fmt=fmt)
-                        manifest["reports"][key] = {
-                            "path": path.name,
-                            "mean_stripes": report.mean_stripes,
-                            "mean_bytes": report.mean_bytes,
-                        }
-    manifest_path = out_dir / "manifest.json"
-    with manifest_path.open("w") as fh:
+                        })
+    jobs = [
+        (cell, derive_seed(master_seed, key, i))
+        for cell, key in enumerate(keys)
+        for i in range(n_sims)
+    ]
+    if workers > 1:
+        with multiprocessing.Pool(
+            workers, initializer=_worker_init, initargs=(cells,)
+        ) as mp_pool:
+            results = mp_pool.map(_worker_run, jobs, chunksize=1)
+    else:
+        results = [run_simulation(**cells[cell], seed=seed) for cell, seed in jobs]
+
+    manifest: dict = {"master_seed": master_seed, "n_sims": n_sims, "reports": {}}
+    ext = "json" if fmt == "json" else "csv"
+    for cell, key in enumerate(keys):
+        report = aggregate_results(
+            results[cell * n_sims : (cell + 1) * n_sims],
+            experiment_id=key,
+            collapse_below=collapse_below,
+        )
+        path = out_dir / f"{key}.{ext}"
+        emit_report(report, path, fmt=fmt)
+        manifest["reports"][key] = {
+            "path": path.name,
+            "mean_stripes": report.mean_stripes,
+            "mean_bytes": report.mean_bytes,
+        }
+    with atomic_open(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
@@ -252,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--pool-size", type=int, default=10_000)
     run_p.add_argument("--pool-blocks", type=int, default=16_384)
     run_p.add_argument("--pool-seed", type=int, default=None)
-    run_p.add_argument("--mission", type=float, default=MISSION_HOURS)
+    run_p.add_argument("--mission", type=float, default=MISSION_HOURS,
+                       help=f"mission length in hours, at most {MISSION_HOURS} "
+                            "(the span of the pool's fault schedules)")
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--usage-log", default=None, help="CSV of per-device usage logs")
     run_p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -1,10 +1,15 @@
 """Drive pool generation calibrated against field failure statistics.
 
 A pool is a population of simulated drives.  Each drive carries a
-pre-drawn fault schedule for one mission: an optional bad chip time, a
-set of mission bad block arrival times, and a factory bad block count.
-The simulator draws array members from the pool and replays their
-schedules.
+pre-drawn fault schedule for one mission: an optional bad chip time and
+a set of mission bad block arrival times.  The simulator draws array
+members from the pool and replays their schedules.
+
+A generated pool stores every drive's bad block times, in drive order,
+in one contiguous read-only float64 array; each drive's
+`mission_bb_times` is a view of its own slice of that array.  Holding
+millions of arrival times this way costs 8 bytes each, and a forked
+worker shares the buffer instead of touching millions of Python floats.
 
 Counts of mission bad blocks are heavily skewed in the field: the
 median among affected drives is 2-3 while the mean is in the hundreds,
@@ -63,21 +68,30 @@ class PoolError(ValueError):
     """Invalid pool parameters or infeasible calibration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PooledSsd:
-    """One drive's pre-drawn fault schedule for a full mission."""
+    """One drive's pre-drawn fault schedule for a full mission.
+
+    `mission_bb_times` may be given as any sequence of floats; it is
+    stored as a read-only float64 array.  Drives compare by identity.
+    """
 
     drive_id: int
-    factory_bb: int
-    mission_bb_times: tuple[float, ...]  # ascending, within [0, mission)
+    mission_bb_times: np.ndarray  # ascending, within [0, mission)
     bad_chip_time: float | None  # in-mission hour, or None
     marked_bb_gt_5pct: bool
 
     def __post_init__(self):
-        times = self.mission_bb_times
-        if any(b <= a for a, b in zip(times, times[1:])):
+        times = np.asarray(self.mission_bb_times, dtype=np.float64)
+        if times.ndim != 1:
+            raise PoolError("mission_bb_times must be one-dimensional")
+        if times.flags.writeable:
+            times = times.copy()
+            times.flags.writeable = False
+        object.__setattr__(self, "mission_bb_times", times)
+        if times.size > 1 and (times[1:] <= times[:-1]).any():
             raise PoolError("mission_bb_times must be strictly ascending")
-        if times and (times[0] < 0 or times[-1] >= MISSION_HOURS):
+        if times.size and (times[0] < 0 or times[-1] >= MISSION_HOURS):
             raise PoolError("mission_bb_times must lie within [0, mission)")
         if self.bad_chip_time is not None and not 0 <= self.bad_chip_time < MISSION_HOURS:
             raise PoolError("bad_chip_time must lie within [0, mission)")
@@ -85,7 +99,7 @@ class PooledSsd:
             raise PoolError("marked_bb_gt_5pct requires a bad chip time")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SsdPool:
     profile_name: str
     blocks_per_device: int
@@ -257,9 +271,7 @@ def _unmarked_counts(segments: list[_Segment], n: int, rng: np.random.Generator)
     return counts
 
 
-def _bb_times(
-    rng: np.random.Generator, count: int, threshold: int, factor: float
-) -> tuple[float, ...]:
+def _bb_times(rng: np.random.Generator, count: int, threshold: int, factor: float) -> np.ndarray:
     """Arrival times for `count` bad blocks over one mission.
 
     Exponential inter-arrival construction conditioned on the count:
@@ -277,7 +289,7 @@ def _bb_times(
     dup = np.flatnonzero(np.diff(times) <= 0)
     for i in dup:
         times[i + 1] = np.nextafter(times[i], np.inf)
-    return tuple(float(t) for t in times)
+    return times
 
 
 def _truncated_exp_time(rng: np.random.Generator, pct: float) -> float:
@@ -336,32 +348,36 @@ def generate_pool(
         draws = np.clip(np.rint(draws), threshold_count, blocks_per_device)
         counts[sorted(marked_ids)] = draws.astype(np.int64)
 
-    factory = np.clip(
-        np.rint(rng.normal(profile.factory_bb_mean, profile.factory_bb_std, size=pool_size)),
-        0,
-        None,
-    ).astype(np.int64)
+    # Factory bad block counts are no longer kept, but drawing them keeps
+    # every later draw, and so every schedule, at its established value.
+    rng.normal(profile.factory_bb_mean, profile.factory_bb_std, size=pool_size)
 
-    drives = []
+    # Drive k's bad block times are flat[starts[k]:ends[k]].
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    flat = np.empty(int(ends[-1]))
+    bc_times: list[float | None] = []
     for drive_id in range(pool_size):
-        c = int(counts[drive_id])
-        times = (
-            _bb_times(rng, c, profile.bb_escalation_threshold, profile.bb_escalation_factor)
-            if c
-            else ()
-        )
-        bc_time = (
+        if counts[drive_id]:
+            flat[starts[drive_id] : ends[drive_id]] = _bb_times(
+                rng,
+                int(counts[drive_id]),
+                profile.bb_escalation_threshold,
+                profile.bb_escalation_factor,
+            )
+        bc_times.append(
             _truncated_exp_time(rng, profile.pct_bad_chip) if drive_id in bc_ids else None
         )
-        drives.append(
-            PooledSsd(
-                drive_id=drive_id,
-                factory_bb=int(factory[drive_id]),
-                mission_bb_times=times,
-                bad_chip_time=bc_time,
-                marked_bb_gt_5pct=drive_id in marked_ids,
-            )
+    flat.flags.writeable = False
+    drives = [
+        PooledSsd(
+            drive_id=drive_id,
+            mission_bb_times=flat[starts[drive_id] : ends[drive_id]],
+            bad_chip_time=bc_times[drive_id],
+            marked_bb_gt_5pct=drive_id in marked_ids,
         )
+        for drive_id in range(pool_size)
+    ]
     return SsdPool(
         profile_name=profile.name,
         blocks_per_device=blocks_per_device,

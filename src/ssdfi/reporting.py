@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,15 +153,34 @@ def report_from_dict(data: dict) -> AggregateReport:
     )
 
 
+@contextmanager
+def atomic_open(path: Path, newline: str | None = None):
+    """Open `path` for writing text that appears there only once complete.
+
+    The text goes to a temporary file in the same directory, which is
+    synced and then renamed over `path`; if writing fails, the temporary
+    file is removed and `path` is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline=newline) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def emit_report(report: AggregateReport, path: str | Path, fmt: str = "json") -> None:
-    """Write a report; identical reports serialize byte-identically."""
+    """Write a report atomically; identical reports serialize byte-identically."""
     path = Path(path)
     if fmt == "json":
-        with path.open("w") as fh:
+        with atomic_open(path) as fh:
             json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif fmt == "csv":
-        with path.open("w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["section", "key", "records", "stripes", "fraction"])
             writer.writerow(["summary", "mean_stripes", "", f"{report.mean_stripes:.6f}", ""])

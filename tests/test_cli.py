@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ssdfi import cli
 from ssdfi.cli import derive_seed, main, run_experiment
 from ssdfi.codes import ErasureCode
 from ssdfi.workload import parse_usage_log
@@ -68,6 +69,8 @@ class TestRunExperiment:
             data = json.loads((out / entry["path"]).read_text())
             assert data["experiment_id"] == key
             assert data["n_sims"] == 4
+        paths = [entry["path"] for entry in on_disk["reports"].values()]
+        assert sorted(p.name for p in out.iterdir()) == sorted(paths + ["manifest.json"])
 
     def test_workers_byte_identical(self, tmp_path, small_kwargs):
         d1, d2 = tmp_path / "w1", tmp_path / "w2"
@@ -77,6 +80,19 @@ class TestRunExperiment:
         assert files == sorted(p.name for p in d2.iterdir())
         for name in files:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_one_process_pool_per_grid(self, tmp_path, small_kwargs, monkeypatch):
+        created = []
+        original = cli.multiprocessing.Pool
+
+        def counting_pool(*args, **kwargs):
+            created.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", counting_pool)
+        manifest = run_experiment(out_dir=tmp_path / "w2", workers=2, **small_kwargs)
+        assert len(manifest["reports"]) == 2
+        assert len(created) == 1
 
     def test_csv_format(self, tmp_path, small_kwargs):
         kwargs = dict(small_kwargs, codes=[ErasureCode.RAID5], n_sims=2, fmt="csv")

@@ -6,7 +6,14 @@ import pytest
 
 import ssdfi.engine
 from ssdfi.codes import ErasureCode
-from ssdfi.engine import DataLossRecord, EventKind, _Simulation, run_simulation
+from ssdfi.engine import (
+    MISSION_HOURS,
+    DataLossRecord,
+    EngineError,
+    EventKind,
+    _Simulation,
+    run_simulation,
+)
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import PooledSsd, SsdPool
 from ssdfi.profiles import RberCurve, SsdModelProfile
@@ -58,7 +65,6 @@ def scripted_pool(drives):
 def drive(drive_id, bb_times=(), bc_time=None):
     return PooledSsd(
         drive_id=drive_id,
-        factory_bb=0,
         mission_bb_times=tuple(bb_times),
         bad_chip_time=bc_time,
         marked_bb_gt_5pct=False,
@@ -354,3 +360,27 @@ class TestDeterminism:
         # exact same mapping (no wall clock, no host data).
         assert all(isinstance(v, (int, float, str)) for v in result.config.values())
         assert result.config == run(pool).config
+
+
+class TestSetUp:
+    def test_mission_limited_to_pool_schedules(self):
+        pool = clean_pool()
+        assert run(pool, mission=MISSION_HOURS).stripes_lost == 0
+        for mission in (0, MISSION_HOURS + 1):
+            with pytest.raises(EngineError, match="mission"):
+                run(pool, mission=mission)
+
+    def test_bays_on_one_log_share_its_arrays(self, monkeypatch):
+        calls = []
+
+        def dense_arrays(log, mission_hours):
+            calls.append(log.device_id)
+            return original(log, mission_hours)
+
+        original = ssdfi.engine.dense_arrays
+        monkeypatch.setattr(ssdfi.engine, "dense_arrays", dense_arrays)
+        logs = [quiet_log(), quiet_log(bits=1e6)]
+        sim = _Simulation(GEOMETRY, R5, flat_profile(), clean_pool(), logs, 1e6, 1e6, 150, 0, 1.0)
+        assert len(calls) == 2  # three bays cycle over two logs
+        assert sim.log_bits[0] is sim.log_bits[2] and sim.log_pe[0] is sim.log_pe[2]
+        assert sim.log_bits[1] is not sim.log_bits[0]

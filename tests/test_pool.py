@@ -33,18 +33,45 @@ def synthetic_profile(**overrides):
     return SsdModelProfile(**kwargs)
 
 
+def snapshot(pool):
+    """Every field of a pool and of its drives, with the times as bytes."""
+    return (
+        pool.profile_name,
+        pool.blocks_per_device,
+        pool.seed,
+        [
+            (
+                d.drive_id,
+                d.mission_bb_times.dtype.str,
+                d.mission_bb_times.tobytes(),
+                d.bad_chip_time,
+                d.marked_bb_gt_5pct,
+            )
+            for d in pool.drives
+        ],
+    )
+
+
 class TestPooledSsd:
     def test_times_must_ascend(self):
         with pytest.raises(PoolError):
-            PooledSsd(0, 0, (5.0, 5.0), None, False)
+            PooledSsd(0, (5.0, 5.0), None, False)
 
     def test_times_inside_mission(self):
         with pytest.raises(PoolError):
-            PooledSsd(0, 0, (float(MISSION_HOURS),), None, False)
+            PooledSsd(0, (float(MISSION_HOURS),), None, False)
 
     def test_marked_requires_bad_chip(self):
         with pytest.raises(PoolError):
-            PooledSsd(0, 0, (1.0,), None, True)
+            PooledSsd(0, (1.0,), None, True)
+
+    def test_hand_built_times_become_a_read_only_array(self):
+        times = [1.0, 2.5]
+        d = PooledSsd(0, times, None, False)
+        times[0] = 3.0
+        assert d.mission_bb_times.dtype == np.float64
+        assert list(d.mission_bb_times) == [1.0, 2.5]
+        assert not d.mission_bb_times.flags.writeable
 
 
 class TestGeneratePool:
@@ -52,18 +79,27 @@ class TestGeneratePool:
         p = synthetic_profile()
         a = generate_pool(p, 300, BLOCKS, seed=7)
         b = generate_pool(p, 300, BLOCKS, seed=7)
-        assert a == b
+        assert snapshot(a) == snapshot(b)
 
     def test_seed_changes_pool(self):
         p = synthetic_profile()
         a = generate_pool(p, 300, BLOCKS, seed=7)
         b = generate_pool(p, 300, BLOCKS, seed=8)
-        assert a != b
+        assert snapshot(a) != snapshot(b)
+
+    def test_schedules_share_one_read_only_buffer(self):
+        pool = generate_pool(synthetic_profile(), 300, BLOCKS, seed=7)
+        flat = pool.drives[0].mission_bb_times.base
+        assert flat is not None and not flat.flags.writeable
+        assert all(d.mission_bb_times.base is flat for d in pool.drives)
+        assert all(not d.mission_bb_times.flags.writeable for d in pool.drives)
+        # The drives' slices tile the buffer in drive order.
+        assert np.array_equal(np.concatenate([d.mission_bb_times for d in pool.drives]), flat)
 
     def test_exact_quotas(self):
         p = synthetic_profile()
         pool = generate_pool(p, 1000, BLOCKS, seed=1)
-        n_bb = sum(1 for d in pool.drives if d.mission_bb_times)
+        n_bb = sum(1 for d in pool.drives if len(d.mission_bb_times))
         n_bc = sum(1 for d in pool.drives if d.bad_chip_time is not None)
         n_marked = sum(1 for d in pool.drives if d.marked_bb_gt_5pct)
         assert n_bb == round(1000 * p.pct_bad_block)
@@ -84,13 +120,13 @@ class TestGeneratePool:
         pool = generate_pool(p, 500, BLOCKS, seed=2)
         for d in pool.drives:
             if d.bad_chip_time is not None and not d.marked_bb_gt_5pct:
-                assert d.mission_bb_times == ()
+                assert len(d.mission_bb_times) == 0
 
     def test_zero_rates(self):
         p = synthetic_profile(pct_bad_chip=0.0, pct_bad_block=0.0)
         pool = generate_pool(p, 200, BLOCKS, seed=3)
         assert all(d.bad_chip_time is None for d in pool.drives)
-        assert all(d.mission_bb_times == () for d in pool.drives)
+        assert all(len(d.mission_bb_times) == 0 for d in pool.drives)
 
     def test_bb_times_within_mission(self):
         p = synthetic_profile()

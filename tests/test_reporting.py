@@ -133,6 +133,26 @@ class TestSerialization:
         text = f.read_text()
         assert "mean_stripes" in text and "BC+BB" in text
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_interrupted_write_leaves_no_partial_report(self, tmp_path, monkeypatch, fmt):
+        report = aggregate_results(sample_results(), "exp")
+        old = tmp_path / f"old.{fmt}"
+        emit_report(aggregate_results(sample_results()[:1], "exp"), old, fmt=fmt)
+        before = old.read_bytes()
+
+        def fail(*args, **kwargs):
+            args[-1].write("partial")
+            raise OSError("disk full")
+
+        # Each writer gets one chunk of text out, then fails.
+        monkeypatch.setattr("ssdfi.reporting.json.dump", fail)
+        monkeypatch.setattr("ssdfi.reporting.csv.writer", lambda fh: fail(fh))
+        for path in (tmp_path / f"new.{fmt}", old):
+            with pytest.raises(OSError, match="disk full"):
+                emit_report(report, path, fmt=fmt)
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"old.{fmt}"]
+
     def test_unknown_format(self, tmp_path):
         report = aggregate_results(sample_results(), "exp")
         with pytest.raises(ReportingError):
