@@ -13,7 +13,6 @@ from .codes import (
 )
 from .engine import (
     DataLossRecord,
-    EventKind,
     SimResult,
     run_simulation,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ChunkFault",
     "DataLossRecord",
     "ErasureCode",
-    "EventKind",
     "MISSION_HOURS",
     "PooledSsd",
     "RberCurve",

@@ -62,8 +62,6 @@ def run_experiment(
     master_seed: int,
     out_dir: Path,
     n_devices: int = 8,
-    page_bytes: int = 4096,
-    pages_per_block: int = 64,
     geometry_blocks: int = 131_072,
     pool_size: int = 10_000,
     pool_blocks: int = 16_384,
@@ -73,18 +71,35 @@ def run_experiment(
     usage_log_path: Path | None = None,
     workload_seed: int = 0,
     fmt: str = "json",
-    collapse_below: float = 0.0,
 ) -> dict:
     """Run the full configuration grid and write one report per cell.
 
     Every mission of every cell is one (cell, seed) job.  With more than
     one worker, all jobs go to a single `multiprocessing.Pool` in one
     `map`, so no cell waits for the slowest mission of the cell before
-    it; cells of one model share its pool and usage logs.  Results come
-    back in job order and are aggregated per cell as if each cell had run
-    alone, so the reports do not depend on the worker count.  Reports and
-    `manifest.json` are written atomically.
+    it; cells of one model share its pool, and all cells share the usage
+    logs.  Results come back in job order and are aggregated per cell as
+    if each cell had run alone, so the reports do not depend on the
+    worker count.  Reports and `manifest.json` are written atomically.
+
+    Raises `ValueError` for fewer than one worker or mission, and for a
+    usage-log file that does not hold exactly one log per device.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if n_sims < 1:
+        raise ValueError(f"n_sims must be at least 1, got {n_sims}")
+    if usage_log_path is not None:
+        logs = parse_usage_log(usage_log_path)
+        if len(logs) != n_devices:
+            raise ValueError(
+                f"{usage_log_path} holds {len(logs)} device log(s); the array has {n_devices}"
+            )
+    else:
+        logs = [
+            synthesize_usage_log(SynthWorkloadParams(), f"dev{i}", workload_seed + i)
+            for i in range(n_devices)
+        ]
     out_dir.mkdir(parents=True, exist_ok=True)
     cells: list[dict] = []
     keys: list[str] = []
@@ -96,18 +111,9 @@ def run_experiment(
             blocks_per_device=pool_blocks,
             seed=pool_seed if pool_seed is not None else master_seed,
         )
-        if usage_log_path is not None:
-            logs = parse_usage_log(usage_log_path)
-        else:
-            logs = [
-                synthesize_usage_log(SynthWorkloadParams(), f"dev{i}", workload_seed + i)
-                for i in range(n_devices)
-            ]
         for stripe_kb in stripe_kbs:
             geometry = ArrayGeometry(
                 n_devices=n_devices,
-                page_size=page_bytes,
-                pages_per_block=pages_per_block,
                 blocks_per_device=geometry_blocks,
                 stripe_size=stripe_kb * 1024,
             )
@@ -142,11 +148,7 @@ def run_experiment(
     manifest: dict = {"master_seed": master_seed, "n_sims": n_sims, "reports": {}}
     ext = "json" if fmt == "json" else "csv"
     for cell, key in enumerate(keys):
-        report = aggregate_results(
-            results[cell * n_sims : (cell + 1) * n_sims],
-            experiment_id=key,
-            collapse_below=collapse_below,
-        )
+        report = aggregate_results(results[cell * n_sims : (cell + 1) * n_sims], experiment_id=key)
         path = out_dir / f"{key}.{ext}"
         emit_report(report, path, fmt=fmt)
         manifest["reports"][key] = {

@@ -17,15 +17,18 @@ erasure code; uncorrectable stripes produce data loss records:
 A stripe is recorded at most once per fault epoch (until its latent
 faults are cleared), so repeated scans never double count.
 
-Boundary events (scrub, rebuild, wear-out, bad chip, bad block) go
+Array-level boundary events (scrub, rebuild, wear-out, bad chip) go
 through a heap; events at the same time run in `EventKind` order, then
-by bay.  Bad symbols stay off the heap: all bays' pre-drawn arrivals
-form one timeline sorted by (time, bay), and before the loop handles a
-boundary event at time T (and once more at the end of the mission) it
-consumes every arrival before T in one pass.  An arrival at exactly T
-therefore comes after every boundary event at T.  Arrivals on a failed
-bay are dropped; a replaced bay's remaining arrivals leave the timeline
-and its new drive's arrivals are merged in.
+by bay.  A drive's pre-drawn bad blocks and bad symbols stay off the
+heap: all bays' arrivals form one timeline sorted by time, then bad
+blocks before bad symbols, then bay, then draw order.  Before the loop
+handles a boundary event at time T (and once more at the end of the
+mission) it consumes every arrival before T in one pass, so an arrival
+at exactly T comes after every boundary event at T.  The full order at
+one time is therefore scrub, rebuild, wear-out, bad chip, bad block, bad
+symbol.  Arrivals on a failed bay are dropped; a replaced bay's
+remaining arrivals leave the timeline and its new drive's arrivals are
+merged in.
 """
 from __future__ import annotations
 
@@ -57,7 +60,6 @@ class EventKind(IntEnum):
     RECONSTRUCT = 1
     WEAR_OUT = 2
     BAD_CHIP = 3
-    BAD_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -89,13 +91,10 @@ class _Slot:
     """Mutable per-device-bay state."""
 
     __slots__ = (
-        "drive",
         "gen",
-        "pe_offset",
         "cum",
         "bb_times",
         "bb_locs",
-        "bb_ptr",
         "bs_times",
         "bs_locs",
     )
@@ -159,9 +158,7 @@ class _Simulation:
         self.slots: list[_Slot] = []
         self.failed: set[int] = set()
         self.bb_block: dict[int, set[int]] = {}
-        self.slot_blocks: dict[int, set[int]] = {i: set() for i in range(n)}
         self.bs_stripe: dict[int, dict[int, set[int]]] = {}
-        self.slot_bs: dict[int, set[int]] = {i: set() for i in range(n)}
         self.recorded: set[int] = set()
         self.records: list[DataLossRecord] = []
         self.ddf = 0
@@ -173,12 +170,8 @@ class _Simulation:
             slot.gen = 0
             self.slots.append(slot)
             self._install(i, int(initial[i]), 0.0)
-        # Bad-symbol timeline: arrays for rebuilding it, lists for the loop.
-        self._set_arrivals(
-            np.concatenate([s.bs_times for s in self.slots]),
-            np.repeat(np.arange(n), [len(s.bs_times) for s in self.slots]),
-            np.concatenate([s.bs_locs for s in self.slots]),
-        )
+        per_bay = [self._bay_arrivals(i) for i in range(n)]
+        self._set_arrivals(*(np.concatenate(column) for column in zip(*per_bay)))
 
         t = self.tts
         while t < self.mission:
@@ -189,34 +182,31 @@ class _Simulation:
 
     def _install(self, i: int, drive_idx: int, now: float) -> None:
         slot = self.slots[i]
-        slot.drive = self.pool.drives[drive_idx]
-        slot.pe_offset = float(self.log_pe[i][min(int(now), self.mission - 1)]) if now else 0.0
+        drive = self.pool.drives[drive_idx]
+        pe_offset = float(self.log_pe[i][min(int(now), self.mission - 1)]) if now else 0.0
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 3, i, slot.gen]))
 
-        rber = np.interp(self.log_pe[i] - slot.pe_offset, self.curve_x, self.curve_y)
+        rber = np.interp(self.log_pe[i] - pe_offset, self.curve_x, self.curve_y)
         # Summed from hour 0 even on a late install: a sum from `now` rounds
         # differently and moves the arrival times' float bits.
         slot.cum = np.concatenate(([0.0], np.cumsum(rber * self.log_bits[i])))
 
-        bb = slot.drive.mission_bb_times + now
+        bb = drive.mission_bb_times + now
         bb = bb[bb < self.mission]
         slot.bb_times = bb
         slot.bb_locs = (rng.random(len(bb)) * self.geometry.blocks_per_device).astype(np.int64)
-        slot.bb_ptr = 0
-        if len(bb):
-            heapq.heappush(self.heap, (float(bb[0]), EventKind.BAD_BLOCK, i, slot.gen))
 
         slot.bs_times = self._draw_bs_times(slot, now, rng)
         slot.bs_locs = (
             rng.random(len(slot.bs_times)) * self.geometry.symbols_per_device
         ).astype(np.int64)
 
-        if slot.drive.bad_chip_time is not None:
-            t_bc = now + slot.drive.bad_chip_time
+        if drive.bad_chip_time is not None:
+            t_bc = now + drive.bad_chip_time
             if t_bc < self.mission:
                 heapq.heappush(self.heap, (t_bc, EventKind.BAD_CHIP, i, slot.gen))
 
-        wear = np.searchsorted(self.log_pe[i], self.profile.wol + slot.pe_offset)
+        wear = np.searchsorted(self.log_pe[i], self.profile.wol + pe_offset)
         if wear < self.mission and wear > now:
             heapq.heappush(self.heap, (float(wear), EventKind.WEAR_OUT, i, slot.gen))
 
@@ -285,28 +275,43 @@ class _Simulation:
             stripes = np.concatenate((stripes, bs))
         return np.unique(stripes).tolist()
 
-    # -- bad-symbol timeline ------------------------------------------------
+    # -- arrival timeline ---------------------------------------------------
 
-    def _set_arrivals(self, times: np.ndarray, bays: np.ndarray, locs: np.ndarray) -> None:
-        """Make these arrivals, in (time, bay) order, the untaken timeline."""
-        order = np.lexsort((bays, times))  # stable: a bay's draws keep their order
-        self.arr_times, self.arr_bays, self.arr_locs = times[order], bays[order], locs[order]
-        stripes, syms = np.divmod(self.arr_locs, self.cp)
-        self.arrivals = (
-            self.arr_times.tolist(), self.arr_bays.tolist(), stripes.tolist(), syms.tolist()
+    def _bay_arrivals(self, i: int) -> tuple[np.ndarray, ...]:
+        """Bay i's (times, bays, stripes, symbols): its bad blocks, then its bad symbols.
+
+        A bad block is its block's first stripe with symbol -1.
+        """
+        slot = self.slots[i]
+        n_bb = len(slot.bb_times)
+        stripes, syms = np.divmod(slot.bs_locs, self.cp)
+        return (
+            np.concatenate((slot.bb_times, slot.bs_times)),
+            np.full(n_bb + len(slot.bs_times), i),
+            np.concatenate((slot.bb_locs * self.cpb, stripes)),
+            np.concatenate((np.full(n_bb, -1), syms)),
         )
+
+    def _set_arrivals(self, *arrivals: np.ndarray) -> None:
+        """Make these (times, bays, stripes, symbols) the untaken timeline.
+
+        Ordered by time, then bad blocks before bad symbols, then bay; the
+        sort is stable, so a bay's draws keep their order.
+        """
+        times, bays, _, syms = arrivals
+        order = np.lexsort((bays, syms >= 0, times))
+        self.untaken = tuple(a[order] for a in arrivals)
+        self.arrivals = tuple(a.tolist() for a in self.untaken)
         self.next_arrival = 0
 
     def _merge_arrivals(self, i: int) -> None:
         """Swap bay i's untaken arrivals for those of its newly installed drive."""
         k = self.next_arrival
-        keep = self.arr_bays[k:] != i
-        slot = self.slots[i]
-        self._set_arrivals(
-            np.concatenate((self.arr_times[k:][keep], slot.bs_times)),
-            np.concatenate((self.arr_bays[k:][keep], np.full(len(slot.bs_times), i))),
-            np.concatenate((self.arr_locs[k:][keep], slot.bs_locs)),
-        )
+        keep = self.untaken[1][k:] != i
+        self._set_arrivals(*(
+            np.concatenate((old[k:][keep], new))
+            for old, new in zip(self.untaken, self._bay_arrivals(i))
+        ))
 
     def _consume_arrivals(self, until: float) -> None:
         """Mark and judge, in timeline order, every untaken arrival before `until`."""
@@ -319,7 +324,6 @@ class _Simulation:
         failed = self.failed
         bs_stripe = self.bs_stripe
         bb_block = self.bb_block
-        slot_bs = self.slot_bs
         recorded = self.recorded
         cpb = self.cpb
         judging = not self.adl_epoch
@@ -332,13 +336,15 @@ class _Simulation:
             i = bays[k]
             if i in failed:
                 continue  # arrivals on a failed device are subsumed
-            stripe = stripes[k]
-            slot_bs[i].add(stripe)
+            stripe, sym = stripes[k], syms[k]
+            if sym < 0:
+                self.handle_bad_block(i, stripe // cpb, times[k])
+                continue
             per = bs_stripe.get(stripe)
             if per is None:
-                bs_stripe[stripe] = {i: {syms[k]}}
+                bs_stripe[stripe] = {i: {sym}}
             else:
-                per.setdefault(i, set()).add(syms[k])
+                per.setdefault(i, set()).add(sym)
             if not judging:
                 continue
             if per is None and stripe not in recorded and stripe // cpb not in bb_block:
@@ -373,29 +379,17 @@ class _Simulation:
             self._judge_stripes(self._latent_stripes(), time)
         heapq.heappush(self.heap, (time + self.ttr, EventKind.RECONSTRUCT, i, self.slots[i].gen))
 
-    def handle_bad_block(self, i: int, time: float) -> None:
-        slot = self.slots[i]
-        block = int(slot.bb_locs[slot.bb_ptr])
-        self.slot_blocks[i].add(block)
+    def handle_bad_block(self, i: int, block: int, time: float) -> None:
         self.bb_block.setdefault(block, set()).add(i)
         if not self.adl_epoch:
             start = block * self.cpb
             self._judge_stripes(range(start, start + self.cpb), time)
-        slot.bb_ptr += 1
-        if slot.bb_ptr < len(slot.bb_times):
-            heapq.heappush(
-                self.heap,
-                (float(slot.bb_times[slot.bb_ptr]), EventKind.BAD_BLOCK, i, slot.gen),
-            )
 
     def apply_scrub(self, time: float) -> None:
         if not self.adl_epoch:
             self._judge_stripes(self._latent_stripes(), time)
         self.bb_block.clear()
         self.bs_stripe.clear()
-        for i in range(self.geometry.n_devices):
-            self.slot_blocks[i].clear()
-            self.slot_bs[i].clear()
         self.recorded.clear()
 
     def apply_reconstruct(self, i: int, time: float) -> None:
@@ -410,21 +404,15 @@ class _Simulation:
         self._replace(i, time)
 
     def _drop_latent(self, i: int) -> None:
-        """Forget device i's bad blocks and bad symbols."""
-        for block in self.slot_blocks[i]:
-            devs = self.bb_block.get(block)
-            if devs is not None:
-                devs.discard(i)
-                if not devs:
-                    del self.bb_block[block]
-        self.slot_blocks[i].clear()
-        for s in self.slot_bs[i]:
-            per = self.bs_stripe.get(s)
-            if per is not None:
-                per.pop(i, None)
-                if not per:
-                    del self.bs_stripe[s]
-        self.slot_bs[i].clear()
+        """Forget device i's bad blocks and bad symbols (rare: a bad chip or wear-out)."""
+        for block, devs in list(self.bb_block.items()):
+            devs.discard(i)
+            if not devs:
+                del self.bb_block[block]
+        for stripe, per in list(self.bs_stripe.items()):
+            per.pop(i, None)
+            if not per:
+                del self.bs_stripe[stripe]
 
     def _replace(self, i: int, time: float) -> None:
         """Install a fresh pool drive in bay i; the old drive's events go stale."""
@@ -454,8 +442,6 @@ class _Simulation:
                 continue  # arrivals on a failed device are subsumed
             elif kind == EventKind.BAD_CHIP:
                 self.handle_bad_chip(i, time)
-            elif kind == EventKind.BAD_BLOCK:
-                self.handle_bad_block(i, time)
             elif kind == EventKind.WEAR_OUT:
                 self.replace_worn_out(i, time)
         self._consume_arrivals(self.mission)

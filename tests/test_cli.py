@@ -94,6 +94,29 @@ class TestRunExperiment:
         assert len(manifest["reports"]) == 2
         assert len(created) == 1
 
+    @pytest.mark.parametrize(
+        "name, value", [("workers", 0), ("workers", -3), ("n_sims", 0), ("n_sims", -1)]
+    )
+    def test_rejects_bad_counts_before_any_pool(
+        self, tmp_path, small_kwargs, monkeypatch, name, value
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool generated before the check")
+
+        monkeypatch.setattr(cli, "generate_pool", no_pool)
+        with pytest.raises(ValueError, match=name):
+            run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
+        assert not (tmp_path / "out").exists()
+
+    def test_rejects_usage_log_of_other_device_count(self, tmp_path, small_kwargs):
+        logs = tmp_path / "logs.csv"
+        assert main(["synth-log", "--devices", "3", "--out", str(logs)]) == 0
+        with pytest.raises(ValueError, match="3 device log"):
+            run_experiment(
+                out_dir=tmp_path / "out", n_devices=8, usage_log_path=logs, **small_kwargs
+            )
+        assert not (tmp_path / "out").exists()
+
     def test_csv_format(self, tmp_path, small_kwargs):
         kwargs = dict(small_kwargs, codes=[ErasureCode.RAID5], n_sims=2, fmt="csv")
         out = tmp_path / "csv"

@@ -1,20 +1,21 @@
 """Differential test: the production engine against the per-event reference.
 
-`reference_engine._Simulation` pushes and pops every bad-symbol arrival
-as its own heap event; `ssdfi.engine._Simulation` consumes them from one
-merged timeline between boundary events.  Both must judge the same
-stripes in the same order at the same times, so the results (records
-and their order included) and the number of `uncorrectable` calls must
-be equal.
+`reference_engine._Simulation` pushes and pops every bad-block and
+bad-symbol arrival as its own heap event; `ssdfi.engine._Simulation`
+consumes them from one merged timeline between boundary events.  Both
+must judge the same stripes in the same order at the same times, so the
+results (records and their order included) and the number of
+`uncorrectable` calls must be equal.
 
 The configurations are small and dense so that every path runs within a
 short mission: a 4-device array of 32 stripes whose stripes collect
 several bad symbols between scrubs, bad chips and bad blocks from the
 criterion-8 stress profile compressed into the mission, short scrub and
 rebuild times (ADL epochs and rebuilds), and a P/E ramp that wears drives
-out every 300 hours.  Half of the seeds round every arrival up to a whole
-hour, so arrivals tie with each other across bays and with scrubs and
-wear-outs, which exercises the same-time order.
+out every 300 hours.  Half of the seeds round every bad-symbol arrival
+and every pool bad-block time up to a whole hour, so bad blocks and bad
+symbols tie with each other, across bays, and with scrubs and wear-outs,
+which exercises the same-time order.
 """
 import dataclasses
 
@@ -80,6 +81,16 @@ def pool():
     return SsdPool(base.profile_name, base.blocks_per_device, base.seed, drives)
 
 
+@pytest.fixture(scope="module")
+def hourly_pool(pool):
+    """`pool` with every bad-block time rounded up to a whole hour."""
+    drives = tuple(
+        dataclasses.replace(d, mission_bb_times=np.unique(np.ceil(d.mission_bb_times)))
+        for d in pool.drives
+    )
+    return SsdPool(pool.profile_name, pool.blocks_per_device, pool.seed, drives)
+
+
 def _hourly(cls):
     """`cls` with every bad-symbol arrival rounded up to a whole hour."""
 
@@ -103,18 +114,20 @@ def _counting(monkeypatch, module):
 
 
 @pytest.mark.parametrize("code", list(ErasureCode), ids=lambda c: c.value)
-def test_engine_matches_reference(pool, code, monkeypatch):
+def test_engine_matches_reference(pool, hourly_pool, code, monkeypatch):
     new_calls = _counting(monkeypatch, ssdfi.engine)
     ref_calls = _counting(monkeypatch, reference_engine)
-    engines = {
-        False: (ssdfi.engine._Simulation, reference_engine._Simulation),
-        True: (_hourly(ssdfi.engine._Simulation), _hourly(reference_engine._Simulation)),
+    setups = {
+        False: (ssdfi.engine._Simulation, reference_engine._Simulation, pool),
+        True: (
+            _hourly(ssdfi.engine._Simulation), _hourly(reference_engine._Simulation), hourly_pool
+        ),
     }
     totals = {"records": 0, "ADL": 0, "BDL": 0, "SDL": 0, "judged": 0, "replaced": 0}
     for seed in range(SEEDS):
         tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        new, ref = engines[seed % 2 == 1]
-        args = (GEOMETRY, code, PROFILE, pool, [LOG], tts, ttr, MISSION, seed, 1.0)
+        new, ref, seed_pool = setups[seed % 2 == 1]
+        args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed, 1.0)
         before = new_calls[0], ref_calls[0]
         sim = new(*args)
         got, want = sim.run(), ref(*args).run()

@@ -99,9 +99,7 @@ def clean_pool():
 
 
 def plant_block(sim, i, block, time):
-    slot = sim.slots[i]
-    slot.bb_times, slot.bb_locs, slot.bb_ptr = np.array([time]), np.array([block]), 0
-    sim.handle_bad_block(i, time)
+    sim.handle_bad_block(i, block, time)
 
 
 def schedule_symbols(sim, i, symbols, times):
@@ -199,7 +197,7 @@ class TestAffectedStripes:
         sim = make_sim(clean_pool())
         plant_block(sim, 0, 3, 10.0)
         sim.apply_scrub(20.0)
-        assert not sim.bb_block and not sim.slot_blocks[0]
+        assert not sim.bb_block
         sim.replace_worn_out(1, 30.0)
         sim.apply_reconstruct(2, 40.0)
         assert not sim.bb_block and not sim.bs_stripe
@@ -233,7 +231,7 @@ class TestAffectedStripes:
         heapq.heappush(sim.heap, (100.0, EventKind.BAD_CHIP, 1, 0))
         result = sim.run()
         assert sim.slots[0].gen == 1  # rebuilt
-        assert not sim.bs_stripe and not sim.slot_bs[0]
+        assert not sim.bs_stripe
         assert result.records == ()
 
 
@@ -324,11 +322,10 @@ class TestScriptedScenarios:
             sim = make_sim(clean_pool())
             slot = sim.slots[0]
             slot.bb_times, slot.bb_locs = np.array([40.0]), np.array([5])
-            events = [(40.0, EventKind.BAD_BLOCK, 0, 0), (100.0, EventKind.BAD_CHIP, 1, 0)]
+            sim._merge_arrivals(0)
+            heapq.heappush(sim.heap, (100.0, EventKind.BAD_CHIP, 1, 0))
             if wear_out:
-                events.append((50.0, EventKind.WEAR_OUT, 0, 0))
-            for event in events:
-                heapq.heappush(sim.heap, event)
+                heapq.heappush(sim.heap, (50.0, EventKind.WEAR_OUT, 0, 0))
             result = sim.run()
             assert [r.cause for r in result.records if r.scope == "BDL"] == bdl
 
