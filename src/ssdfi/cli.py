@@ -8,7 +8,7 @@ import multiprocessing
 import sys
 from pathlib import Path
 
-from .codes import ErasureCode, encode_xor_count, erf, update_penalty
+from .codes import UPDATE_STRATEGIES, ErasureCode, encode_xor_count, erf, update_penalty
 from .engine import MISSION_HOURS, run_simulation
 from .geometry import ArrayGeometry
 from .pool import (
@@ -130,7 +130,6 @@ def run_experiment(
                             "tts": tts,
                             "ttr": ttr,
                             "mission": mission,
-                            "mirror_copy_hours": 1.0,
                         })
     jobs = [
         (cell, derive_seed(master_seed, key, i))
@@ -163,26 +162,28 @@ def run_experiment(
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    codes = [ErasureCode(c.upper()) for c in args.codes]
-    manifest = run_experiment(
-        codes=codes,
-        models=args.models,
-        tts_values=args.tts,
-        ttr_values=args.ttr,
-        stripe_kbs=args.stripe_kb,
-        n_sims=args.sims,
-        master_seed=args.seed,
-        out_dir=Path(args.out),
-        n_devices=args.devices,
-        geometry_blocks=args.blocks,
-        pool_size=args.pool_size,
-        pool_blocks=args.pool_blocks,
-        pool_seed=args.pool_seed,
-        mission=args.mission,
-        workers=args.workers,
-        usage_log_path=Path(args.usage_log) if args.usage_log else None,
-        fmt=args.format,
-    )
+    try:
+        manifest = run_experiment(
+            codes=[ErasureCode(c.upper()) for c in args.codes],
+            models=args.models,
+            tts_values=args.tts,
+            ttr_values=args.ttr,
+            stripe_kbs=args.stripe_kb,
+            n_sims=args.sims,
+            master_seed=args.seed,
+            out_dir=Path(args.out),
+            n_devices=args.devices,
+            geometry_blocks=args.blocks,
+            pool_size=args.pool_size,
+            pool_blocks=args.pool_blocks,
+            pool_seed=args.pool_seed,
+            mission=args.mission,
+            workers=args.workers,
+            usage_log_path=Path(args.usage_log) if args.usage_log else None,
+            fmt=args.format,
+        )
+    except ValueError as exc:  # a rejected input: report it as a usage error
+        args.parser.error(str(exc))
     print(f"wrote {len(manifest['reports'])} report(s) to {args.out}")
     return 0
 
@@ -225,7 +226,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     print(f"code={code.value} n={n} r={r}")
     print(f"encode_xors_per_stripe={encode_xor_count(code, n, r)}")
     print(f"erf={erf(code, n, r):.6f}")
-    for strategy in ("sector", "row", "stripe"):
+    for strategy in UPDATE_STRATEGIES:
         pen = update_penalty(code, strategy, n, r)
         print(f"update[{strategy}]: writes={pen.writes} reads={pen.reads}")
     return 0
@@ -246,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ssdfi", description="Monte Carlo fault injection for SSD arrays"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    code_names = [c.value.lower() for c in ErasureCode]
 
     run_p = sub.add_parser("run", help="run a simulation grid and write reports")
-    run_p.add_argument("--codes", nargs="+", default=["raid5", "raid6", "pmds11"],
-                       choices=["raid5", "raid6", "pmds11"])
+    run_p.add_argument("--codes", nargs="+", default=code_names, choices=code_names)
     run_p.add_argument("--models", nargs="+", default=["MLC-A"])
     run_p.add_argument("--tts", nargs="+", type=float, default=[10_000.0])
     run_p.add_argument("--ttr", nargs="+", type=float, default=[10.0])
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--usage-log", default=None, help="CSV of per-device usage logs")
     run_p.add_argument("--format", choices=["json", "csv"], default="json")
     run_p.add_argument("--out", default="reports")
-    run_p.set_defaults(func=_cmd_run)
+    run_p.set_defaults(func=_cmd_run, parser=run_p)
 
     val_p = sub.add_parser("validate-pool", help="generate a drive pool and check calibration")
     val_p.add_argument("--model", default="MLC-A")
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.set_defaults(func=_cmd_validate_pool)
 
     cost_p = sub.add_parser("cost", help="print encoding and update cost figures")
-    cost_p.add_argument("--code", default="pmds11", choices=["raid5", "raid6", "pmds11"])
+    cost_p.add_argument("--code", default="pmds11", choices=code_names)
     cost_p.add_argument("--devices", type=int, default=8)
     cost_p.add_argument("--chunk-pages", type=int, default=4)
     cost_p.set_defaults(func=_cmd_cost)

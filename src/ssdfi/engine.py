@@ -17,24 +17,26 @@ erasure code; uncorrectable stripes produce data loss records:
 A stripe is recorded at most once per fault epoch (until its latent
 faults are cleared), so repeated scans never double count.
 
-Array-level boundary events (scrub, rebuild, wear-out, bad chip) go
-through a heap; events at the same time run in `EventKind` order, then
-by bay.  A drive's pre-drawn bad blocks and bad symbols stay off the
-heap: all bays' arrivals form one timeline sorted by time, then bad
-blocks before bad symbols, then bay, then draw order.  Before the loop
-handles a boundary event at time T (and once more at the end of the
-mission) it consumes every arrival before T in one pass, so an arrival
-at exactly T comes after every boundary event at T.  The full order at
-one time is therefore scrub, rebuild, wear-out, bad chip, bad block, bad
-symbol.  Arrivals on a failed bay are dropped; a replaced bay's
-remaining arrivals leave the timeline and its new drive's arrivals are
-merged in.
+Every event of a mission sits on one timeline of columns (times, kinds,
+bays, stripes, symbols), sorted by `np.lexsort((bays, kinds, times))`:
+by time, then `EventKind` (scrub, rebuild, wear-out, bad chip, bad
+block, bad symbol), then bay; the sort is stable, so a bay's draws of
+one kind keep their order.  Events at or after the mission end are
+dropped.  Scrubs are placed once, at set-up.  Each drive contributes its
+whole schedule when it is installed: bad blocks, bad symbols, wear-out,
+and its bad chip together with the rebuild `ttr` hours later.  The
+rebuild can be drawn at install because a bay fails only through its own
+drive's chip and a failed bay skips its wear-out: a chip and its rebuild
+both fire, or both belong to a drive that was replaced before the chip.
+Replacing a drive swaps the bay's untaken events for the new drive's, so
+no stale event stays on the timeline.  The loop consumes the bad blocks
+and bad symbols up to the next boundary event (scrub, rebuild, wear-out,
+bad chip) in one pass, then handles that event.  Arrivals on a failed
+bay are dropped.
 """
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from .codes import DEVICE_TOLERANCE, ErasureCode, stripe_counts, uncorrectable
 from .geometry import ArrayGeometry
-from .pool import SsdPool
+from .pool import PooledSsd, SsdPool
 from .profiles import SsdModelProfile, MISSION_HOURS
 from .workload import UsageLog, dense_arrays
 
@@ -54,12 +56,14 @@ class EngineError(ValueError):
 
 
 class EventKind(IntEnum):
-    """Event kinds; the numeric value is the same-time tie-break order."""
+    """Event kinds; the numeric value is the same-time order."""
 
     SCRUB = 0
     RECONSTRUCT = 1
     WEAR_OUT = 2
     BAD_CHIP = 3
+    BAD_BLOCK = 4
+    BAD_SYMBOL = 5
 
 
 @dataclass(frozen=True)
@@ -87,17 +91,17 @@ def _cause_label(n_bc: int, n_bb: int, n_bs: int) -> str:
     return "+".join(["BC"] * n_bc + ["BB"] * n_bb + ["BS"] * n_bs)
 
 
-class _Slot:
-    """Mutable per-device-bay state."""
+def _columns(bay: int, times, kinds, stripes=-1, syms=-1) -> tuple[np.ndarray, ...]:
+    """Timeline columns (times, kinds, bays, stripes, symbols) of one bay's events.
 
-    __slots__ = (
-        "gen",
-        "cum",
-        "bb_times",
-        "bb_locs",
-        "bs_times",
-        "bs_locs",
-    )
+    A bad block's stripe is its block's first; events other than bad
+    symbols have symbol -1.
+    """
+    times = np.asarray(times, dtype=float)
+    return (times, *(
+        np.broadcast_to(np.asarray(c, dtype=np.int64), times.shape)
+        for c in (kinds, bay, stripes, syms)
+    ))
 
 
 class _Simulation:
@@ -112,7 +116,6 @@ class _Simulation:
         ttr: float,
         mission: int,
         seed: int,
-        mirror_copy_hours: float,
     ):
         if not usage_logs:
             raise EngineError("need at least one usage log")
@@ -122,8 +125,6 @@ class _Simulation:
             # Pool schedules end at MISSION_HOURS; a longer mission would
             # silently see no bad blocks or bad chips after that hour.
             raise EngineError(f"mission must be between 1 and {MISSION_HOURS} hours")
-        if mirror_copy_hours < 0:
-            raise EngineError("mirror_copy_hours must be >= 0")
         if len(pool.drives) < geometry.n_devices:
             raise EngineError("pool smaller than the array")
         self.geometry = geometry
@@ -134,7 +135,6 @@ class _Simulation:
         self.ttr = float(ttr)
         self.mission = int(mission)
         self.seed = seed
-        self.mirror_copy_hours = float(mirror_copy_hours)
         self.tolerance = DEVICE_TOLERANCE[code]
         self.cp = geometry.chunk_pages
         self.cpb = geometry.chunks_per_block
@@ -144,9 +144,8 @@ class _Simulation:
         rng_sel = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         initial = rng_sel.choice(len(pool.drives), size=n, replace=False)
 
-        # Hazard ingredients per bay (P/E offset zero); slots recompute
-        # after replacements.  Logs are cycled over the bays, and bays on
-        # one log share its arrays, which nothing writes to.
+        # Hazard ingredients per bay.  Logs are cycled over the bays, and
+        # bays on one log share its arrays, which nothing writes to.
         dense = [dense_arrays(log, self.mission) for log in usage_logs[:n]]
         self.log_bits = [dense[i % len(dense)][0] for i in range(n)]
         self.log_pe = [dense[i % len(dense)][1] for i in range(n)]
@@ -154,8 +153,7 @@ class _Simulation:
         self.curve_x = np.array([p for p, _ in profile.rber_curve.points])
         self.curve_y = np.array([r for _, r in profile.rber_curve.points])
 
-        self.heap: list[tuple[float, int, int, int]] = []
-        self.slots: list[_Slot] = []
+        self.installs = [0] * n  # replacements per bay; part of each install's seed
         self.failed: set[int] = set()
         self.bb_block: dict[int, set[int]] = {}
         self.bs_stripe: dict[int, dict[int, set[int]]] = {}
@@ -165,54 +163,56 @@ class _Simulation:
         self.tdf = 0
         self.adl_epoch = False
 
-        for i in range(n):
-            slot = _Slot()
-            slot.gen = 0
-            self.slots.append(slot)
-            self._install(i, int(initial[i]), 0.0)
-        per_bay = [self._bay_arrivals(i) for i in range(n)]
-        self._set_arrivals(*(np.concatenate(column) for column in zip(*per_bay)))
-
+        scrubs = []
         t = self.tts
         while t < self.mission:
-            heapq.heappush(self.heap, (t, EventKind.SCRUB, -1, 0))
+            scrubs.append(t)
             t += self.tts
+        events = [self._install(i, pool.drives[int(initial[i])], 0.0) for i in range(n)]
+        events.append(_columns(-1, scrubs, EventKind.SCRUB))
+        self._set_timeline(*(np.concatenate(column) for column in zip(*events)))
 
     # -- installation and schedules -------------------------------------
 
-    def _install(self, i: int, drive_idx: int, now: float) -> None:
-        slot = self.slots[i]
-        drive = self.pool.drives[drive_idx]
+    def _install(self, i: int, drive: PooledSsd, now: float) -> tuple[np.ndarray, ...]:
+        """Draw the schedule of `drive` installed in bay i at `now`; return its columns."""
         pe_offset = float(self.log_pe[i][min(int(now), self.mission - 1)]) if now else 0.0
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 3, i, slot.gen]))
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 3, i, self.installs[i]]))
 
-        rber = np.interp(self.log_pe[i] - pe_offset, self.curve_x, self.curve_y)
-        # Summed from hour 0 even on a late install: a sum from `now` rounds
-        # differently and moves the arrival times' float bits.
-        slot.cum = np.concatenate(([0.0], np.cumsum(rber * self.log_bits[i])))
-
+        # Cut at the mission end before drawing locations: later draws
+        # depend on how many are drawn.
         bb = drive.mission_bb_times + now
         bb = bb[bb < self.mission]
-        slot.bb_times = bb
-        slot.bb_locs = (rng.random(len(bb)) * self.geometry.blocks_per_device).astype(np.int64)
+        blocks = (rng.random(len(bb)) * self.geometry.blocks_per_device).astype(np.int64)
 
-        slot.bs_times = self._draw_bs_times(slot, now, rng)
-        slot.bs_locs = (
-            rng.random(len(slot.bs_times)) * self.geometry.symbols_per_device
-        ).astype(np.int64)
+        bs = self._draw_bs_times(self._hazard(i, pe_offset), now, rng)
+        symbols = (rng.random(len(bs)) * self.geometry.symbols_per_device).astype(np.int64)
+        stripes, syms = np.divmod(symbols, self.cp)
 
+        events = [
+            _columns(i, bb, EventKind.BAD_BLOCK, blocks * self.cpb),
+            _columns(i, bs, EventKind.BAD_SYMBOL, stripes, syms),
+        ]
         if drive.bad_chip_time is not None:
             t_bc = now + drive.bad_chip_time
-            if t_bc < self.mission:
-                heapq.heappush(self.heap, (t_bc, EventKind.BAD_CHIP, i, slot.gen))
-
+            events.append(
+                _columns(i, [t_bc, t_bc + self.ttr], [EventKind.BAD_CHIP, EventKind.RECONSTRUCT])
+            )
         wear = np.searchsorted(self.log_pe[i], self.profile.wol + pe_offset)
-        if wear < self.mission and wear > now:
-            heapq.heappush(self.heap, (float(wear), EventKind.WEAR_OUT, i, slot.gen))
+        if wear > now:
+            events.append(_columns(i, [float(wear)], EventKind.WEAR_OUT))
+        return tuple(np.concatenate(column) for column in zip(*events))
 
-    def _draw_bs_times(self, slot: _Slot, now: float, rng: np.random.Generator) -> np.ndarray:
-        h0 = float(np.interp(now, self.hour_grid, slot.cum))
-        total = float(slot.cum[-1]) - h0
+    def _hazard(self, i: int, pe_offset: float) -> np.ndarray:
+        """Bay i's cumulative bad-symbol hazard by hour, `pe_offset` P/E cycles below its log."""
+        rber = np.interp(self.log_pe[i] - pe_offset, self.curve_x, self.curve_y)
+        # Summed from hour 0 even on a late install: a sum from the install
+        # hour rounds differently and moves the arrival times' float bits.
+        return np.concatenate(([0.0], np.cumsum(rber * self.log_bits[i])))
+
+    def _draw_bs_times(self, cum: np.ndarray, now: float, rng: np.random.Generator) -> np.ndarray:
+        h0 = float(np.interp(now, self.hour_grid, cum))
+        total = float(cum[-1]) - h0
         if total <= 0:
             return np.zeros(0)
         chunks = []
@@ -223,8 +223,8 @@ class _Simulation:
             chunks.append(exp)
             drawn += float(exp.sum())
         targets = h0 + np.cumsum(np.concatenate(chunks))
-        targets = targets[targets < slot.cum[-1]]
-        times = np.interp(targets, slot.cum, self.hour_grid)
+        targets = targets[targets < cum[-1]]
+        times = np.interp(targets, cum, self.hour_grid)
         return times[times > now]
 
     # -- judging ----------------------------------------------------------
@@ -275,52 +275,29 @@ class _Simulation:
             stripes = np.concatenate((stripes, bs))
         return np.unique(stripes).tolist()
 
-    # -- arrival timeline ---------------------------------------------------
+    # -- timeline -----------------------------------------------------------
 
-    def _bay_arrivals(self, i: int) -> tuple[np.ndarray, ...]:
-        """Bay i's (times, bays, stripes, symbols): its bad blocks, then its bad symbols.
+    def _set_timeline(self, *columns: np.ndarray) -> None:
+        """Make these (times, kinds, bays, stripes, symbols) the untaken timeline.
 
-        A bad block is its block's first stripe with symbol -1.
+        Events at or after the mission end are dropped.  `boundaries`
+        yields the indices of its scrubs, rebuilds, wear-outs and bad chips.
         """
-        slot = self.slots[i]
-        n_bb = len(slot.bb_times)
-        stripes, syms = np.divmod(slot.bs_locs, self.cp)
-        return (
-            np.concatenate((slot.bb_times, slot.bs_times)),
-            np.full(n_bb + len(slot.bs_times), i),
-            np.concatenate((slot.bb_locs * self.cpb, stripes)),
-            np.concatenate((np.full(n_bb, -1), syms)),
-        )
+        times, kinds, bays, _, _ = columns
+        order = np.lexsort((bays, kinds, times))
+        order = order[times[order] < self.mission]
+        self.untaken = tuple(c[order] for c in columns)
+        self.timeline = tuple(c.tolist() for c in self.untaken)
+        self.boundaries = iter(np.flatnonzero(self.untaken[1] < EventKind.BAD_BLOCK).tolist())
+        self.next_event = 0
 
-    def _set_arrivals(self, *arrivals: np.ndarray) -> None:
-        """Make these (times, bays, stripes, symbols) the untaken timeline.
-
-        Ordered by time, then bad blocks before bad symbols, then bay; the
-        sort is stable, so a bay's draws keep their order.
-        """
-        times, bays, _, syms = arrivals
-        order = np.lexsort((bays, syms >= 0, times))
-        self.untaken = tuple(a[order] for a in arrivals)
-        self.arrivals = tuple(a.tolist() for a in self.untaken)
-        self.next_arrival = 0
-
-    def _merge_arrivals(self, i: int) -> None:
-        """Swap bay i's untaken arrivals for those of its newly installed drive."""
-        k = self.next_arrival
-        keep = self.untaken[1][k:] != i
-        self._set_arrivals(*(
-            np.concatenate((old[k:][keep], new))
-            for old, new in zip(self.untaken, self._bay_arrivals(i))
-        ))
-
-    def _consume_arrivals(self, until: float) -> None:
-        """Mark and judge, in timeline order, every untaken arrival before `until`."""
-        times, bays, stripes, syms = self.arrivals
-        start = self.next_arrival
-        end = bisect_left(times, until, start)
+    def _consume_arrivals(self, end: int) -> None:
+        """Mark and judge, in timeline order, the untaken bad blocks and symbols before `end`."""
+        times, _, bays, stripes, syms = self.timeline
+        start = self.next_event
         if end == start:
             return
-        self.next_arrival = end
+        self.next_event = end
         failed = self.failed
         bs_stripe = self.bs_stripe
         bb_block = self.bb_block
@@ -337,7 +314,7 @@ class _Simulation:
             if i in failed:
                 continue  # arrivals on a failed device are subsumed
             stripe, sym = stripes[k], syms[k]
-            if sym < 0:
+            if sym < 0:  # a bad block
                 self.handle_bad_block(i, stripe // cpb, times[k])
                 continue
             per = bs_stripe.get(stripe)
@@ -377,7 +354,6 @@ class _Simulation:
                 )
         else:
             self._judge_stripes(self._latent_stripes(), time)
-        heapq.heappush(self.heap, (time + self.ttr, EventKind.RECONSTRUCT, i, self.slots[i].gen))
 
     def handle_bad_block(self, i: int, block: int, time: float) -> None:
         self.bb_block.setdefault(block, set()).add(i)
@@ -415,37 +391,37 @@ class _Simulation:
                 del self.bs_stripe[stripe]
 
     def _replace(self, i: int, time: float) -> None:
-        """Install a fresh pool drive in bay i; the old drive's events go stale."""
-        self.slots[i].gen += 1
-        self._install(i, int(self.rng_repl.integers(len(self.pool.drives))), time)
-        self._merge_arrivals(i)
+        """Install a fresh pool drive in bay i in place of the old drive's untaken events."""
+        self.installs[i] += 1
+        drive = self.pool.drives[int(self.rng_repl.integers(len(self.pool.drives)))]
+        k = self.next_event
+        keep = self.untaken[2][k:] != i
+        self._set_timeline(*(
+            np.concatenate((old[k:][keep], new))
+            for old, new in zip(self.untaken, self._install(i, drive, time))
+        ))
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimResult:
-        heap = self.heap
-        slots = self.slots
-        while heap:
-            time, kind, i, gen = heapq.heappop(heap)
-            if time >= self.mission:
-                break
-            self._consume_arrivals(time)
+        while True:
+            times, kinds, bays, _, _ = self.timeline
+            k = next(self.boundaries, len(times))
+            self._consume_arrivals(k)
+            if k == len(times):
+                return self._result()
+            self.next_event = k + 1
+            time, kind, i = times[k], kinds[k], bays[k]
             if kind == EventKind.SCRUB:
                 self.apply_scrub(time)
-                continue
-            slot = slots[i]
-            if gen != slot.gen:
-                continue  # event belongs to a replaced drive
-            if kind == EventKind.RECONSTRUCT:
+            elif kind == EventKind.RECONSTRUCT:
                 self.apply_reconstruct(i, time)
             elif i in self.failed:
-                continue  # arrivals on a failed device are subsumed
+                continue  # a failed device neither fails again nor wears out
             elif kind == EventKind.BAD_CHIP:
                 self.handle_bad_chip(i, time)
-            elif kind == EventKind.WEAR_OUT:
+            else:
                 self.replace_worn_out(i, time)
-        self._consume_arrivals(self.mission)
-        return self._result()
 
     def _result(self) -> SimResult:
         scope_stripes = {"ADL": 0, "BDL": 0, "SDL": 0}
@@ -472,7 +448,8 @@ class _Simulation:
             "tts": self.tts,
             "ttr": self.ttr,
             "mission": self.mission,
-            "mirror_copy_hours": self.mirror_copy_hours,
+            # No longer a parameter; echoed until the next ENGINE_VERSION.
+            "mirror_copy_hours": 1.0,
         }
         return SimResult(
             seed=self.seed,
@@ -497,10 +474,6 @@ def run_simulation(
     ttr: float,
     mission: int = MISSION_HOURS,
     seed: int = 0,
-    mirror_copy_hours: float = 1.0,
 ) -> SimResult:
     """Simulate one array mission; deterministic in all arguments."""
-    sim = _Simulation(
-        geometry, code, profile, pool, usage_logs, tts, ttr, mission, seed, mirror_copy_hours
-    )
-    return sim.run()
+    return _Simulation(geometry, code, profile, pool, usage_logs, tts, ttr, mission, seed).run()

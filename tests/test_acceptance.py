@@ -25,12 +25,13 @@ from ssdfi.codes import (
     erf,
     update_penalty,
 )
-from ssdfi.engine import _Simulation, run_simulation
+from ssdfi.engine import EventKind, _Simulation, run_simulation
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import COND_MEDIAN_TARGETS, PooledSsd, SsdPool, generate_pool, validate_pool
 from ssdfi.profiles import MISSION_HOURS, RberCurve, SsdModelProfile, default_profiles
 from ssdfi.reporting import aggregate_results
 from ssdfi.workload import SynthWorkloadParams, UsageLog, synthesize_usage_log
+from test_engine import scheduled
 
 R5, R6, PMDS = ErasureCode.RAID5, ErasureCode.RAID6, ErasureCode.PMDS11
 
@@ -429,8 +430,8 @@ def test_criterion_12_sampler_statistics(capfd):
     profile = stress_profile(rber_curve=RberCurve(points=((0.0, r0), (knot, r1))))
     pool = SsdPool("stress", 2_048, 0, tuple(PooledSsd(i, (), None, False) for i in range(3)))
     geometry = ArrayGeometry(n_devices=3, blocks_per_device=512, stripe_size=3 * 4096 * 4)
-    sim = _Simulation(geometry, R5, profile, pool, [log], 10_000.0, 10.0, mission, 2024, 1.0)
-    times, locs = sim.slots[0].bs_times, sim.slots[0].bs_locs
+    sim = _Simulation(geometry, R5, profile, pool, [log], 10_000.0, 10.0, mission, 2024)
+    times, locs = scheduled(sim, 0, EventKind.BAD_SYMBOL)
 
     pe = np.arange(mission) * pe_per_hour
     rate = np.minimum(r0 + (r1 - r0) * pe / knot, r1) * bits  # expected arrivals per hour
@@ -445,7 +446,7 @@ def test_criterion_12_sampler_statistics(capfd):
     chi2_locs = float(((observed - expected) ** 2 / expected).sum())
 
     sim._replace(1, mission / 2)
-    late = sim.slots[1].bs_times
+    late, _ = scheduled(sim, 1, EventKind.BAD_SYMBOL)
     ok = (
         len(times) >= 1_000_000
         and count_err <= 0.01

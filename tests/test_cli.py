@@ -117,6 +117,29 @@ class TestRunExperiment:
             )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workers", "0"], "workers must be at least 1"),
+            (["--sims", "0"], "n_sims must be at least 1"),
+            (["--usage-log", "LOGS"], "3 device log"),
+        ],
+        ids=["workers", "sims", "usage-log"],
+    )
+    def test_command_reports_rejected_input_as_usage_error(self, tmp_path, capsys, argv, message):
+        logs = tmp_path / "logs.csv"
+        assert main(["synth-log", "--devices", "3", "--out", str(logs)]) == 0
+        capsys.readouterr()
+        argv = [str(logs) if a == "LOGS" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--out", str(tmp_path / "out"), *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ssdfi run")
+        assert "ssdfi run: error: " in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_format(self, tmp_path, small_kwargs):
         kwargs = dict(small_kwargs, codes=[ErasureCode.RAID5], n_sims=2, fmt="csv")
         out = tmp_path / "csv"

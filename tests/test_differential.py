@@ -1,11 +1,17 @@
 """Differential test: the production engine against the per-event reference.
 
-`reference_engine._Simulation` pushes and pops every bad-block and
-bad-symbol arrival as its own heap event; `ssdfi.engine._Simulation`
-consumes them from one merged timeline between boundary events.  Both
-must judge the same stripes in the same order at the same times, so the
+`reference_engine._Simulation` pushes and pops every event as its own
+heap entry, pushes a rebuild when a bad chip fires and skips the events
+of replaced drives by a generation check.  `ssdfi.engine._Simulation`
+puts every event of the mission on one timeline sorted by time, kind and
+bay, draws each drive's rebuild when the drive is installed, swaps a
+replaced bay's untaken events for the new drive's, and consumes bad
+blocks and bad symbols in one pass between boundary events.  Both must
+judge the same stripes in the same order at the same times, so the
 results (records and their order included) and the number of
-`uncorrectable` calls must be equal.
+`uncorrectable` calls must be equal.  The reference engine still takes
+the `mirror_copy_hours` argument that the production engine dropped; it
+gets the value that production results still echo.
 
 The configurations are small and dense so that every path runs within a
 short mission: a 4-device array of 32 stripes whose stripes collect
@@ -95,8 +101,8 @@ def _hourly(cls):
     """`cls` with every bad-symbol arrival rounded up to a whole hour."""
 
     class Hourly(cls):
-        def _draw_bs_times(self, slot, now, rng):
-            return np.ceil(super()._draw_bs_times(slot, now, rng))
+        def _draw_bs_times(self, *args):
+            return np.ceil(super()._draw_bs_times(*args))
 
     return Hourly
 
@@ -127,16 +133,16 @@ def test_engine_matches_reference(pool, hourly_pool, code, monkeypatch):
     for seed in range(SEEDS):
         tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
         new, ref, seed_pool = setups[seed % 2 == 1]
-        args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed, 1.0)
+        args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
         before = new_calls[0], ref_calls[0]
         sim = new(*args)
-        got, want = sim.run(), ref(*args).run()
+        got, want = sim.run(), ref(*args, 1.0).run()
         assert got == want, f"seed {seed}"
         judged = new_calls[0] - before[0]
         assert judged == ref_calls[0] - before[1], f"seed {seed}"
         totals["records"] += len(got.records)
         totals["judged"] += judged
-        totals["replaced"] += sum(slot.gen for slot in sim.slots)
+        totals["replaced"] += sum(sim.installs)
         for rec in got.records:
             totals[rec.scope] += 1
     # The configuration must reach every path it is meant to cover.

@@ -1,6 +1,3 @@
-import heapq
-import math
-
 import numpy as np
 import pytest
 
@@ -11,6 +8,7 @@ from ssdfi.engine import (
     DataLossRecord,
     EngineError,
     EventKind,
+    _columns,
     _Simulation,
     run_simulation,
 )
@@ -90,7 +88,7 @@ def make_sim(pool, rber=1e-12, bits=0.0):
     """A simulation set up like `run`, for driving its handlers directly."""
     return _Simulation(
         GEOMETRY, R5, flat_profile(rber), pool, [quiet_log(bits=bits)],
-        1_000_000.0, 1_000_000.0, 150, 0, 1.0,
+        1_000_000.0, 1_000_000.0, 150, 0,
     )
 
 
@@ -102,16 +100,36 @@ def plant_block(sim, i, block, time):
     sim.handle_bad_block(i, block, time)
 
 
-def schedule_symbols(sim, i, symbols, times):
-    """Put bay i's bad-symbol arrivals on the simulation's timeline."""
-    slot = sim.slots[i]
-    slot.bs_times, slot.bs_locs = np.array(times, dtype=float), np.array(symbols, dtype=np.int64)
-    sim._merge_arrivals(i)
+def schedule(sim, kind, i, times, locs=()):
+    """Put scripted events of one kind on bay i onto the simulation's untaken timeline.
+
+    `locs` are blocks for bad blocks and device symbols for bad symbols; a
+    bad chip also schedules its rebuild `sim.ttr` hours later.
+    """
+    stripes, syms = -1, -1
+    if kind == EventKind.BAD_BLOCK:
+        stripes = np.asarray(locs) * sim.cpb
+    elif kind == EventKind.BAD_SYMBOL:
+        stripes, syms = np.divmod(np.asarray(locs), sim.cp)
+    new = [_columns(i, times, kind, stripes, syms)]
+    if kind == EventKind.BAD_CHIP:
+        new.append(_columns(i, np.asarray(times) + sim.ttr, EventKind.RECONSTRUCT))
+    k = sim.next_event
+    sim._set_timeline(*(np.concatenate((old[k:], *c)) for old, *c in zip(sim.untaken, *new)))
+
+
+def scheduled(sim, i, kind):
+    """Bay i's untaken events of one kind: (times, locs), locs as `schedule` takes them."""
+    times, kinds, bays, stripes, syms = (c[sim.next_event:] for c in sim.untaken)
+    mine = (bays == i) & (kinds == kind)
+    if kind == EventKind.BAD_BLOCK:
+        return times[mine], stripes[mine] // sim.cpb
+    return times[mine], stripes[mine] * sim.cp + syms[mine]
 
 
 def plant_symbol(sim, i, symbol, time):
-    schedule_symbols(sim, i, [symbol], [time])
-    sim._consume_arrivals(math.nextafter(time, math.inf))
+    schedule(sim, EventKind.BAD_SYMBOL, i, [time], [symbol])
+    sim._consume_arrivals(int(np.searchsorted(sim.untaken[0], time, side="right")))
 
 
 class TestSamplers:
@@ -121,35 +139,36 @@ class TestSamplers:
         # A constant rate of 2/h: arrival times are unit exponential
         # sums divided by the rate.
         sim = make_sim(clean_pool(), rber=2e-6, bits=1e6)
-        times = sim._draw_bs_times(sim.slots[0], 0.0, np.random.default_rng(7))
+        times = sim._draw_bs_times(sim._hazard(0, 0.0), 0.0, np.random.default_rng(7))
         assert 250 < len(times) < 350
         gaps = np.random.default_rng(7).exponential(1.0, size=len(times))
         assert times == pytest.approx(np.cumsum(gaps) / 2.0, rel=1e-9)
 
     def test_offset_validation(self):
-        assert len(make_sim(clean_pool()).slots[0].bs_times) == 0  # zero hazard
+        times, _ = scheduled(make_sim(clean_pool()), 0, EventKind.BAD_SYMBOL)
+        assert len(times) == 0  # zero hazard
         sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
         sim._replace(0, 75.5)
-        times = sim.slots[0].bs_times
+        times, _ = scheduled(sim, 0, EventKind.BAD_SYMBOL)
         assert len(times) > 0
         assert times.min() > 75.5 and times.max() < 150
 
     def test_location_value(self):
         sim = make_sim(clean_pool(), rber=1e-3, bits=1e6)
-        slot = sim.slots[0]
-        assert len(slot.bs_locs) == len(slot.bs_times) > 100_000
-        assert slot.bs_locs.min() >= 0
-        assert slot.bs_locs.max() < GEOMETRY.symbols_per_device
+        times, locs = scheduled(sim, 0, EventKind.BAD_SYMBOL)
+        assert len(locs) == len(times) > 100_000
+        assert locs.min() >= 0
+        assert locs.max() < GEOMETRY.symbols_per_device
 
     def test_location_validation(self):
         sim = make_sim(scripted_pool([drive(i, bb_times=(10.0, 60.0, 140.0)) for i in range(3)]))
-        assert list(sim.slots[0].bb_times) == [10.0, 60.0, 140.0]
+        assert list(scheduled(sim, 0, EventKind.BAD_BLOCK)[0]) == [10.0, 60.0, 140.0]
         sim._replace(0, 75.0)
-        slot = sim.slots[0]
+        times, blocks = scheduled(sim, 0, EventKind.BAD_BLOCK)
         # Pool times count from the install; those past the mission drop.
-        assert list(slot.bb_times) == [85.0, 135.0]
-        assert len(slot.bb_locs) == 2
-        assert all(0 <= b < GEOMETRY.blocks_per_device for b in slot.bb_locs)
+        assert list(times) == [85.0, 135.0]
+        assert len(blocks) == 2
+        assert all(0 <= b < GEOMETRY.blocks_per_device for b in blocks)
 
 
 class TestAffectedStripes:
@@ -214,8 +233,8 @@ class TestAffectedStripes:
             ssdfi.engine, "uncorrectable", lambda *a: calls.append(a) or judge(*a)
         )
         sim = make_sim(clean_pool())
-        schedule_symbols(sim, 2, [9], [30.0])
-        heapq.heappush(sim.heap, (30.0, EventKind.BAD_CHIP, 1, 0))
+        schedule(sim, EventKind.BAD_SYMBOL, 2, [30.0], [9])
+        schedule(sim, EventKind.BAD_CHIP, 1, [30.0])
         result = sim.run()
         assert result.records == (DataLossRecord(30.0, "SDL", "BC+BS", 1),)
         assert calls == [(R5, 2, 1)]
@@ -226,13 +245,91 @@ class TestAffectedStripes:
         # latent fault and loses nothing.
         sim = make_sim(clean_pool())
         sim.ttr = 50.0
-        schedule_symbols(sim, 0, [9, 70], [20.0, 30.0])
-        heapq.heappush(sim.heap, (10.0, EventKind.BAD_CHIP, 0, 0))
-        heapq.heappush(sim.heap, (100.0, EventKind.BAD_CHIP, 1, 0))
+        schedule(sim, EventKind.BAD_SYMBOL, 0, [20.0, 30.0], [9, 70])
+        schedule(sim, EventKind.BAD_CHIP, 0, [10.0])
+        schedule(sim, EventKind.BAD_CHIP, 1, [100.0])
         result = sim.run()
-        assert sim.slots[0].gen == 1  # rebuilt
+        assert sim.installs[0] == 1  # rebuilt
         assert not sim.bs_stripe
         assert result.records == ()
+
+
+class TestTimeline:
+    """The mission end, and the same-hour order of the six event kinds.
+
+    The order is scrub, rebuild, wear-out, bad chip, bad block, bad symbol;
+    each order test fails if its pair of kinds swaps.
+    """
+
+    def test_nothing_happens_at_mission_end(self):
+        # Bay 0 fails at 100 h; its rebuild would fall at 150 h, the mission
+        # end, so it stays failed, and a symbol at 150 h on bay 1 is no loss.
+        sim = make_sim(clean_pool())
+        sim.ttr = 50.0
+        schedule(sim, EventKind.BAD_CHIP, 0, [100.0])
+        schedule(sim, EventKind.BAD_SYMBOL, 1, [149.5, 150.0], [9, 70])
+        result = sim.run()
+        assert result.records == (DataLossRecord(149.5, "SDL", "BC+BS", 1),)
+        assert sim.failed == {0} and sim.installs == [0, 0, 0]
+
+    def test_scrub_before_rebuild(self):
+        # Bays 0 and 1 fail (ADL); bay 2's symbol at 30 h is not judged in
+        # the ADL epoch.  The scrub at 50 h still sees the epoch and clears
+        # the symbol; after bay 0's rebuild it would judge it as BC+BS.
+        sim = make_sim(clean_pool())
+        sim.ttr = 40.0
+        schedule(sim, EventKind.BAD_CHIP, 0, [10.0])
+        schedule(sim, EventKind.BAD_CHIP, 1, [20.0])
+        schedule(sim, EventKind.BAD_SYMBOL, 2, [30.0], [9])
+        schedule(sim, EventKind.SCRUB, -1, [50.0])
+        result = sim.run()
+        assert [(r.time, r.scope) for r in result.records] == [(20.0, "ADL")]
+
+    def test_rebuild_before_wear_out(self, monkeypatch):
+        sim = make_sim(clean_pool())
+        sim.ttr = 40.0
+        schedule(sim, EventKind.BAD_CHIP, 1, [10.0])
+        schedule(sim, EventKind.WEAR_OUT, 0, [50.0])
+        replaced = []
+        replace = sim._replace
+        monkeypatch.setattr(sim, "_replace", lambda i, time: replaced.append(i) or replace(i, time))
+        sim.run()
+        assert replaced == [1, 0]
+
+    def test_wear_out_before_bad_chip(self):
+        # Bay 1's wear-out copy at 50 h drops its bad block before bay 0's
+        # chip fails; a chip of the worn-out drive itself never fires.
+        for chip_bay, failed, causes in ((0, {0}, ["BC+BS"]), (1, set(), [])):
+            sim = make_sim(clean_pool())
+            schedule(sim, EventKind.BAD_BLOCK, 1, [40.0], [5])
+            schedule(sim, EventKind.WEAR_OUT, 1, [50.0])
+            schedule(sim, EventKind.BAD_CHIP, chip_bay, [50.0])
+            schedule(sim, EventKind.BAD_SYMBOL, 2, [60.0], [9])
+            result = sim.run()
+            assert sim.failed == failed
+            assert [r.cause for r in result.records] == causes
+
+    def test_bad_chip_before_bad_block(self):
+        # Bay 2 is down; bay 1's chip at 30 h starts an ADL epoch, in which
+        # bay 0's bad block at the same hour is not judged.
+        sim = make_sim(clean_pool())
+        schedule(sim, EventKind.BAD_CHIP, 2, [10.0])
+        schedule(sim, EventKind.BAD_CHIP, 1, [30.0])
+        schedule(sim, EventKind.BAD_BLOCK, 0, [30.0], [5])
+        result = sim.run()
+        assert [(r.time, r.scope, r.cause) for r in result.records] == [(30.0, "ADL", "BC+BC")]
+
+    def test_bad_block_before_bad_symbol(self):
+        # Bay 2 is down; bay 1's bad block at 30 h loses its whole block
+        # as one BDL record, which already holds bay 0's symbol of that hour.
+        sim = make_sim(clean_pool())
+        schedule(sim, EventKind.BAD_CHIP, 2, [10.0])
+        schedule(sim, EventKind.BAD_BLOCK, 1, [30.0], [0])
+        schedule(sim, EventKind.BAD_SYMBOL, 0, [30.0], [9])
+        result = sim.run()
+        assert result.records == (
+            DataLossRecord(30.0, "BDL", "BC+BB", GEOMETRY.chunks_per_block),
+        )
 
 
 class TestScriptedScenarios:
@@ -320,12 +417,10 @@ class TestScriptedScenarios:
         # wear-out copy of bay 0 at 50 h leaves no bad block to coincide.
         for wear_out, bdl in ((False, ["BC+BB"]), (True, [])):
             sim = make_sim(clean_pool())
-            slot = sim.slots[0]
-            slot.bb_times, slot.bb_locs = np.array([40.0]), np.array([5])
-            sim._merge_arrivals(0)
-            heapq.heappush(sim.heap, (100.0, EventKind.BAD_CHIP, 1, 0))
+            schedule(sim, EventKind.BAD_BLOCK, 0, [40.0], [5])
+            schedule(sim, EventKind.BAD_CHIP, 1, [100.0])
             if wear_out:
-                heapq.heappush(sim.heap, (50.0, EventKind.WEAR_OUT, 0, 0))
+                schedule(sim, EventKind.WEAR_OUT, 0, [50.0])
             result = sim.run()
             assert [r.cause for r in result.records if r.scope == "BDL"] == bdl
 
@@ -377,7 +472,7 @@ class TestSetUp:
         original = ssdfi.engine.dense_arrays
         monkeypatch.setattr(ssdfi.engine, "dense_arrays", dense_arrays)
         logs = [quiet_log(), quiet_log(bits=1e6)]
-        sim = _Simulation(GEOMETRY, R5, flat_profile(), clean_pool(), logs, 1e6, 1e6, 150, 0, 1.0)
+        sim = _Simulation(GEOMETRY, R5, flat_profile(), clean_pool(), logs, 1e6, 1e6, 150, 0)
         assert len(calls) == 2  # three bays cycle over two logs
         assert sim.log_bits[0] is sim.log_bits[2] and sim.log_pe[0] is sim.log_pe[2]
         assert sim.log_bits[1] is not sim.log_bits[0]
