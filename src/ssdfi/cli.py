@@ -82,13 +82,16 @@ def run_experiment(
     if each cell had run alone, so the reports do not depend on the
     worker count.  Reports and `manifest.json` are written atomically.
 
-    Raises `ValueError` for fewer than one worker or mission, and for a
-    usage-log file that does not hold exactly one log per device.
+    Raises `ValueError` for fewer than one worker or mission, for a
+    mission length outside 1..`MISSION_HOURS`, and for a usage-log file
+    that does not hold exactly one log per device.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if n_sims < 1:
         raise ValueError(f"n_sims must be at least 1, got {n_sims}")
+    if not 1 <= mission <= MISSION_HOURS:
+        raise ValueError(f"mission must be between 1 and {MISSION_HOURS} hours, got {mission:g}")
     if usage_log_path is not None:
         logs = parse_usage_log(usage_log_path)
         if len(logs) != n_devices:

@@ -91,13 +91,19 @@ DEVICE_TOLERANCE = {
 }
 
 
+# The engine calls `uncorrectable` about 10M times for a few hundred stock
+# missions; each `ErasureCode.X` lookup costs more than the comparison it
+# guards, so the members are bound once here.
+_RAID5, _RAID6, _PMDS11 = ErasureCode.RAID5, ErasureCode.RAID6, ErasureCode.PMDS11
+
+
 def uncorrectable(code: ErasureCode, faulty: int, multi: int) -> bool:
     """Correctability kernel on (faulty chunk, multi-symbol chunk) counts."""
-    if code is ErasureCode.RAID5:
+    if code is _RAID5:
         return faulty > 1
-    if code is ErasureCode.RAID6:
+    if code is _RAID6:
         return faulty > 2
-    if code is ErasureCode.PMDS11:
+    if code is _PMDS11:
         return faulty > 2 or multi > 1
     raise CodesError(f"unknown code {code!r}")
 

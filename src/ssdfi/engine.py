@@ -33,19 +33,45 @@ no stale event stays on the timeline.  The loop consumes the bad blocks
 and bad symbols up to the next boundary event (scrub, rebuild, wear-out,
 bad chip) in one pass, then handles that event.  Arrivals on a failed
 bay are dropped.
+
+Latent faults live in four containers: `bb_block` maps a block to the
+bays whose chunk of it is bad, `bs_stripe` maps a stripe to its bays'
+bad symbol sets, `recorded` holds the stripes lost in this fault epoch,
+and `bs_lone` maps a stripe to the (bay, symbol) of its one bad symbol
+when that symbol is the stripe's only latent fault, the stripe is not
+recorded and its block is not bad.  Most arrivals land on clean stripes
+and stay lone.  A lone stripe moves to `bs_stripe` when anything else
+touches it: another arrival, a bad block on its block, or a loss.
+
+Every judged stripe costs exactly one `uncorrectable` call, read through
+this module's global, because traced runs of the benchmark pin the call
+count (`codes.judge_calls`) and the differential test compares it with
+the reference engine.  A lone symbol's counts depend only on the number
+of failed bays, so lone verdicts are issued in batches: a pass's fresh
+lone arrivals in one `map` just before the pass's next other judgement
+and at its end, and every lone stripe in one `map` at a scrub or bad
+chip.  Losses keep their record order: arrival order in a pass, stripe
+order among the SDL records of a scan.
+
+A drive installed at P/E offset 0 (every drive at the mission start)
+has a hazard that depends only on its usage log, the RBER curve and the
+mission length.  `_fresh_hazard` computes it once per such value and
+shares the read-only arrays with every mission in the process.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import repeat
 
 import numpy as np
 
 from .codes import DEVICE_TOLERANCE, ErasureCode, stripe_counts, uncorrectable
 from .geometry import ArrayGeometry
 from .pool import PooledSsd, SsdPool
-from .profiles import SsdModelProfile, MISSION_HOURS
+from .profiles import MISSION_HOURS, RberCurve, SsdModelProfile
 from .workload import UsageLog, dense_arrays
 
 ENGINE_VERSION = 1
@@ -104,6 +130,26 @@ def _columns(bay: int, times, kinds, stripes=-1, syms=-1) -> tuple[np.ndarray, .
     ))
 
 
+def _cumulative_hazard(bits: np.ndarray, pe: np.ndarray, curve: RberCurve) -> np.ndarray:
+    """Cumulative bad-symbol hazard by hour of a drive at these hourly bits and P/E counts."""
+    rber = np.interp(pe, *zip(*curve.points))
+    # Summed from hour 0 even on a late install: a sum from the install
+    # hour rounds differently and moves the arrival times' float bits.
+    return np.concatenate(([0.0], np.cumsum(rber * bits)))
+
+
+@functools.lru_cache(maxsize=32)  # about 0.84 MB per entry at MISSION_HOURS
+def _fresh_hazard(
+    log: UsageLog, curve: RberCurve, mission: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bits, P/E, cumulative hazard) by hour of a fresh drive on `log`; read-only, shared."""
+    bits, pe = dense_arrays(log, mission)
+    arrays = (bits, pe, _cumulative_hazard(bits, pe, curve))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 class _Simulation:
     def __init__(
         self,
@@ -145,18 +191,16 @@ class _Simulation:
         initial = rng_sel.choice(len(pool.drives), size=n, replace=False)
 
         # Hazard ingredients per bay.  Logs are cycled over the bays, and
-        # bays on one log share its arrays, which nothing writes to.
-        dense = [dense_arrays(log, self.mission) for log in usage_logs[:n]]
-        self.log_bits = [dense[i % len(dense)][0] for i in range(n)]
-        self.log_pe = [dense[i % len(dense)][1] for i in range(n)]
+        # bays on one log share its read-only arrays.
+        fresh = [_fresh_hazard(log, profile.rber_curve, self.mission) for log in usage_logs[:n]]
+        self.log_bits, self.log_pe, self.fresh_hazard = map(list, zip(*(fresh * n)[:n]))
         self.hour_grid = np.arange(self.mission + 1, dtype=float)
-        self.curve_x = np.array([p for p, _ in profile.rber_curve.points])
-        self.curve_y = np.array([r for _, r in profile.rber_curve.points])
 
         self.installs = [0] * n  # replacements per bay; part of each install's seed
         self.failed: set[int] = set()
         self.bb_block: dict[int, set[int]] = {}
         self.bs_stripe: dict[int, dict[int, set[int]]] = {}
+        self.bs_lone: dict[int, tuple[int, int]] = {}
         self.recorded: set[int] = set()
         self.records: list[DataLossRecord] = []
         self.ddf = 0
@@ -205,10 +249,11 @@ class _Simulation:
 
     def _hazard(self, i: int, pe_offset: float) -> np.ndarray:
         """Bay i's cumulative bad-symbol hazard by hour, `pe_offset` P/E cycles below its log."""
-        rber = np.interp(self.log_pe[i] - pe_offset, self.curve_x, self.curve_y)
-        # Summed from hour 0 even on a late install: a sum from the install
-        # hour rounds differently and moves the arrival times' float bits.
-        return np.concatenate(([0.0], np.cumsum(rber * self.log_bits[i])))
+        if not pe_offset:
+            return self.fresh_hazard[i]
+        return _cumulative_hazard(
+            self.log_bits[i], self.log_pe[i] - pe_offset, self.profile.rber_curve
+        )
 
     def _draw_bs_times(self, cum: np.ndarray, now: float, rng: np.random.Generator) -> np.ndarray:
         h0 = float(np.interp(now, self.hour_grid, cum))
@@ -229,8 +274,12 @@ class _Simulation:
 
     # -- judging ----------------------------------------------------------
 
-    def _judge_stripes(self, stripes, time: float) -> None:
-        """Judge stripes, emit records for newly uncorrectable ones."""
+    def _judge_stripes(self, stripes, time: float, lone_lost=()) -> None:
+        """Judge stripes, emit records for newly uncorrectable ones.
+
+        `lone_lost` holds lone stripes that their batch has just judged
+        lost (and recorded); their SDL records take their stripe's place.
+        """
         code = self.code
         nf = len(self.failed)
         cpb = self.cpb
@@ -243,6 +292,8 @@ class _Simulation:
         block_counts = None
         for stripe in stripes:
             if stripe in recorded:
+                if stripe in lone_lost:
+                    self.records.append(DataLossRecord(time, "SDL", _cause_label(nf, 0, 1), 1))
                 continue
             bs = bs_stripe.get(stripe)
             if bs is None:
@@ -265,7 +316,46 @@ class _Simulation:
         for (_, label), count in bdl_groups.items():
             self.records.append(DataLossRecord(time, "BDL", label, count))
 
+    def _lone_verdicts(self, n: int) -> list[bool]:
+        """Verdicts on n lone bad symbols: one `uncorrectable` call each, in one batch."""
+        faulty, multi, _, _ = stripe_counts(len(self.failed), None, {-1: (0,)})
+        return list(map(uncorrectable, repeat(self.code, n), repeat(faulty, n), repeat(multi, n)))
+
+    def _promote(self, stripe: int) -> None:
+        """Move a lone stripe's symbol to `bs_stripe`."""
+        i, sym = self.bs_lone.pop(stripe)
+        self.bs_stripe[stripe] = {i: {sym}}
+
+    def _lose_lone(self, stripe: int) -> None:
+        """Mark a lone stripe lost: it is recorded and leaves `bs_lone`."""
+        self._promote(stripe)
+        self.recorded.add(stripe)
+
+    def _judge_pending(self, pending: list[int]) -> None:
+        """Judge the fresh lone symbols at these timeline indices; losses are recorded at their times."""
+        lost = self._lone_verdicts(len(pending))
+        if any(lost):
+            times, stripes = self.timeline[0], self.timeline[3]
+            label = _cause_label(len(self.failed), 0, 1)
+            for k, is_lost in zip(pending, lost):
+                if is_lost:
+                    self._lose_lone(stripes[k])
+                    self.records.append(DataLossRecord(times[k], "SDL", label, 1))
+        pending.clear()
+
+    def _judge_latent(self, time: float) -> None:
+        """Judge every latent stripe: the lone ones in one batch, the rest one by one."""
+        lost = self._lone_verdicts(len(self.bs_lone))
+        if any(lost):
+            lost = {stripe for stripe, is_lost in zip(self.bs_lone, lost) if is_lost}
+            for stripe in lost:
+                self._lose_lone(stripe)
+        else:
+            lost = ()
+        self._judge_stripes(self._latent_stripes(), time, lost)
+
     def _latent_stripes(self):
+        """Sorted stripes on a bad block or in `bs_stripe`: every latent stripe but the lone ones."""
         if not self.bb_block:
             return sorted(self.bs_stripe)
         blocks = np.fromiter(self.bb_block, np.int64, len(self.bb_block))
@@ -292,44 +382,52 @@ class _Simulation:
         self.next_event = 0
 
     def _consume_arrivals(self, end: int) -> None:
-        """Mark and judge, in timeline order, the untaken bad blocks and symbols before `end`."""
+        """Mark and judge, in timeline order, the untaken bad blocks and symbols before `end`.
+
+        Fresh lone symbols wait in `pending` and get their verdicts in one
+        batch before the pass's next other judgement and at its end.
+        """
         times, _, bays, stripes, syms = self.timeline
         start = self.next_event
         if end == start:
             return
         self.next_event = end
         failed = self.failed
+        bs_lone = self.bs_lone
         bs_stripe = self.bs_stripe
         bb_block = self.bb_block
         recorded = self.recorded
         cpb = self.cpb
         judging = not self.adl_epoch
-        # A lone bad symbol on a clean stripe always counts the same.
-        nf = len(failed)
-        faulty, multi, _, _ = stripe_counts(nf, None, {-1: (0,)})
-        judge = uncorrectable
-        code = self.code
+        pending: list[int] = []  # fresh lone symbols awaiting their batch verdict
         for k in range(start, end):
             i = bays[k]
             if i in failed:
                 continue  # arrivals on a failed device are subsumed
             stripe, sym = stripes[k], syms[k]
+            if (
+                sym >= 0
+                and stripe not in bs_lone
+                and stripe not in bs_stripe
+                and stripe not in recorded
+                and stripe // cpb not in bb_block
+            ):
+                bs_lone[stripe] = (i, sym)
+                if judging:
+                    pending.append(k)
+                continue
+            if pending:  # their losses come first, and may record this stripe
+                self._judge_pending(pending)
             if sym < 0:  # a bad block
                 self.handle_bad_block(i, stripe // cpb, times[k])
                 continue
-            per = bs_stripe.get(stripe)
-            if per is None:
-                bs_stripe[stripe] = {i: {sym}}
-            else:
-                per.setdefault(i, set()).add(sym)
-            if not judging:
-                continue
-            if per is None and stripe not in recorded and stripe // cpb not in bb_block:
-                if judge(code, faulty, multi):
-                    recorded.add(stripe)
-                    self.records.append(DataLossRecord(times[k], "SDL", _cause_label(nf, 0, 1), 1))
-                continue
-            self._judge_stripes((stripe,), times[k])
+            if stripe in bs_lone:
+                self._promote(stripe)
+            bs_stripe.setdefault(stripe, {}).setdefault(i, set()).add(sym)
+            if judging:
+                self._judge_stripes((stripe,), times[k])
+        if pending:
+            self._judge_pending(pending)
 
     # -- handlers ----------------------------------------------------------
 
@@ -353,19 +451,22 @@ class _Simulation:
                     )
                 )
         else:
-            self._judge_stripes(self._latent_stripes(), time)
+            self._judge_latent(time)
 
     def handle_bad_block(self, i: int, block: int, time: float) -> None:
         self.bb_block.setdefault(block, set()).add(i)
+        stripes = range(block * self.cpb, (block + 1) * self.cpb)
+        for stripe in self.bs_lone.keys() & stripes:
+            self._promote(stripe)
         if not self.adl_epoch:
-            start = block * self.cpb
-            self._judge_stripes(range(start, start + self.cpb), time)
+            self._judge_stripes(stripes, time)
 
     def apply_scrub(self, time: float) -> None:
         if not self.adl_epoch:
-            self._judge_stripes(self._latent_stripes(), time)
+            self._judge_latent(time)
         self.bb_block.clear()
         self.bs_stripe.clear()
+        self.bs_lone.clear()
         self.recorded.clear()
 
     def apply_reconstruct(self, i: int, time: float) -> None:
@@ -389,6 +490,8 @@ class _Simulation:
             per.pop(i, None)
             if not per:
                 del self.bs_stripe[stripe]
+        for stripe in [s for s, (bay, _) in self.bs_lone.items() if bay == i]:
+            del self.bs_lone[stripe]
 
     def _replace(self, i: int, time: float) -> None:
         """Install a fresh pool drive in bay i in place of the old drive's untaken events."""

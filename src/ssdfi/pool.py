@@ -106,6 +106,28 @@ class SsdPool:
     seed: int
     drives: tuple[PooledSsd, ...]
 
+    def __reduce__(self):
+        # All bad block times as one bytes object plus per-drive counts: an
+        # unpickled pool, as a `spawn` or `forkserver` worker gets it,
+        # holds one read-only buffer rather than a writeable array per drive.
+        drives = self.drives
+        times = b"".join(d.mission_bb_times.tobytes() for d in drives)
+        counts = [d.mission_bb_times.size for d in drives]
+        rest = [(d.drive_id, d.bad_chip_time, d.marked_bb_gt_5pct) for d in drives]
+        return _unpickle_pool, (
+            self.profile_name, self.blocks_per_device, self.seed, times, counts, rest
+        )
+
+
+def _unpickle_pool(profile_name, blocks_per_device, seed, times, counts, rest) -> SsdPool:
+    flat = np.frombuffer(times, dtype=np.float64)  # read-only: bytes are immutable
+    ends = np.cumsum(counts, dtype=np.int64).tolist()
+    drives = tuple(
+        PooledSsd(drive_id, flat[end - count : end], bad_chip_time, marked)
+        for (drive_id, bad_chip_time, marked), count, end in zip(rest, counts, ends)
+    )
+    return SsdPool(profile_name, blocks_per_device, seed, drives)
+
 
 @dataclass(frozen=True)
 class PoolValidationReport:

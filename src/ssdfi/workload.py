@@ -23,7 +23,8 @@ class UsageLog:
     """Hourly access samples for one device.
 
     Missing hours inside the covered range count as zero access; the
-    cycle length is the hour after the last sample.
+    cycle length is the hour after the last sample.  Columns are stored as
+    tuples, so a log is hashable: the engine keys its hazard cache by it.
     """
 
     device_id: str
@@ -33,6 +34,8 @@ class UsageLog:
     pe_cycles: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("hours", "bits_read", "bits_written", "pe_cycles"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.hours)
         if n == 0:
             raise WorkloadError("usage log must have at least one sample")
@@ -48,6 +51,15 @@ class UsageLog:
             raise WorkloadError("pe_cycles must be non-decreasing")
         if any(v < 0 for v in self.pe_cycles):
             raise WorkloadError("pe_cycles must be >= 0")
+        # The engine's hazard cache hashes a log once per mission, and the
+        # columns of a four-year log take milliseconds to hash, so the hash
+        # is taken once.  It leaves out `device_id`, whose str hash differs
+        # between processes, so a pickled log's hash stays valid.
+        columns = (self.hours, self.bits_read, self.bits_written, self.pe_cycles)
+        object.__setattr__(self, "_hash", hash(columns))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def cycle_hours(self) -> int:

@@ -5,6 +5,7 @@ import pytest
 from ssdfi import cli
 from ssdfi.cli import derive_seed, main, run_experiment
 from ssdfi.codes import ErasureCode
+from ssdfi.profiles import MISSION_HOURS
 from ssdfi.workload import parse_usage_log
 
 
@@ -95,7 +96,11 @@ class TestRunExperiment:
         assert len(created) == 1
 
     @pytest.mark.parametrize(
-        "name, value", [("workers", 0), ("workers", -3), ("n_sims", 0), ("n_sims", -1)]
+        "name, value",
+        [
+            ("workers", 0), ("workers", -3), ("n_sims", 0), ("n_sims", -1),
+            ("mission", 0), ("mission", MISSION_HOURS + 1),
+        ],
     )
     def test_rejects_bad_counts_before_any_pool(
         self, tmp_path, small_kwargs, monkeypatch, name, value
@@ -122,9 +127,10 @@ class TestRunExperiment:
         [
             (["--workers", "0"], "workers must be at least 1"),
             (["--sims", "0"], "n_sims must be at least 1"),
+            (["--mission", "40000"], "mission must be between 1 and"),
             (["--usage-log", "LOGS"], "3 device log"),
         ],
-        ids=["workers", "sims", "usage-log"],
+        ids=["workers", "sims", "mission", "usage-log"],
     )
     def test_command_reports_rejected_input_as_usage_error(self, tmp_path, capsys, argv, message):
         logs = tmp_path / "logs.csv"

@@ -84,16 +84,24 @@ def run(pool, code=R5, mission=150, tts=1_000_000.0, ttr=1_000_000.0, seed=0, **
     )
 
 
-def make_sim(pool, rber=1e-12, bits=0.0):
+def make_sim(pool, rber=1e-12, bits=0.0, geometry=GEOMETRY):
     """A simulation set up like `run`, for driving its handlers directly."""
     return _Simulation(
-        GEOMETRY, R5, flat_profile(rber), pool, [quiet_log(bits=bits)],
+        geometry, R5, flat_profile(rber), pool, [quiet_log(bits=bits)],
         1_000_000.0, 1_000_000.0, 150, 0,
     )
 
 
-def clean_pool():
-    return scripted_pool([drive(i) for i in range(3)])
+def clean_pool(n=3):
+    return scripted_pool([drive(i) for i in range(n)])
+
+
+def count_judge_calls(monkeypatch):
+    """Patch the engine's judge to log its arguments; return the log."""
+    calls = []
+    judge = ssdfi.engine.uncorrectable
+    monkeypatch.setattr(ssdfi.engine, "uncorrectable", lambda *a: calls.append(a) or judge(*a))
+    return calls
 
 
 def plant_block(sim, i, block, time):
@@ -199,7 +207,8 @@ class TestAffectedStripes:
         sim = make_sim(clean_pool())
         plant_symbol(sim, 0, 9, 10.0)
         cp = GEOMETRY.chunk_pages
-        assert sim.bs_stripe == {9 // cp: {0: {9 % cp}}}
+        assert sim.bs_lone == {9 // cp: (0, 9 % cp)}
+        assert not sim.bs_stripe
 
     def test_out_of_range_location(self):
         # Faults at the very end of a device stay inside the array.
@@ -227,11 +236,7 @@ class TestAffectedStripes:
         # stripe already short one chunk, and its own judgement is the one
         # that records the loss (judged first, it would pass, and the
         # chip's latent scan would judge the stripe a second time).
-        calls = []
-        judge = ssdfi.engine.uncorrectable
-        monkeypatch.setattr(
-            ssdfi.engine, "uncorrectable", lambda *a: calls.append(a) or judge(*a)
-        )
+        calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_SYMBOL, 2, [30.0], [9])
         schedule(sim, EventKind.BAD_CHIP, 1, [30.0])
@@ -250,8 +255,116 @@ class TestAffectedStripes:
         schedule(sim, EventKind.BAD_CHIP, 1, [100.0])
         result = sim.run()
         assert sim.installs[0] == 1  # rebuilt
-        assert not sim.bs_stripe
+        assert not sim.bs_stripe and not sim.bs_lone
         assert result.records == ()
+
+
+class TestLoneSymbols:
+    """A stripe's only bad symbol waits in `bs_lone` and is judged in a batch.
+
+    Each test covers one way a stripe leaves `bs_lone` or one batch, and
+    checks the records and the judge calls the engine makes.
+    """
+
+    CP = GEOMETRY.chunk_pages
+    CPB = GEOMETRY.chunks_per_block
+
+    def test_second_symbol_from_another_bay(self):
+        sim = make_sim(clean_pool())
+        plant_symbol(sim, 0, 9, 10.0)
+        plant_symbol(sim, 1, 10, 20.0)
+        assert sim.records == [DataLossRecord(20.0, "SDL", "BS+BS", 1)]
+        assert not sim.bs_lone
+        assert sim.bs_stripe == {9 // self.CP: {0: {9 % self.CP}, 1: {10 % self.CP}}}
+
+    def test_same_symbol_again_is_judged_again(self, monkeypatch):
+        # The symbol arrives unjudged in an ADL epoch; after a rebuild the
+        # array is short one bay, and its second arrival records the loss.
+        calls = count_judge_calls(monkeypatch)
+        sim = make_sim(clean_pool())
+        sim.handle_bad_chip(0, 10.0)
+        sim.handle_bad_chip(1, 11.0)
+        plant_symbol(sim, 2, 9, 20.0)
+        assert sim.bs_lone == {9 // self.CP: (2, 9 % self.CP)} and calls == []
+        sim.apply_reconstruct(0, 30.0)
+        plant_symbol(sim, 2, 9, 40.0)
+        assert sim.records[1:] == [DataLossRecord(40.0, "SDL", "BC+BS", 1)]
+        assert calls == [(R5, 2, 1)]
+        assert not sim.bs_lone and sim.recorded == {9 // self.CP}
+
+    @pytest.mark.parametrize("block_bay, causes", [(0, []), (1, ["BB+BS"])])
+    def test_bad_block_on_a_lone_stripe_then_scrub(self, monkeypatch, block_bay, causes):
+        # On its own bay the bad block covers the symbol; on another bay
+        # the two chunks lose the stripe.  Either way the scrub judges each
+        # stripe of the block once.
+        calls = count_judge_calls(monkeypatch)
+        sim = make_sim(clean_pool())
+        plant_symbol(sim, 0, 5 * self.CPB * self.CP + 2, 10.0)
+        plant_block(sim, block_bay, 5, 20.0)
+        assert not sim.bs_lone
+        assert [r.cause for r in sim.records] == causes
+        del calls[:]
+        sim.apply_scrub(30.0)
+        assert [r.cause for r in sim.records] == causes
+        assert len(calls) == self.CPB - len(causes)
+
+    def test_bad_chip_on_the_lone_symbols_bay(self, monkeypatch):
+        # Bay 0's chip drops bay 0's symbol; bay 2's lone symbol is lost.
+        calls = count_judge_calls(monkeypatch)
+        sim = make_sim(clean_pool())
+        plant_symbol(sim, 0, 9, 10.0)
+        plant_symbol(sim, 2, 70, 20.0)
+        del calls[:]
+        sim.handle_bad_chip(0, 30.0)
+        assert sim.records == [DataLossRecord(30.0, "SDL", "BC+BS", 1)]
+        assert calls == [(R5, 2, 1)]
+        stripe, sym = divmod(70, self.CP)
+        assert not sim.bs_lone and sim.bs_stripe == {stripe: {2: {sym}}}
+        assert sim.recorded == {stripe}
+
+    def test_scrub_with_a_failed_bay_merges_lone_losses_in_stripe_order(self, monkeypatch):
+        # Four bays; 0 and 1 fail, so bays 2 and 3 collect faults unjudged:
+        # lone symbols on stripes 40 and 3, two symbols on stripe 20 and a
+        # bad block.  After bay 0's rebuild the scrub loses all of them.
+        geometry = ArrayGeometry(
+            n_devices=4, page_size=4096, pages_per_block=64, blocks_per_device=64,
+            stripe_size=4 * 4096 * 4,
+        )
+        cp, cpb = geometry.chunk_pages, geometry.chunks_per_block
+        sim = make_sim(clean_pool(4), geometry=geometry)
+        sim.handle_bad_chip(0, 10.0)
+        sim.handle_bad_chip(1, 11.0)
+        plant_symbol(sim, 3, 40 * cp + 1, 20.0)
+        plant_symbol(sim, 2, 3 * cp, 21.0)
+        plant_symbol(sim, 2, 20 * cp, 22.0)
+        plant_symbol(sim, 3, 20 * cp + 3, 23.0)
+        plant_block(sim, 3, 5, 24.0)
+        sim.apply_reconstruct(0, 30.0)
+        calls = count_judge_calls(monkeypatch)
+        sim.apply_scrub(40.0)
+        assert [(r.time, r.scope, r.cause, r.stripes_lost) for r in sim.records[1:]] == [
+            (40.0, "SDL", "BC+BS", 1),  # stripe 3
+            (40.0, "SDL", "BC+BS+BS", 1),  # stripe 20
+            (40.0, "SDL", "BC+BS", 1),  # stripe 40
+            (40.0, "BDL", "BC+BB", cpb),
+        ]
+        assert len(calls) == 2 + 1 + cpb
+
+    def test_lone_losses_around_a_bad_block_keep_arrival_order(self, monkeypatch):
+        # Bay 0 is down; in one pass, lone symbols at 10 h and 30 h are
+        # lost, and so is bay 2's bad block at 20 h.
+        calls = count_judge_calls(monkeypatch)
+        sim = make_sim(clean_pool())
+        schedule(sim, EventKind.BAD_CHIP, 0, [5.0])
+        schedule(sim, EventKind.BAD_SYMBOL, 1, [10.0, 30.0], [9, 70])
+        schedule(sim, EventKind.BAD_BLOCK, 2, [20.0], [5])
+        result = sim.run()
+        assert result.records == (
+            DataLossRecord(10.0, "SDL", "BC+BS", 1),
+            DataLossRecord(20.0, "BDL", "BC+BB", self.CPB),
+            DataLossRecord(30.0, "SDL", "BC+BS", 1),
+        )
+        assert len(calls) == 2 + self.CPB
 
 
 class TestTimeline:
@@ -471,8 +584,18 @@ class TestSetUp:
 
         original = ssdfi.engine.dense_arrays
         monkeypatch.setattr(ssdfi.engine, "dense_arrays", dense_arrays)
+        ssdfi.engine._fresh_hazard.cache_clear()
         logs = [quiet_log(), quiet_log(bits=1e6)]
         sim = _Simulation(GEOMETRY, R5, flat_profile(), clean_pool(), logs, 1e6, 1e6, 150, 0)
         assert len(calls) == 2  # three bays cycle over two logs
         assert sim.log_bits[0] is sim.log_bits[2] and sim.log_pe[0] is sim.log_pe[2]
         assert sim.log_bits[1] is not sim.log_bits[0]
+        # Later missions on equal logs reuse the arrays, which nobody can write.
+        again = _Simulation(
+            GEOMETRY, PMDS, flat_profile(), clean_pool(), [quiet_log(), quiet_log(bits=1e6)],
+            1e6, 1e6, 150, 1,
+        )
+        assert len(calls) == 2
+        assert again.log_bits[1] is sim.log_bits[1] and again.fresh_hazard[0] is sim.fresh_hazard[0]
+        for arrays in (sim.log_bits, sim.log_pe, sim.fresh_hazard):
+            assert not any(a.flags.writeable for a in arrays)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,16 @@ class TestGeneratePool:
         assert all(not d.mission_bb_times.flags.writeable for d in pool.drives)
         # The drives' slices tile the buffer in drive order.
         assert np.array_equal(np.concatenate([d.mission_bb_times for d in pool.drives]), flat)
+
+    @pytest.mark.parametrize("protocol", [2, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+    def test_pickled_pool_keeps_one_read_only_buffer(self, protocol):
+        pool = generate_pool(synthetic_profile(), 300, BLOCKS, seed=7)
+        copy = pickle.loads(pickle.dumps(pool, protocol=protocol))
+        assert snapshot(copy) == snapshot(pool)
+        flat = copy.drives[0].mission_bb_times.base
+        assert flat is not None and not flat.flags.writeable
+        assert all(d.mission_bb_times.base is flat for d in copy.drives)
+        assert all(not d.mission_bb_times.flags.writeable for d in copy.drives)
 
     def test_exact_quotas(self):
         p = synthetic_profile()

@@ -26,6 +26,14 @@ class TestUsageLog:
     def test_cycle_hours(self):
         assert make_log().cycle_hours == 4
 
+    def test_columns_become_tuples(self):
+        log = make_log()
+        listed = UsageLog(
+            "d0", list(log.hours), list(log.bits_read), np.array(log.bits_written),
+            list(log.pe_cycles),
+        )
+        assert listed == log and hash(listed) == hash(log)
+
     def test_requires_samples(self):
         with pytest.raises(WorkloadError):
             UsageLog("d", (), (), (), ())
