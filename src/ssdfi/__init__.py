@@ -30,9 +30,6 @@ from .reporting import (
     AggregateReport,
     aggregate_results,
     emit_report,
-    loss_breakdown,
-    report_from_dict,
-    report_to_dict,
 )
 from .workload import (
     SynthWorkloadParams,
@@ -71,11 +68,8 @@ __all__ = [
     "erf",
     "generate_pool",
     "load_profiles",
-    "loss_breakdown",
     "parse_usage_log",
     "profile_by_name",
-    "report_from_dict",
-    "report_to_dict",
     "run_simulation",
     "synthesize_usage_log",
     "uncorrectable",

@@ -83,8 +83,9 @@ def run_experiment(
     worker count.  Reports and `manifest.json` are written atomically.
 
     Raises `ValueError` for fewer than one worker or mission, for a
-    mission length outside 1..`MISSION_HOURS`, and for a usage-log file
-    that does not hold exactly one log per device.
+    mission length outside 1..`MISSION_HOURS`, for a report format other
+    than json or csv, and for a usage-log file that does not hold
+    exactly one log per device.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -92,6 +93,8 @@ def run_experiment(
         raise ValueError(f"n_sims must be at least 1, got {n_sims}")
     if not 1 <= mission <= MISSION_HOURS:
         raise ValueError(f"mission must be between 1 and {MISSION_HOURS} hours, got {mission:g}")
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"fmt must be 'json' or 'csv', got {fmt!r}")
     if usage_log_path is not None:
         logs = parse_usage_log(usage_log_path)
         if len(logs) != n_devices:
@@ -148,10 +151,9 @@ def run_experiment(
         results = [run_simulation(**cells[cell], seed=seed) for cell, seed in jobs]
 
     manifest: dict = {"master_seed": master_seed, "n_sims": n_sims, "reports": {}}
-    ext = "json" if fmt == "json" else "csv"
     for cell, key in enumerate(keys):
         report = aggregate_results(results[cell * n_sims : (cell + 1) * n_sims], experiment_id=key)
-        path = out_dir / f"{key}.{ext}"
+        path = out_dir / f"{key}.{fmt}"
         emit_report(report, path, fmt=fmt)
         manifest["reports"][key] = {
             "path": path.name,

@@ -47,11 +47,10 @@ Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
 count (`codes.judge_calls`) and the differential test compares it with
 the reference engine.  A lone symbol's counts depend only on the number
-of failed bays, so lone verdicts are issued in batches: a pass's fresh
-lone arrivals in one `map` just before the pass's next other judgement
-and at its end, and every lone stripe in one `map` at a scrub or bad
-chip.  Losses keep their record order: arrival order in a pass, stripe
-order among the SDL records of a scan.
+of failed bays, which no arrival changes: a pass takes them once and
+judges each fresh lone arrival as it comes, and a scrub or bad chip
+judges every lone stripe in one `map`.  Losses keep their record order:
+arrival order in a pass, stripe order among the SDL records of a scan.
 
 A drive installed at P/E offset 0 (every drive at the mission start)
 has a hazard that depends only on its usage log, the RBER curve and the
@@ -331,18 +330,6 @@ class _Simulation:
         self._promote(stripe)
         self.recorded.add(stripe)
 
-    def _judge_pending(self, pending: list[int]) -> None:
-        """Judge the fresh lone symbols at these timeline indices; losses are recorded at their times."""
-        lost = self._lone_verdicts(len(pending))
-        if any(lost):
-            times, stripes = self.timeline[0], self.timeline[3]
-            label = _cause_label(len(self.failed), 0, 1)
-            for k, is_lost in zip(pending, lost):
-                if is_lost:
-                    self._lose_lone(stripes[k])
-                    self.records.append(DataLossRecord(times[k], "SDL", label, 1))
-        pending.clear()
-
     def _judge_latent(self, time: float) -> None:
         """Judge every latent stripe: the lone ones in one batch, the rest one by one."""
         lost = self._lone_verdicts(len(self.bs_lone))
@@ -384,14 +371,15 @@ class _Simulation:
     def _consume_arrivals(self, end: int) -> None:
         """Mark and judge, in timeline order, the untaken bad blocks and symbols before `end`.
 
-        Fresh lone symbols wait in `pending` and get their verdicts in one
-        batch before the pass's next other judgement and at its end.
+        A fresh lone symbol is judged as it arrives, with the lone counts
+        taken once per pass: no failure starts or ends within a pass.
         """
         times, _, bays, stripes, syms = self.timeline
         start = self.next_event
         if end == start:
             return
         self.next_event = end
+        code = self.code
         failed = self.failed
         bs_lone = self.bs_lone
         bs_stripe = self.bs_stripe
@@ -399,7 +387,8 @@ class _Simulation:
         recorded = self.recorded
         cpb = self.cpb
         judging = not self.adl_epoch
-        pending: list[int] = []  # fresh lone symbols awaiting their batch verdict
+        judge = uncorrectable  # read per pass: wrappers patch the module global
+        faulty, multi, _, _ = stripe_counts(len(failed), None, {-1: (0,)})
         for k in range(start, end):
             i = bays[k]
             if i in failed:
@@ -412,12 +401,14 @@ class _Simulation:
                 and stripe not in recorded
                 and stripe // cpb not in bb_block
             ):
-                bs_lone[stripe] = (i, sym)
-                if judging:
-                    pending.append(k)
+                if judging and judge(code, faulty, multi):
+                    bs_stripe[stripe] = {i: {sym}}
+                    recorded.add(stripe)
+                    label = _cause_label(len(failed), 0, 1)
+                    self.records.append(DataLossRecord(times[k], "SDL", label, 1))
+                else:
+                    bs_lone[stripe] = (i, sym)
                 continue
-            if pending:  # their losses come first, and may record this stripe
-                self._judge_pending(pending)
             if sym < 0:  # a bad block
                 self.handle_bad_block(i, stripe // cpb, times[k])
                 continue
@@ -426,8 +417,6 @@ class _Simulation:
             bs_stripe.setdefault(stripe, {}).setdefault(i, set()).add(sym)
             if judging:
                 self._judge_stripes((stripe,), times[k])
-        if pending:
-            self._judge_pending(pending)
 
     # -- handlers ----------------------------------------------------------
 

@@ -79,7 +79,6 @@ class PooledSsd:
     drive_id: int
     mission_bb_times: np.ndarray  # ascending, within [0, mission)
     bad_chip_time: float | None  # in-mission hour, or None
-    marked_bb_gt_5pct: bool
 
     def __post_init__(self):
         times = np.asarray(self.mission_bb_times, dtype=np.float64)
@@ -95,8 +94,6 @@ class PooledSsd:
             raise PoolError("mission_bb_times must lie within [0, mission)")
         if self.bad_chip_time is not None and not 0 <= self.bad_chip_time < MISSION_HOURS:
             raise PoolError("bad_chip_time must lie within [0, mission)")
-        if self.marked_bb_gt_5pct and self.bad_chip_time is None:
-            raise PoolError("marked_bb_gt_5pct requires a bad chip time")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +110,7 @@ class SsdPool:
         drives = self.drives
         times = b"".join(d.mission_bb_times.tobytes() for d in drives)
         counts = [d.mission_bb_times.size for d in drives]
-        rest = [(d.drive_id, d.bad_chip_time, d.marked_bb_gt_5pct) for d in drives]
+        rest = [(d.drive_id, d.bad_chip_time) for d in drives]
         return _unpickle_pool, (
             self.profile_name, self.blocks_per_device, self.seed, times, counts, rest
         )
@@ -123,8 +120,8 @@ def _unpickle_pool(profile_name, blocks_per_device, seed, times, counts, rest) -
     flat = np.frombuffer(times, dtype=np.float64)  # read-only: bytes are immutable
     ends = np.cumsum(counts, dtype=np.int64).tolist()
     drives = tuple(
-        PooledSsd(drive_id, flat[end - count : end], bad_chip_time, marked)
-        for (drive_id, bad_chip_time, marked), count, end in zip(rest, counts, ends)
+        PooledSsd(drive_id, flat[end - count : end], bad_chip_time)
+        for (drive_id, bad_chip_time), count, end in zip(rest, counts, ends)
     )
     return SsdPool(profile_name, blocks_per_device, seed, drives)
 
@@ -396,7 +393,6 @@ def generate_pool(
             drive_id=drive_id,
             mission_bb_times=flat[starts[drive_id] : ends[drive_id]],
             bad_chip_time=bc_times[drive_id],
-            marked_bb_gt_5pct=drive_id in marked_ids,
         )
         for drive_id in range(pool_size)
     ]

@@ -6,10 +6,10 @@ import json
 import os
 import statistics
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .engine import DataLossRecord, SimResult
+from .engine import SimResult
 
 SCHEMA_VERSION = 1
 
@@ -36,48 +36,13 @@ class AggregateReport:
     runtime: dict = field(default_factory=dict)
 
 
-def loss_breakdown(
-    records: list[DataLossRecord], collapse_below: float = 0.0
-) -> dict[str, dict]:
-    """Per-cause record and stripe totals with stripe-weighted fractions.
-
-    Causes under `collapse_below` of the stripe total fold into an
-    "other" bucket.
-    """
-    if not 0 <= collapse_below < 1:
-        raise ReportingError("collapse_below must be within [0, 1)")
-    agg: dict[str, list[int]] = {}
-    for rec in records:
-        c = agg.setdefault(rec.cause, [0, 0])
-        c[0] += 1
-        c[1] += rec.stripes_lost
-    total = sum(v[1] for v in agg.values())
-    out: dict[str, dict] = {}
-    other = [0, 0]
-    for label in sorted(agg):
-        n, stripes = agg[label]
-        frac = stripes / total if total else 0.0
-        if total and frac < collapse_below:
-            other[0] += n
-            other[1] += stripes
-        else:
-            out[label] = {"records": n, "stripes": stripes, "fraction": frac}
-    if other != [0, 0]:
-        out["other"] = {
-            "records": other[0],
-            "stripes": other[1],
-            "fraction": other[1] / total,
-        }
-    return out
-
-
-def aggregate_results(
-    results: list[SimResult], experiment_id: str = "", collapse_below: float = 0.0
-) -> AggregateReport:
+def aggregate_results(results: list[SimResult], experiment_id: str = "") -> AggregateReport:
     """Merge per-seed results of one configuration into a report.
 
     Results must share an identical configuration echo; ordering of the
-    input does not affect the report.
+    input does not affect the report.  Scope and cause totals are sums
+    of each result's own; a cause's fraction is its share of all lost
+    stripes.
     """
     if not results:
         raise ReportingError("no results to aggregate")
@@ -91,11 +56,16 @@ def aggregate_results(
     ordered = sorted(results, key=lambda r: r.seed)
     per_seed = tuple((r.seed, r.stripes_lost) for r in ordered)
     stripes = [r.stripes_lost for r in ordered]
-    records = [rec for r in ordered for rec in r.records]
     scope = {"ADL": 0, "BDL": 0, "SDL": 0}
+    causes: dict[str, list[int]] = {}
     for r in ordered:
         for k, v in r.scope_stripes.items():
             scope[k] += v
+        for label, (n, lost) in r.cause_totals.items():
+            c = causes.setdefault(label, [0, 0])
+            c[0] += n
+            c[1] += lost
+    total = sum(lost for _, lost in causes.values())
     return AggregateReport(
         experiment_id=experiment_id,
         config=dict(config),
@@ -106,50 +76,13 @@ def aggregate_results(
         stdev_stripes=statistics.pstdev(stripes),
         mean_bytes=statistics.fmean([r.bytes_lost for r in ordered]),
         scope_stripes=scope,
-        breakdown=loss_breakdown(records, collapse_below),
+        breakdown={
+            label: {"records": n, "stripes": lost, "fraction": lost / total if total else 0.0}
+            for label, (n, lost) in sorted(causes.items())
+        },
         ddf=sum(r.ddf for r in ordered),
         tdf=sum(r.tdf for r in ordered),
         runtime={"n_results": len(results)},
-    )
-
-
-def report_to_dict(report: AggregateReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "experiment_id": report.experiment_id,
-        "config": report.config,
-        "n_sims": report.n_sims,
-        "per_seed_stripes": [list(t) for t in report.per_seed_stripes],
-        "mean_stripes": report.mean_stripes,
-        "median_stripes": report.median_stripes,
-        "stdev_stripes": report.stdev_stripes,
-        "mean_bytes": report.mean_bytes,
-        "scope_stripes": report.scope_stripes,
-        "breakdown": report.breakdown,
-        "ddf": report.ddf,
-        "tdf": report.tdf,
-        "runtime": report.runtime,
-    }
-
-
-def report_from_dict(data: dict) -> AggregateReport:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ReportingError(f"unsupported schema version {data.get('schema_version')}")
-    return AggregateReport(
-        experiment_id=data["experiment_id"],
-        config=data["config"],
-        n_sims=data["n_sims"],
-        per_seed_stripes=tuple((int(s), int(v)) for s, v in data["per_seed_stripes"]),
-        mean_stripes=data["mean_stripes"],
-        median_stripes=data["median_stripes"],
-        stdev_stripes=data["stdev_stripes"],
-        mean_bytes=data["mean_bytes"],
-        scope_stripes=data["scope_stripes"],
-        breakdown=data["breakdown"],
-        ddf=data["ddf"],
-        tdf=data["tdf"],
-        schema_version=data["schema_version"],
-        runtime=data.get("runtime", {}),
     )
 
 
@@ -177,7 +110,7 @@ def emit_report(report: AggregateReport, path: str | Path, fmt: str = "json") ->
     path = Path(path)
     if fmt == "json":
         with atomic_open(path) as fh:
-            json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+            json.dump(asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif fmt == "csv":
         with atomic_open(path, newline="") as fh:

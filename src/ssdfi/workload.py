@@ -74,7 +74,6 @@ def dense_arrays(log: UsageLog, mission_hours: int) -> tuple[np.ndarray, np.ndar
     """
     cycle = log.cycle_hours
     bits = np.zeros(cycle)
-    pe = np.zeros(cycle)
     hours = np.asarray(log.hours)
     bits[hours] = np.asarray(log.bits_read) + np.asarray(log.bits_written)
     vals = np.zeros(cycle)

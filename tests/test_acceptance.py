@@ -428,7 +428,7 @@ def test_criterion_12_sampler_statistics(capfd):
         pe_cycles=tuple(h * pe_per_hour for h in hours),
     )
     profile = stress_profile(rber_curve=RberCurve(points=((0.0, r0), (knot, r1))))
-    pool = SsdPool("stress", 2_048, 0, tuple(PooledSsd(i, (), None, False) for i in range(3)))
+    pool = SsdPool("stress", 2_048, 0, tuple(PooledSsd(i, (), None) for i in range(3)))
     geometry = ArrayGeometry(n_devices=3, blocks_per_device=512, stripe_size=3 * 4096 * 4)
     sim = _Simulation(geometry, R5, profile, pool, [log], 10_000.0, 10.0, mission, 2024)
     times, locs = scheduled(sim, 0, EventKind.BAD_SYMBOL)

@@ -99,7 +99,7 @@ class TestRunExperiment:
         "name, value",
         [
             ("workers", 0), ("workers", -3), ("n_sims", 0), ("n_sims", -1),
-            ("mission", 0), ("mission", MISSION_HOURS + 1),
+            ("mission", 0), ("mission", MISSION_HOURS + 1), ("fmt", "xml"),
         ],
     )
     def test_rejects_bad_counts_before_any_pool(

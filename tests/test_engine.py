@@ -65,7 +65,6 @@ def drive(drive_id, bb_times=(), bc_time=None):
         drive_id=drive_id,
         mission_bb_times=tuple(bb_times),
         bad_chip_time=bc_time,
-        marked_bb_gt_5pct=False,
     )
 
 

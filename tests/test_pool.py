@@ -47,29 +47,29 @@ def snapshot(pool):
                 d.mission_bb_times.dtype.str,
                 d.mission_bb_times.tobytes(),
                 d.bad_chip_time,
-                d.marked_bb_gt_5pct,
             )
             for d in pool.drives
         ],
     )
 
 
+def is_marked(drive, blocks):
+    """A bad chip drive with more than 5% of its blocks bad in the mission."""
+    return drive.bad_chip_time is not None and len(drive.mission_bb_times) > GT5_FRACTION * blocks
+
+
 class TestPooledSsd:
     def test_times_must_ascend(self):
         with pytest.raises(PoolError):
-            PooledSsd(0, (5.0, 5.0), None, False)
+            PooledSsd(0, (5.0, 5.0), None)
 
     def test_times_inside_mission(self):
         with pytest.raises(PoolError):
-            PooledSsd(0, (float(MISSION_HOURS),), None, False)
-
-    def test_marked_requires_bad_chip(self):
-        with pytest.raises(PoolError):
-            PooledSsd(0, (1.0,), None, True)
+            PooledSsd(0, (float(MISSION_HOURS),), None)
 
     def test_hand_built_times_become_a_read_only_array(self):
         times = [1.0, 2.5]
-        d = PooledSsd(0, times, None, False)
+        d = PooledSsd(0, times, None)
         times[0] = 3.0
         assert d.mission_bb_times.dtype == np.float64
         assert list(d.mission_bb_times) == [1.0, 2.5]
@@ -113,7 +113,7 @@ class TestGeneratePool:
         pool = generate_pool(p, 1000, BLOCKS, seed=1)
         n_bb = sum(1 for d in pool.drives if len(d.mission_bb_times))
         n_bc = sum(1 for d in pool.drives if d.bad_chip_time is not None)
-        n_marked = sum(1 for d in pool.drives if d.marked_bb_gt_5pct)
+        n_marked = sum(1 for d in pool.drives if is_marked(d, BLOCKS))
         assert n_bb == round(1000 * p.pct_bad_block)
         assert n_bc == round(1000 * p.pct_bad_chip)
         assert n_marked == round(n_bc * BC_GT5_SHARE)
@@ -121,17 +121,15 @@ class TestGeneratePool:
     def test_marked_drives_exceed_threshold(self):
         p = synthetic_profile()
         pool = generate_pool(p, 500, BLOCKS, seed=2)
-        threshold = GT5_FRACTION * BLOCKS
         for d in pool.drives:
-            if d.marked_bb_gt_5pct:
-                assert d.bad_chip_time is not None
-                assert len(d.mission_bb_times) > threshold
+            if d.bad_chip_time is not None and len(d.mission_bb_times):
+                assert is_marked(d, BLOCKS)
 
     def test_unmarked_bad_chip_drives_have_no_mission_bb(self):
         p = synthetic_profile()
         pool = generate_pool(p, 500, BLOCKS, seed=2)
         for d in pool.drives:
-            if d.bad_chip_time is not None and not d.marked_bb_gt_5pct:
+            if d.bad_chip_time is not None and not is_marked(d, BLOCKS):
                 assert len(d.mission_bb_times) == 0
 
     def test_zero_rates(self):

@@ -35,7 +35,7 @@ def hourly_rates(curve, bits, pe):
         median_bb=1, mean_bb=1.0, factory_bb_mean=0.0, factory_bb_std=0.0,
         wol=10**8, bb_escalation_threshold=1, bb_escalation_factor=1.0, rber_curve=curve,
     )
-    pool = SsdPool("X", 64, 0, (PooledSsd(0, (), None, False),) * 3)
+    pool = SsdPool("X", 64, 0, (PooledSsd(0, (), None),) * 3)
     geometry = ArrayGeometry(n_devices=3, blocks_per_device=64, stripe_size=3 * 4096 * 4)
     sim = _Simulation(geometry, ErasureCode.RAID5, profile, pool, [log], 1e6, 1e6, hours, 0)
     return np.diff(sim._hazard(0, 0.0)), scheduled(sim, 0, EventKind.BAD_SYMBOL)[0]

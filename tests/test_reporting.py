@@ -4,14 +4,7 @@ import random
 import pytest
 
 from ssdfi.engine import DataLossRecord, SimResult
-from ssdfi.reporting import (
-    ReportingError,
-    aggregate_results,
-    emit_report,
-    loss_breakdown,
-    report_from_dict,
-    report_to_dict,
-)
+from ssdfi.reporting import AggregateReport, ReportingError, aggregate_results, emit_report
 
 CONFIG = {"code": "RAID5", "tts": 100.0}
 
@@ -85,37 +78,35 @@ class TestAggregate:
 
 class TestBreakdown:
     def test_fractions_sum_to_one(self):
-        records = [
-            DataLossRecord(1.0, "SDL", "BS+BS", 3),
-            DataLossRecord(2.0, "BDL", "BC+BB", 97),
+        results = [
+            result(1, [DataLossRecord(1.0, "SDL", "BS+BS", 3)]),
+            result(2, [DataLossRecord(2.0, "BDL", "BC+BB", 97)]),
         ]
-        bd = loss_breakdown(records)
+        bd = aggregate_results(results).breakdown
         assert sum(v["fraction"] for v in bd.values()) == pytest.approx(1.0)
         assert bd["BC+BB"]["stripes"] == 97
 
-    def test_collapse_small_causes(self):
-        records = [
-            DataLossRecord(1.0, "SDL", "BS+BS", 1),
-            DataLossRecord(1.5, "SDL", "BB+BS", 1),
-            DataLossRecord(2.0, "BDL", "BC+BB", 98),
-        ]
-        bd = loss_breakdown(records, collapse_below=0.05)
-        assert set(bd) == {"BC+BB", "other"}
-        assert bd["other"]["stripes"] == 2
-        assert bd["other"]["records"] == 2
+    def test_sums_each_results_cause_totals(self):
+        bd = aggregate_results(sample_results()).breakdown
+        assert list(bd) == sorted(bd)
+        assert bd == {
+            "BB+BS": {"records": 1, "stripes": 1, "fraction": 1 / 19},
+            "BC+BB": {"records": 1, "stripes": 16, "fraction": 16 / 19},
+            "BS+BS": {"records": 2, "stripes": 2, "fraction": 2 / 19},
+        }
 
     def test_empty(self):
-        assert loss_breakdown([]) == {}
-
-    def test_collapse_validation(self):
-        with pytest.raises(ReportingError):
-            loss_breakdown([], collapse_below=1.0)
+        assert aggregate_results([result(1, []), result(2, [])]).breakdown == {}
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
+        # The JSON report carries every field of the report.
         report = aggregate_results(sample_results(), "exp")
-        assert report_from_dict(report_to_dict(report)) == report
+        emit_report(report, tmp_path / "r.json")
+        data = json.loads((tmp_path / "r.json").read_text())
+        data["per_seed_stripes"] = tuple(map(tuple, data["per_seed_stripes"]))
+        assert AggregateReport(**data) == report
 
     def test_json_byte_identical(self, tmp_path):
         report = aggregate_results(sample_results(), "exp")
@@ -157,10 +148,3 @@ class TestSerialization:
         report = aggregate_results(sample_results(), "exp")
         with pytest.raises(ReportingError):
             emit_report(report, tmp_path / "r.xml", fmt="xml")
-
-    def test_schema_version_checked(self):
-        report = aggregate_results(sample_results(), "exp")
-        data = report_to_dict(report)
-        data["schema_version"] = 99
-        with pytest.raises(ReportingError):
-            report_from_dict(data)
