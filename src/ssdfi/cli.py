@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .codes import UPDATE_STRATEGIES, ErasureCode, encode_xor_count, erf, update_penalty
-from .engine import MISSION_HOURS, run_simulation
+from .engine import MISSION_HOURS, check_tts_ttr, run_simulation
 from .geometry import ArrayGeometry
 from .pool import (
     BC_GT5_SHARE,
@@ -83,9 +83,10 @@ def run_experiment(
     worker count.  Reports and `manifest.json` are written atomically.
 
     Raises `ValueError` for fewer than one worker or mission, for a
-    mission length outside 1..`MISSION_HOURS`, for a report format other
-    than json or csv, and for a usage-log file that does not hold
-    exactly one log per device.
+    mission length outside 1..`MISSION_HOURS`, for a non-positive `tts`
+    or `ttr`, for a stripe size the array geometry rejects, for a report
+    format other than json or csv, and for a usage-log file that does not
+    hold exactly one log per device; all before any pool is generated.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -95,6 +96,15 @@ def run_experiment(
         raise ValueError(f"mission must be between 1 and {MISSION_HOURS} hours, got {mission:g}")
     if fmt not in ("json", "csv"):
         raise ValueError(f"fmt must be 'json' or 'csv', got {fmt!r}")
+    for tts in tts_values:
+        for ttr in ttr_values:
+            check_tts_ttr(tts, ttr)
+    geometries = [
+        ArrayGeometry(
+            n_devices=n_devices, blocks_per_device=geometry_blocks, stripe_size=stripe_kb * 1024
+        )
+        for stripe_kb in stripe_kbs
+    ]
     if usage_log_path is not None:
         logs = parse_usage_log(usage_log_path)
         if len(logs) != n_devices:
@@ -117,12 +127,7 @@ def run_experiment(
             blocks_per_device=pool_blocks,
             seed=pool_seed if pool_seed is not None else master_seed,
         )
-        for stripe_kb in stripe_kbs:
-            geometry = ArrayGeometry(
-                n_devices=n_devices,
-                blocks_per_device=geometry_blocks,
-                stripe_size=stripe_kb * 1024,
-            )
+        for stripe_kb, geometry in zip(stripe_kbs, geometries):
             for code in codes:
                 for tts in tts_values:
                     for ttr in ttr_values:

@@ -42,6 +42,9 @@ when that symbol is the stripe's only latent fault, the stripe is not
 recorded and its block is not bad.  Most arrivals land on clean stripes
 and stay lone.  A lone stripe moves to `bs_stripe` when anything else
 touches it: another arrival, a bad block on its block, or a loss.
+`touched` holds the block of every latent bad symbol and every loss of
+the epoch, and may hold more: a block outside it has neither, and a bad
+block outside it is clean.
 
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
@@ -49,8 +52,15 @@ count (`codes.judge_calls`) and the differential test compares it with
 the reference engine.  A lone symbol's counts depend only on the number
 of failed bays, which no arrival changes: a pass takes them once and
 judges each fresh lone arrival as it comes, and a scrub or bad chip
-judges every lone stripe in one `map`.  Losses keep their record order:
-arrival order in a pass, stripe order among the SDL records of a scan.
+judges every lone stripe in one `map`.  A bad block is judged as a unit,
+on arrival and at every scan: the stripes of a clean bad block all count
+as the block does, so they share one count and make their calls in a
+tight loop, and when they are lost they are recorded at once, as one BDL.
+A bad block with bad symbols or losses is judged stripe by stripe.  A
+scan (scrub or bad chip) walks the blocks of the bad blocks and of
+`bs_stripe` in ascending order.  Losses keep their record order: arrival
+order in a pass, stripe order among the SDL records of a scan, and
+first-lost-stripe order among its BDL records.
 
 A drive installed at P/E offset 0 (every drive at the mission start)
 has a hazard that depends only on its usage log, the RBER curve and the
@@ -116,6 +126,12 @@ def _cause_label(n_bc: int, n_bb: int, n_bs: int) -> str:
     return "+".join(["BC"] * n_bc + ["BB"] * n_bb + ["BS"] * n_bs)
 
 
+def check_tts_ttr(tts: float, ttr: float) -> None:
+    """Reject a time to scrub or a time to repair that is not positive."""
+    if tts <= 0 or ttr <= 0:
+        raise EngineError(f"tts and ttr must be positive, got tts={tts:g} and ttr={ttr:g}")
+
+
 def _columns(bay: int, times, kinds, stripes=-1, syms=-1) -> tuple[np.ndarray, ...]:
     """Timeline columns (times, kinds, bays, stripes, symbols) of one bay's events.
 
@@ -123,10 +139,7 @@ def _columns(bay: int, times, kinds, stripes=-1, syms=-1) -> tuple[np.ndarray, .
     symbols have symbol -1.
     """
     times = np.asarray(times, dtype=float)
-    return (times, *(
-        np.broadcast_to(np.asarray(c, dtype=np.int64), times.shape)
-        for c in (kinds, bay, stripes, syms)
-    ))
+    return (times, *(np.full(times.shape, c, np.int64) for c in (kinds, bay, stripes, syms)))
 
 
 def _cumulative_hazard(bits: np.ndarray, pe: np.ndarray, curve: RberCurve) -> np.ndarray:
@@ -164,8 +177,7 @@ class _Simulation:
     ):
         if not usage_logs:
             raise EngineError("need at least one usage log")
-        if tts <= 0 or ttr <= 0:
-            raise EngineError("tts and ttr must be positive")
+        check_tts_ttr(tts, ttr)
         if not 1 <= mission <= MISSION_HOURS:
             # Pool schedules end at MISSION_HOURS; a longer mission would
             # silently see no bad blocks or bad chips after that hour.
@@ -201,6 +213,7 @@ class _Simulation:
         self.bs_stripe: dict[int, dict[int, set[int]]] = {}
         self.bs_lone: dict[int, tuple[int, int]] = {}
         self.recorded: set[int] = set()
+        self.touched: set[int] = set()
         self.records: list[DataLossRecord] = []
         self.ddf = 0
         self.tdf = 0
@@ -273,11 +286,13 @@ class _Simulation:
 
     # -- judging ----------------------------------------------------------
 
-    def _judge_stripes(self, stripes, time: float, lone_lost=()) -> None:
-        """Judge stripes, emit records for newly uncorrectable ones.
+    def _judge_stripes(self, stripes, time: float, bdl_groups: dict, lone_lost=()) -> None:
+        """Judge stripes one by one: record their SDL losses, count their BDL losses.
 
-        `lone_lost` holds lone stripes that their batch has just judged
-        lost (and recorded); their SDL records take their stripe's place.
+        BDL losses are counted in `bdl_groups` by (block, label); the caller
+        records them with `_record_bdl`.  `lone_lost` holds lone stripes
+        that their batch has just judged lost (and recorded); their SDL
+        records take their stripe's place.
         """
         code = self.code
         nf = len(self.failed)
@@ -286,7 +301,6 @@ class _Simulation:
         bs_stripe = self.bs_stripe
         recorded = self.recorded
         judge = uncorrectable  # read per call: wrappers patch the module global
-        bdl_groups: dict[tuple[int, str], int] = {}
         block = -1
         block_counts = None
         for stripe in stripes:
@@ -312,6 +326,34 @@ class _Simulation:
                 bdl_groups[key] = bdl_groups.get(key, 0) + 1
             else:
                 self.records.append(DataLossRecord(time, "SDL", label, 1))
+
+    def _judge_block(self, block: int, time: float, bdl_groups: dict) -> None:
+        """Judge the stripes of bad block `block` as `_judge_stripes` does.
+
+        A block outside `touched` is clean: none of its stripes holds a bad
+        symbol or a loss of this epoch, so they all count as the block does.
+        Its `cpb` judge calls share one count, and a lost clean stripe is a
+        BDL: every code loses a stripe only to two whole-chunk faults, and
+        one of them is the bad block.
+        """
+        cpb = self.cpb
+        lo = block * cpb
+        if block in self.touched:
+            self._judge_stripes(range(lo, lo + cpb), time, bdl_groups)
+            return
+        nf = len(self.failed)
+        faulty, multi, n_bb, _ = stripe_counts(nf, self.bb_block[block], None)
+        code = self.code
+        judge = uncorrectable  # read per block: wrappers patch the module global
+        for _ in range(cpb):
+            lost = judge(code, faulty, multi)
+        if lost:
+            self.recorded.update(range(lo, lo + cpb))
+            self.touched.add(block)
+            bdl_groups[block, _cause_label(nf, n_bb, 0)] = cpb
+
+    def _record_bdl(self, bdl_groups: dict, time: float) -> None:
+        """Record one BDL per (block, label) group, in the order the groups were first lost."""
         for (_, label), count in bdl_groups.items():
             self.records.append(DataLossRecord(time, "BDL", label, count))
 
@@ -331,7 +373,13 @@ class _Simulation:
         self.recorded.add(stripe)
 
     def _judge_latent(self, time: float) -> None:
-        """Judge every latent stripe: the lone ones in one batch, the rest one by one."""
+        """Judge every latent stripe: the lone ones in one batch, the rest block by block.
+
+        Blocks go in ascending order: a bad block as a unit, any other
+        block's `bs_stripe` stripes one by one.  The scan shares one set of
+        BDL groups, so the records come out as a judge of all latent
+        stripes in stripe order would make them.
+        """
         lost = self._lone_verdicts(len(self.bs_lone))
         if any(lost):
             lost = {stripe for stripe, is_lost in zip(self.bs_lone, lost) if is_lost}
@@ -339,18 +387,18 @@ class _Simulation:
                 self._lose_lone(stripe)
         else:
             lost = ()
-        self._judge_stripes(self._latent_stripes(), time, lost)
-
-    def _latent_stripes(self):
-        """Sorted stripes on a bad block or in `bs_stripe`: every latent stripe but the lone ones."""
-        if not self.bb_block:
-            return sorted(self.bs_stripe)
-        blocks = np.fromiter(self.bb_block, np.int64, len(self.bb_block))
-        stripes = (blocks[:, None] * self.cpb + np.arange(self.cpb)).ravel()
-        if self.bs_stripe:
-            bs = np.fromiter(self.bs_stripe, np.int64, len(self.bs_stripe))
-            stripes = np.concatenate((stripes, bs))
-        return np.unique(stripes).tolist()
+        cpb = self.cpb
+        bb_block = self.bb_block
+        bs_blocks: dict[int, list[int]] = {}
+        for stripe in self.bs_stripe:
+            bs_blocks.setdefault(stripe // cpb, []).append(stripe)
+        bdl_groups: dict[tuple[int, str], int] = {}
+        for block in sorted(bb_block.keys() | bs_blocks.keys()):
+            if block in bb_block:
+                self._judge_block(block, time, bdl_groups)
+            else:
+                self._judge_stripes(sorted(bs_blocks[block]), time, bdl_groups, lost)
+        self._record_bdl(bdl_groups, time)
 
     # -- timeline -----------------------------------------------------------
 
@@ -371,8 +419,9 @@ class _Simulation:
     def _consume_arrivals(self, end: int) -> None:
         """Mark and judge, in timeline order, the untaken bad blocks and symbols before `end`.
 
-        A fresh lone symbol is judged as it arrives, with the lone counts
-        taken once per pass: no failure starts or ends within a pass.
+        A fresh lone symbol, on a stripe with no other latent fault and no
+        loss, is judged as it arrives, with the lone counts taken once per
+        pass: no failure starts or ends within a pass.
         """
         times, _, bays, stripes, syms = self.timeline
         start = self.next_event
@@ -385,6 +434,7 @@ class _Simulation:
         bs_stripe = self.bs_stripe
         bb_block = self.bb_block
         recorded = self.recorded
+        touched = self.touched
         cpb = self.cpb
         judging = not self.adl_epoch
         judge = uncorrectable  # read per pass: wrappers patch the module global
@@ -394,13 +444,17 @@ class _Simulation:
             if i in failed:
                 continue  # arrivals on a failed device are subsumed
             stripe, sym = stripes[k], syms[k]
-            if (
-                sym >= 0
-                and stripe not in bs_lone
-                and stripe not in bs_stripe
-                and stripe not in recorded
-                and stripe // cpb not in bb_block
-            ):
+            block = stripe // cpb
+            if sym < 0:  # a bad block
+                self.handle_bad_block(i, block, times[k])
+                continue
+            # A block outside `touched` holds no bad symbol and no loss.
+            if block not in touched:
+                touched.add(block)
+                fresh = True
+            else:
+                fresh = stripe not in bs_lone and stripe not in bs_stripe and stripe not in recorded
+            if fresh and block not in bb_block:
                 if judging and judge(code, faulty, multi):
                     bs_stripe[stripe] = {i: {sym}}
                     recorded.add(stripe)
@@ -409,14 +463,13 @@ class _Simulation:
                 else:
                     bs_lone[stripe] = (i, sym)
                 continue
-            if sym < 0:  # a bad block
-                self.handle_bad_block(i, stripe // cpb, times[k])
-                continue
             if stripe in bs_lone:
                 self._promote(stripe)
             bs_stripe.setdefault(stripe, {}).setdefault(i, set()).add(sym)
             if judging:
-                self._judge_stripes((stripe,), times[k])
+                bdl_groups: dict[tuple[int, str], int] = {}
+                self._judge_stripes((stripe,), times[k], bdl_groups)
+                self._record_bdl(bdl_groups, times[k])
 
     # -- handlers ----------------------------------------------------------
 
@@ -444,11 +497,13 @@ class _Simulation:
 
     def handle_bad_block(self, i: int, block: int, time: float) -> None:
         self.bb_block.setdefault(block, set()).add(i)
-        stripes = range(block * self.cpb, (block + 1) * self.cpb)
-        for stripe in self.bs_lone.keys() & stripes:
-            self._promote(stripe)
+        if block in self.touched:
+            for stripe in self.bs_lone.keys() & range(block * self.cpb, (block + 1) * self.cpb):
+                self._promote(stripe)
         if not self.adl_epoch:
-            self._judge_stripes(stripes, time)
+            bdl_groups: dict[tuple[int, str], int] = {}
+            self._judge_block(block, time, bdl_groups)
+            self._record_bdl(bdl_groups, time)
 
     def apply_scrub(self, time: float) -> None:
         if not self.adl_epoch:
@@ -457,6 +512,7 @@ class _Simulation:
         self.bs_stripe.clear()
         self.bs_lone.clear()
         self.recorded.clear()
+        self.touched.clear()
 
     def apply_reconstruct(self, i: int, time: float) -> None:
         self.failed.discard(i)

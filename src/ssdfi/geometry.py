@@ -26,8 +26,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_devices < 3:
             raise GeometryError("n_devices must be >= 3")
-        if self.page_size < 1 or self.pages_per_block < 1 or self.blocks_per_device < 1:
-            raise GeometryError("page/block parameters must be positive")
+        if min(self.page_size, self.pages_per_block, self.blocks_per_device, self.stripe_size) < 1:
+            raise GeometryError("page/block/stripe parameters must be positive")
         if self.stripe_size % (self.n_devices * self.page_size) != 0:
             raise GeometryError("stripe_size must be a multiple of n_devices * page_size")
         if self.pages_per_block % self.chunk_pages != 0:

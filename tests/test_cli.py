@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,18 @@ class TestCostCommand:
         out = capsys.readouterr().out
         assert "erf=1.161290" in out
         assert "encode_xors_per_stripe=59" in out
+
+    def test_runs_as_module(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "ssdfi", "cost", "--code", "raid5"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[:3] == [
+            "code=RAID5 n=8 r=4", "encode_xors_per_stripe=28", "erf=1.125000",
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +116,9 @@ class TestRunExperiment:
         [
             ("workers", 0), ("workers", -3), ("n_sims", 0), ("n_sims", -1),
             ("mission", 0), ("mission", MISSION_HOURS + 1), ("fmt", "xml"),
+            pytest.param("tts_values", [0.0], id="tts_values-0"),
+            pytest.param("ttr_values", [-1.0], id="ttr_values--1"),
+            pytest.param("stripe_kbs", [100], id="stripe_kbs-100"),
         ],
     )
     def test_rejects_bad_counts_before_any_pool(
@@ -108,8 +127,10 @@ class TestRunExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("pool generated before the check")
 
+        # The grid's lists are rejected by the engine's and the geometry's own checks.
+        message = {"tts_values": "tts=0 ", "ttr_values": "ttr=-1$", "stripe_kbs": "stripe_size"}
         monkeypatch.setattr(cli, "generate_pool", no_pool)
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=message.get(name, name)):
             run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
         assert not (tmp_path / "out").exists()
 

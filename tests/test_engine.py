@@ -195,12 +195,20 @@ class TestAffectedStripes:
             ("BDL", "BC+BB", cpb),
         ]
 
-    def test_bad_block_spans_block(self):
+    def test_bad_block_spans_block(self, monkeypatch):
+        # A scrub judges the block's stripes; a bad chip's scan, which
+        # scrubs share, loses exactly those stripes.
+        calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
         plant_block(sim, 0, 3, 10.0)
         cpb = GEOMETRY.chunks_per_block
         assert sim.bb_block == {3: {0}}
-        assert sim._latent_stripes() == list(range(3 * cpb, 4 * cpb))
+        del calls[:]
+        sim.apply_scrub(20.0)
+        assert calls == [(R5, 1, 1)] * cpb
+        plant_block(sim, 0, 3, 30.0)
+        sim.handle_bad_chip(1, 40.0)
+        assert sorted(sim.recorded) == list(range(3 * cpb, 4 * cpb))
 
     def test_bad_symbol_single_stripe(self):
         sim = make_sim(clean_pool())
@@ -209,15 +217,21 @@ class TestAffectedStripes:
         assert sim.bs_lone == {9 // cp: (0, 9 % cp)}
         assert not sim.bs_stripe
 
-    def test_out_of_range_location(self):
+    def test_out_of_range_location(self, monkeypatch):
         # Faults at the very end of a device stay inside the array.
+        calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
         plant_block(sim, 0, GEOMETRY.blocks_per_device - 1, 10.0)
         plant_symbol(sim, 1, GEOMETRY.symbols_per_device - 1, 20.0)
         last = GEOMETRY.array_stripes - 1
+        cpb = GEOMETRY.chunks_per_block
         assert list(sim.bb_block) == [GEOMETRY.blocks_per_device - 1]
-        assert sim._latent_stripes()[-1] == last
         assert list(sim.bs_stripe) == [last]
+        assert sim.records == [DataLossRecord(20.0, "SDL", "BB+BS", 1)]
+        del calls[:]
+        sim.handle_bad_chip(2, 30.0)  # the scan a scrub makes, short one bay
+        assert calls == [(R5, 2, 2)] * (cpb - 1)
+        assert sorted(sim.recorded) == list(range(last + 1 - cpb, last + 1))
 
     def test_non_failure_event(self):
         # Scrubs, rebuilds and wear-out replacements mark no stripe.
@@ -364,6 +378,82 @@ class TestLoneSymbols:
             DataLossRecord(30.0, "SDL", "BC+BS", 1),
         )
         assert len(calls) == 2 + self.CPB
+
+
+class TestBadBlocks:
+    """A bad block is judged as one unit unless a bad symbol or a loss touches it."""
+
+    CP = GEOMETRY.chunk_pages
+    CPB = GEOMETRY.chunks_per_block
+
+    def test_clean_block_is_lost_as_one_bdl(self, monkeypatch):
+        sim = make_sim(clean_pool())
+        sim.handle_bad_chip(0, 5.0)
+        calls = count_judge_calls(monkeypatch)
+        plant_block(sim, 1, 5, 10.0)
+        assert calls == [(R5, 2, 2)] * self.CPB
+        assert sim.records == [DataLossRecord(10.0, "BDL", "BC+BB", self.CPB)]
+        assert sim.recorded == set(range(5 * self.CPB, 6 * self.CPB))
+        # The same block from another bay: every stripe is already lost.
+        del calls[:]
+        plant_block(sim, 2, 5, 20.0)
+        assert calls == [] and len(sim.records) == 1
+
+    def plant_touched_block(self, sim):
+        """Block 5 on bay 2 over a lost stripe (bays 0 and 1) and bay 0's lone symbol.
+
+        Also lone symbols on stripes before and after block 5 (bay 1, then
+        bay 2) and a clean bad block 9 on bay 0 that arrives first.
+        """
+        cp, cpb = self.CP, self.CPB
+        lost, lone = 5 * cpb + 2, 5 * cpb + 7
+        plant_symbol(sim, 0, lost * cp, 10.0)
+        plant_symbol(sim, 1, lost * cp + 1, 11.0)
+        plant_symbol(sim, 0, lone * cp + 3, 12.0)
+        plant_symbol(sim, 1, (2 * cpb + 1) * cp, 13.0)
+        plant_symbol(sim, 2, 8 * cpb * cp, 14.0)
+        plant_block(sim, 0, 9, 19.0)
+        plant_block(sim, 2, 5, 20.0)
+        return lost, lone
+
+    def test_touched_block_on_arrival_then_scrub(self, monkeypatch):
+        calls = count_judge_calls(monkeypatch)
+        sim = make_sim(clean_pool())
+        lost, lone = self.plant_touched_block(sim)
+        expected = [
+            DataLossRecord(11.0, "SDL", "BS+BS", 1),
+            DataLossRecord(20.0, "SDL", "BB+BS", 1),  # the lone symbol's stripe
+        ]
+        assert sim.records == expected
+        # Block 5 stripe by stripe in order, skipping the lost stripe.
+        assert calls[-(self.CPB - 1):] == (
+            [(R5, 1, 1)] * 6 + [(R5, 2, 1)] + [(R5, 1, 1)] * (self.CPB - 8)
+        )
+        assert sim.recorded == {lost, lone}
+        assert sim.bs_lone == {2 * self.CPB + 1: (1, 0), 8 * self.CPB: (2, 0)}
+        del calls[:]
+        sim.apply_scrub(30.0)
+        assert sim.records == expected
+        # Two lone symbols, block 5 but its two lost stripes, block 9.
+        assert calls == [(R5, 1, 0)] * 2 + [(R5, 1, 1)] * (self.CPB - 2 + self.CPB)
+        assert not (sim.recorded or sim.touched or sim.bb_block or sim.bs_stripe)
+
+    def test_touched_block_at_a_bad_chip_scan(self):
+        # Bay 1 fails: its symbols go, bay 2's lone symbol is lost, and both
+        # bad blocks are lost but for block 5's two recorded stripes.  SDL
+        # records come in stripe order, then BDL records in block order.
+        sim = make_sim(clean_pool())
+        self.plant_touched_block(sim)
+        sim.handle_bad_chip(1, 30.0)
+        assert sim.records[2:] == [
+            DataLossRecord(30.0, "SDL", "BC+BS", 1),
+            DataLossRecord(30.0, "BDL", "BC+BB", self.CPB - 2),
+            DataLossRecord(30.0, "BDL", "BC+BB", self.CPB),
+        ]
+        cpb = self.CPB
+        assert sim.recorded == (
+            set(range(5 * cpb, 6 * cpb)) | set(range(9 * cpb, 10 * cpb)) | {8 * cpb}
+        )
 
 
 class TestTimeline:

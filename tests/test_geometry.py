@@ -47,5 +47,8 @@ class TestValidation:
             ArrayGeometry(pages_per_block=6, stripe_size=8 * 4096 * 4)
 
     def test_positive_parameters(self):
-        with pytest.raises(GeometryError):
-            ArrayGeometry(blocks_per_device=0)
+        # A stripe size of 0 would divide by zero; a negative one passed
+        # every other check and gave negative stripe counts.
+        for kwargs in ({"blocks_per_device": 0}, {"stripe_size": 0}, {"stripe_size": -131_072}):
+            with pytest.raises(GeometryError):
+                ArrayGeometry(**kwargs)
