@@ -66,14 +66,32 @@ A drive installed at P/E offset 0 (every drive at the mission start)
 has a hazard that depends only on its usage log, the RBER curve and the
 mission length.  `_fresh_hazard` computes it once per such value and
 shares the read-only arrays with every mission in the process.
+
+No draw depends on the code: a seed's initial drives, bad blocks, bad
+symbols, scrubs, bad chips, rebuilds, wear-outs and replacement drives
+are the same under every code, and only the verdicts differ.  So the
+timelines a mission's draw inputs give are kept per pool, for the last
+inputs drawn on it (`_SCHEDULES`): state 0, the timeline at set-up, and
+state r, the timeline after the r-th replacement, with the bay, hour and
+timeline position of that replacement.  A later mission on the same pool
+and the same inputs (its code aside) takes state 0 without drawing.  A
+replacement still draws its drive from `rng_repl`, and takes state r+1
+only if the current timeline is state r itself and the replacement has
+the stored bay, hour and position; otherwise it computes the timeline,
+and stores it only if it started from the last stored state.  A timeline
+changed in any other way never enters the memo and is never replaced
+from it.  Stored states are read-only arrays and tuples, shared by every
+mission that replays them.
 """
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +180,54 @@ def _fresh_hazard(
     return arrays
 
 
+@functools.lru_cache(maxsize=4)
+def _hour_grid(mission: int) -> np.ndarray:
+    """Hours 0..mission as floats; read-only, shared."""
+    grid = np.arange(mission + 1, dtype=float)
+    grid.flags.writeable = False
+    return grid
+
+
+class _Timeline(NamedTuple):
+    """A sorted timeline: read-only columns, their values as tuples, its boundary indices."""
+
+    untaken: tuple[np.ndarray, ...]
+    timeline: tuple[tuple, ...]
+    boundaries: tuple[int, ...]
+
+
+def _sorted_timeline(columns, mission: int) -> _Timeline:
+    """The timeline of these (times, kinds, bays, stripes, symbols) before the mission end."""
+    times, kinds, bays, _, _ = columns = tuple(columns)
+    order = np.lexsort((bays, kinds, times))
+    order = order[times[order] < mission]
+    untaken = tuple(c[order] for c in columns)
+    for column in untaken:
+        column.flags.writeable = False
+    return _Timeline(
+        untaken,
+        tuple(tuple(c.tolist()) for c in untaken),
+        tuple(np.flatnonzero(untaken[1] < EventKind.BAD_BLOCK).tolist()),
+    )
+
+
+@dataclass
+class _Schedule:
+    """The timelines one set of draw inputs gives, at set-up and after each replacement.
+
+    `tags[r]` is the (bay, hour, timeline position) of the replacement
+    that turns `states[r]` into `states[r + 1]`.
+    """
+
+    key: tuple
+    states: list[_Timeline]
+    tags: list[tuple[int, float, int]]
+
+
+# The last schedule drawn on each live pool; an entry goes with its pool.
+_SCHEDULES: weakref.WeakKeyDictionary[SsdPool, _Schedule] = weakref.WeakKeyDictionary()
+
+
 class _Simulation:
     def __init__(
         self,
@@ -192,20 +258,19 @@ class _Simulation:
         self.ttr = float(ttr)
         self.mission = int(mission)
         self.seed = seed
+        self.usage_logs = tuple(usage_logs)
         self.tolerance = DEVICE_TOLERANCE[code]
         self.cp = geometry.chunk_pages
         self.cpb = geometry.chunks_per_block
 
         n = geometry.n_devices
         self.rng_repl = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        rng_sel = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        initial = rng_sel.choice(len(pool.drives), size=n, replace=False)
 
         # Hazard ingredients per bay.  Logs are cycled over the bays, and
         # bays on one log share its read-only arrays.
         fresh = [_fresh_hazard(log, profile.rber_curve, self.mission) for log in usage_logs[:n]]
         self.log_bits, self.log_pe, self.fresh_hazard = map(list, zip(*(fresh * n)[:n]))
-        self.hour_grid = np.arange(self.mission + 1, dtype=float)
+        self.hour_grid = _hour_grid(self.mission)
 
         self.installs = [0] * n  # replacements per bay; part of each install's seed
         self.failed: set[int] = set()
@@ -219,16 +284,42 @@ class _Simulation:
         self.tdf = 0
         self.adl_epoch = False
 
-        scrubs = []
-        t = self.tts
-        while t < self.mission:
-            scrubs.append(t)
-            t += self.tts
-        events = [self._install(i, pool.drives[int(initial[i])], 0.0) for i in range(n)]
-        events.append(_columns(-1, scrubs, EventKind.SCRUB))
-        self._set_timeline(*(np.concatenate(column) for column in zip(*events)))
+        key = self._schedule_key()
+        memo = _SCHEDULES.get(pool)
+        if memo is None or memo.key != key:
+            rng_sel = np.random.default_rng(np.random.SeedSequence([seed, 1]))
+            initial = rng_sel.choice(len(pool.drives), size=n, replace=False)
+            scrubs = []
+            t = self.tts
+            while t < self.mission:
+                scrubs.append(t)
+                t += self.tts
+            events = [self._install(i, pool.drives[int(initial[i])], 0.0) for i in range(n)]
+            events.append(_columns(-1, scrubs, EventKind.SCRUB))
+            columns = (np.concatenate(column) for column in zip(*events))
+            memo = _SCHEDULES[pool] = _Schedule(key, [_sorted_timeline(columns, self.mission)], [])
+        self._show(memo.states[0])
 
     # -- installation and schedules -------------------------------------
+
+    def _schedule_key(self) -> tuple:
+        """Every input of the mission's draws but the pool, which keys `_SCHEDULES`."""
+        return (
+            type(self), self.geometry, self.profile, self.usage_logs,
+            self.tts, self.ttr, self.mission, self.seed,
+        )
+
+    def _memo_at(self, r: int) -> _Schedule | None:
+        """The pool's stored schedule if it is this mission's and the timeline is its state r."""
+        memo = _SCHEDULES.get(self.pool)
+        if (
+            memo is None
+            or len(memo.states) <= r
+            or memo.states[r].untaken is not self.untaken
+            or memo.key != self._schedule_key()
+        ):
+            return None
+        return memo
 
     def _install(self, i: int, drive: PooledSsd, now: float) -> tuple[np.ndarray, ...]:
         """Draw the schedule of `drive` installed in bay i at `now`; return its columns."""
@@ -402,18 +493,10 @@ class _Simulation:
 
     # -- timeline -----------------------------------------------------------
 
-    def _set_timeline(self, *columns: np.ndarray) -> None:
-        """Make these (times, kinds, bays, stripes, symbols) the untaken timeline.
-
-        Events at or after the mission end are dropped.  `boundaries`
-        yields the indices of its scrubs, rebuilds, wear-outs and bad chips.
-        """
-        times, kinds, bays, _, _ = columns
-        order = np.lexsort((bays, kinds, times))
-        order = order[times[order] < self.mission]
-        self.untaken = tuple(c[order] for c in columns)
-        self.timeline = tuple(c.tolist() for c in self.untaken)
-        self.boundaries = iter(np.flatnonzero(self.untaken[1] < EventKind.BAD_BLOCK).tolist())
+    def _show(self, state: _Timeline) -> None:
+        """Make `state` the untaken timeline; `boundaries` yields its boundary events' indices."""
+        self.untaken, self.timeline, boundaries = state
+        self.boundaries = iter(boundaries)
         self.next_event = 0
 
     def _consume_arrivals(self, end: int) -> None:
@@ -540,14 +623,27 @@ class _Simulation:
 
     def _replace(self, i: int, time: float) -> None:
         """Install a fresh pool drive in bay i in place of the old drive's untaken events."""
+        r = sum(self.installs)  # replacements so far
         self.installs[i] += 1
         drive = self.pool.drives[int(self.rng_repl.integers(len(self.pool.drives)))]
         k = self.next_event
+        tag = (i, time, k)
+        memo = self._memo_at(r)
+        if memo is not None and r < len(memo.tags):
+            if memo.tags[r] == tag:
+                self._show(memo.states[r + 1])
+                return
+            memo = None  # another replacement than the stored one: not stored
         keep = self.untaken[2][k:] != i
-        self._set_timeline(*(
+        columns = (
             np.concatenate((old[k:][keep], new))
             for old, new in zip(self.untaken, self._install(i, drive, time))
-        ))
+        )
+        state = _sorted_timeline(columns, self.mission)
+        if memo is not None:
+            memo.states.append(state)
+            memo.tags.append(tag)
+        self._show(state)
 
     # -- main loop ----------------------------------------------------------
 

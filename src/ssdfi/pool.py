@@ -301,14 +301,10 @@ def _bb_times(rng: np.random.Generator, count: int, threshold: int, factor: floa
     gaps = np.empty(count + 1)
     gaps[:k] = rng.exponential(1.0, size=k)
     gaps[k:] = rng.exponential(1.0, size=count + 1 - k) / factor
-    cum = np.cumsum(gaps)
-    times = MISSION_HOURS * cum[:count] / cum[-1]
-    # Guard against duplicate floats after normalization.
-    times = np.maximum.accumulate(times)
-    dup = np.flatnonzero(np.diff(times) <= 0)
-    for i in dup:
-        times[i + 1] = np.nextafter(times[i], np.inf)
-    return times
+    cum = gaps.cumsum()
+    # Non-decreasing: scaling a non-decreasing `cum` by a positive factor
+    # keeps its order under IEEE rounding.  `generate_pool` breaks ties.
+    return MISSION_HOURS * cum[:count] / cum[-1]
 
 
 def _truncated_exp_time(rng: np.random.Generator, pct: float) -> float:
@@ -387,6 +383,13 @@ def generate_pool(
         bc_times.append(
             _truncated_exp_time(rng, profile.pct_bad_chip) if drive_id in bc_ids else None
         )
+    # Guard against duplicate floats after normalization: within a drive,
+    # a time no later than the one before becomes the next float above it,
+    # in ascending order.  A drive's first time is never moved.
+    dup = np.flatnonzero(flat[1:] <= flat[:-1]) + 1
+    dup = dup[~np.isin(dup, starts)]
+    for i in dup.tolist():
+        flat[i] = np.nextafter(flat[i - 1], np.inf)
     flat.flags.writeable = False
     drives = [
         PooledSsd(

@@ -117,20 +117,23 @@ def stress_profile(**overrides):
 
 @pytest.fixture(scope="module")
 def field_sweep(pools):
-    """MLC-A field statistics, three codes, 200 shared seeds."""
+    """MLC-A field statistics, three codes, 200 shared seeds.
+
+    Seed-major: the second and third codes of a seed replay its schedule.
+    """
     profile = next(p for p in default_profiles() if p.name == "MLC-A")
     pool, _ = pools["MLC-A"]
     geometry = ArrayGeometry(blocks_per_device=65_536)
     logs = [synthesize_usage_log(SynthWorkloadParams(), f"d{i}", i) for i in range(8)]
-    results = {}
-    for code in (R5, R6, PMDS):
-        results[code] = [
-            run_simulation(
-                geometry=geometry, code=code, profile=profile, pool=pool,
-                usage_logs=logs, tts=10_000.0, ttr=5.0, seed=seed,
+    results = {R5: [], R6: [], PMDS: []}
+    for seed in range(200):
+        for code, cell in results.items():
+            cell.append(
+                run_simulation(
+                    geometry=geometry, code=code, profile=profile, pool=pool,
+                    usage_logs=logs, tts=10_000.0, ttr=5.0, seed=seed,
+                )
             )
-            for seed in range(200)
-        ]
     return results
 
 
@@ -146,15 +149,18 @@ def maintenance_sweep():
     geometry = ArrayGeometry(blocks_per_device=512)
     logs = [flat_log(2e6)]
     grid = {}
-    for code, tts, ttr in itertools.product((R5, R6), (100.0, 1000.0, 10_000.0), (10.0, 100.0)):
-        sims = [
-            run_simulation(
-                geometry=geometry, code=code, profile=profile, pool=pool,
-                usage_logs=logs, tts=tts, ttr=ttr, seed=seed,
-            )
-            for seed in range(100)
-        ]
-        grid[(code, tts, ttr)] = statistics.fmean(r.stripes_lost for r in sims)
+    for tts, ttr in itertools.product((100.0, 1000.0, 10_000.0), (10.0, 100.0)):
+        lost = {R5: [], R6: []}
+        for seed in range(100):  # seed-major: RAID6 replays RAID5's schedule
+            for code, cell in lost.items():
+                cell.append(
+                    run_simulation(
+                        geometry=geometry, code=code, profile=profile, pool=pool,
+                        usage_logs=logs, tts=tts, ttr=ttr, seed=seed,
+                    ).stripes_lost
+                )
+        for code, cell in lost.items():
+            grid[(code, tts, ttr)] = statistics.fmean(cell)
     return grid
 
 
@@ -165,19 +171,22 @@ def stripe_sweep():
     pool = generate_pool(profile, 2_000, 2_048, seed=9)
     logs = [flat_log(1e6)]
     grid = {}
-    for code, kb in itertools.product((R5, R6, PMDS), (128, 64, 32)):
+    for kb in (128, 64, 32):
         geometry = ArrayGeometry(blocks_per_device=4_096, stripe_size=kb * 1024)
-        sims = [
-            run_simulation(
-                geometry=geometry, code=code, profile=profile, pool=pool,
-                usage_logs=logs, tts=10_000.0, ttr=3_000.0, seed=seed,
+        sims = {R5: [], R6: [], PMDS: []}
+        for seed in range(100):  # seed-major: later codes replay the first's schedule
+            for code, cell in sims.items():
+                cell.append(
+                    run_simulation(
+                        geometry=geometry, code=code, profile=profile, pool=pool,
+                        usage_logs=logs, tts=10_000.0, ttr=3_000.0, seed=seed,
+                    )
+                )
+        for code, cell in sims.items():
+            grid[(code, kb)] = (
+                statistics.fmean(r.stripes_lost for r in cell),
+                statistics.fmean(r.bytes_lost for r in cell),
             )
-            for seed in range(100)
-        ]
-        grid[(code, kb)] = (
-            statistics.fmean(r.stripes_lost for r in sims),
-            statistics.fmean(r.bytes_lost for r in sims),
-        )
     return grid
 
 

@@ -9,7 +9,8 @@ replaced bay's untaken events for the new drive's, and consumes bad
 blocks and bad symbols in one pass between boundary events.  Both must
 judge the same stripes in the same order at the same times, so the
 results (records and their order included) and the number of
-`uncorrectable` calls must be equal.  The reference engine still takes
+`uncorrectable` calls must be equal, also when a seed's later codes
+replay the schedule its first code drew.  The reference engine still takes
 the `mirror_copy_hours` argument that the production engine dropped; it
 gets the value that production results still echo.
 
@@ -147,3 +148,75 @@ def test_engine_matches_reference(pool, hourly_pool, code, monkeypatch):
             totals[rec.scope] += 1
     # The configuration must reach every path it is meant to cover.
     assert min(totals.values()) > 0, totals
+
+
+REPLAY_SEEDS = 200
+
+
+def test_replayed_schedules_match_reference(pool, hourly_pool, monkeypatch):
+    # Seed-major, as a code sweep runs: the second and third codes of a seed
+    # replay the timelines the first drew, its replacements' included.
+    new_calls = _counting(monkeypatch, ssdfi.engine)
+    ref_calls = _counting(monkeypatch, reference_engine)
+    sorts = [0]
+    sort = ssdfi.engine._sorted_timeline
+    monkeypatch.setattr(
+        ssdfi.engine, "_sorted_timeline", lambda *a: sorts.__setitem__(0, sorts[0] + 1) or sort(*a)
+    )
+    setups = {
+        False: (ssdfi.engine._Simulation, reference_engine._Simulation, pool),
+        True: (
+            _hourly(ssdfi.engine._Simulation), _hourly(reference_engine._Simulation), hourly_pool
+        ),
+    }
+    replayed = 0
+    for seed in range(REPLAY_SEEDS):
+        tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
+        new, ref, seed_pool = setups[seed % 2 == 1]
+        for n, code in enumerate(ErasureCode):
+            args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
+            before = new_calls[0], ref_calls[0], sorts[0]
+            sim = new(*args)
+            got, want = sim.run(), ref(*args, 1.0).run()
+            assert got == want, f"seed {seed}, {code.value}"
+            assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
+            if n:
+                assert sorts[0] == before[2], f"seed {seed}, {code.value}: not replayed"
+                replayed += sum(sim.installs)
+    assert replayed > REPLAY_SEEDS  # replacements replayed, not only set-ups
+
+
+def _mission(sim_class=ssdfi.engine._Simulation, **changes):
+    """The `run_simulation` result of one dense RAID6 mission, with some inputs changed."""
+    kwargs = dict(
+        geometry=GEOMETRY, code=ErasureCode.RAID6, profile=PROFILE, pool=None,
+        usage_logs=[LOG], tts=150.0, ttr=60.0, mission=MISSION, seed=11,
+    )
+    kwargs.update(changes)
+    return sim_class(**kwargs).run()
+
+
+def test_every_draw_input_keys_the_schedule(pool, hourly_pool):
+    # A mission that changes one input of the draws after a first mission on
+    # the same pool must not replay the first's schedule.
+    ten_pe = dataclasses.replace(LOG, pe_cycles=tuple(10 * p for p in LOG.pe_cycles))
+    changes = {
+        "tts": dict(tts=30.0),
+        "ttr": dict(ttr=5.0),
+        "mission": dict(mission=MISSION - 200),
+        "seed": dict(seed=12),
+        "logs": dict(usage_logs=[ten_pe]),
+        "geometry": dict(geometry=dataclasses.replace(GEOMETRY, blocks_per_device=6)),
+        "profile": dict(profile=dataclasses.replace(PROFILE, wol=150)),
+        "pool": dict(pool=hourly_pool),
+        "subclass": dict(sim_class=_hourly(ssdfi.engine._Simulation)),
+    }
+    base = _mission(pool=pool)
+    for name, change in changes.items():
+        change = {"pool": pool, **change}
+        ssdfi.engine._SCHEDULES.clear()
+        want = _mission(**change)
+        assert want != base, name  # the input changes the mission
+        ssdfi.engine._SCHEDULES.clear()
+        assert _mission(pool=pool) == base
+        assert _mission(**change) == want, name

@@ -10,6 +10,7 @@ from ssdfi.engine import (
     EventKind,
     _columns,
     _Simulation,
+    _sorted_timeline,
     run_simulation,
 )
 from ssdfi.geometry import ArrayGeometry
@@ -122,7 +123,8 @@ def schedule(sim, kind, i, times, locs=()):
     if kind == EventKind.BAD_CHIP:
         new.append(_columns(i, np.asarray(times) + sim.ttr, EventKind.RECONSTRUCT))
     k = sim.next_event
-    sim._set_timeline(*(np.concatenate((old[k:], *c)) for old, *c in zip(sim.untaken, *new)))
+    columns = (np.concatenate((old[k:], *c)) for old, *c in zip(sim.untaken, *new))
+    sim._show(_sorted_timeline(columns, sim.mission))
 
 
 def scheduled(sim, i, kind):
@@ -688,3 +690,58 @@ class TestSetUp:
         assert again.log_bits[1] is sim.log_bits[1] and again.fresh_hazard[0] is sim.fresh_hazard[0]
         for arrays in (sim.log_bits, sim.log_pe, sim.fresh_hazard):
             assert not any(a.flags.writeable for a in arrays)
+
+
+class TestScheduleMemo:
+    """Timelines drawn once per pool and draw inputs, and replayed by later missions."""
+
+    POOL_DRIVES = (
+        drive(0, bb_times=(5.0, 40.0), bc_time=20.0),
+        drive(1, bb_times=(8.0, 90.0)),
+        drive(2, bb_times=(12.0, 60.0)),
+    )
+
+    def mission(self, pool, code=R5):
+        return _Simulation(GEOMETRY, code, flat_profile(), pool, [quiet_log()], 1e6, 10.0, 150, 0)
+
+    def test_shared_timelines_are_read_only(self):
+        pool = scripted_pool(self.POOL_DRIVES)
+        first = self.mission(pool)
+        drawn = first.untaken
+        first.run()
+        again = self.mission(pool, PMDS)
+        assert again.untaken is drawn
+        again.run()
+        assert sum(again.installs) >= 1
+        for sim in (first, again):
+            assert sim.untaken is ssdfi.engine._SCHEDULES[pool].states[-1].untaken
+            assert not any(c.flags.writeable for c in sim.untaken)
+            assert all(isinstance(c, tuple) for c in sim.timeline)
+
+    def test_memo_does_not_keep_a_pool_alive(self):
+        pool = scripted_pool(self.POOL_DRIVES)
+        self.mission(pool).run()
+        entries = len(ssdfi.engine._SCHEDULES)
+        del pool
+        assert len(ssdfi.engine._SCHEDULES) == entries - 1
+
+    def test_changed_timelines_stay_out_of_the_memo(self):
+        # A mission whose timeline gets planted events, or a replacement it
+        # would not make itself, leaves a later mission of the same inputs
+        # as it would run on a fresh memo.
+        pool = scripted_pool(self.POOL_DRIVES)
+        want = self.mission(pool).run()
+        assert [r.time for r in want.records] == [20.0, 20.0]  # both before the rebuild
+        meddles = {
+            "planted chips": lambda sim: [
+                schedule(sim, EventKind.BAD_CHIP, i, [100.0]) for i in (1, 2)
+            ],
+            "direct replacement": lambda sim: sim._replace(1, 0.0),
+        }
+        for name, meddle in meddles.items():
+            del ssdfi.engine._SCHEDULES[pool]
+            sim = self.mission(pool)
+            meddle(sim)
+            sim.run()
+            assert self.mission(pool).run() == want, name
+            assert self.mission(pool).run() == want, name

@@ -148,6 +148,20 @@ class TestGeneratePool:
                 assert times[-1] < MISSION_HOURS
                 assert (np.diff(times) > 0).all()
 
+    def test_ties_are_broken_within_a_drive_only(self, monkeypatch):
+        # Every drive's raw times tie at 1 h.  Inside a drive each later
+        # time moves one float above the one before; a drive's first time
+        # stays at 1 h, though it equals the last time of the drive before.
+        monkeypatch.setattr("ssdfi.pool._bb_times", lambda rng, count, *_: np.full(count, 1.0))
+        pool = generate_pool(synthetic_profile(), 50, BLOCKS, seed=3)
+        schedules = [d.mission_bb_times.tolist() for d in pool.drives if len(d.mission_bb_times)]
+        assert len(schedules) >= 2 and max(map(len, schedules)) >= 2
+        for times in schedules:
+            expected = [1.0]
+            while len(expected) < len(times):
+                expected.append(float(np.nextafter(expected[-1], np.inf)))
+            assert times == expected
+
     def test_escalation_compresses_later_gaps(self):
         # After the threshold, arrival gaps shrink by the escalation
         # factor; with factor 100 the post-threshold spans must be far
