@@ -46,13 +46,31 @@ touches it: another arrival, a bad block on its block, or a loss.
 the epoch, and may hold more: a block outside it has neither, and a bad
 block outside it is clean.
 
+Most bad symbols stay out of the containers.  A bad symbol is isolated
+when, within its scrub interval, no other bad symbol hits its stripe and
+no bad block hits its block: until the next scrub it can only be a lone
+stripe.  Each timeline lists its isolated symbols in an index
+(`_Timeline.isolation`), computed on first use and shared by every
+mission that replays the timeline.  A pass with no failed device and at
+least `_BULK_PASS` arrivals makes its isolated symbols' judge calls in
+one batch and keeps their timeline positions as one `pending` entry;
+only its other arrivals go through the containers.  A pending symbol
+counts as a lone stripe at every scan, leaves with its bay's latent
+faults and at a scrub, and is copied into `bs_lone` and `touched` only
+when exact state is needed: when a scan finds the lone stripes lost (a
+bad chip under RAID5 or PMDS(1,1)), and before a replacement shows a new
+timeline, whose arrivals may meet it.
+
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
 count (`codes.judge_calls`) and the differential test compares it with
 the reference engine.  A lone symbol's counts depend only on the number
 of failed bays, which no arrival changes: a pass takes them once and
 judges each fresh lone arrival as it comes, and a scrub or bad chip
-judges every lone stripe in one `map`.  A bad block is judged as a unit,
+makes one call per lone stripe, pending ones included, and gives them
+all that one verdict.  With no failed bay every code corrects a lone
+symbol, so a bulk pass that gets any other verdict raises `EngineError`
+rather than drop the loss.  A bad block is judged as a unit,
 on arrival and at every scan: the stripes of a clean bad block all count
 as the block does, so they share one count and make their calls in a
 tight loop, and when they are lost they are recorded at once, as one BDL.
@@ -88,10 +106,9 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -188,15 +205,60 @@ def _hour_grid(mission: int) -> np.ndarray:
     return grid
 
 
-class _Timeline(NamedTuple):
-    """A sorted timeline: read-only columns, their values as tuples, its boundary indices."""
+# A pass with no failed device and at least this many arrivals takes its
+# isolated bad symbols in bulk; a smaller pass goes arrival by arrival.  The
+# isolation index costs a sort of the whole timeline, which a mission of
+# small passes does not earn back (BENCH_isolated_arrivals.json).
+_BULK_PASS = 64
+
+
+@dataclass(eq=False)
+class _Timeline:
+    """A sorted timeline: read-only columns, their values as tuples, its boundary indices.
+
+    A `resumed` timeline starts inside a scrub interval: every timeline but
+    a mission's set-up one.
+    """
 
     untaken: tuple[np.ndarray, ...]
     timeline: tuple[tuple, ...]
     boundaries: tuple[int, ...]
+    resumed: bool = True
+    _isolation: tuple[np.ndarray, list[int]] | None = None
+
+    def isolation(self, cpb: int) -> tuple[np.ndarray, list[int]]:
+        """(isolated, rest): the positions of its isolated bad symbols and of its other arrivals.
+
+        A bad symbol is isolated when, within its scrub interval, no other
+        bad symbol hits its stripe and no bad block hits its block: it can
+        only ever be a lone stripe.  The interval a resumed timeline starts
+        in holds no isolated symbol, as its earlier arrivals are not on it.
+        Computed on first use and kept: every mission that shares the
+        timeline shares its geometry, so `cpb` is always the same.
+        """
+        if self._isolation is None:
+            _, kinds, _, stripes, _ = self.untaken
+            interval = np.cumsum(kinds == EventKind.SCRUB)
+            symbol = np.flatnonzero(kinds == EventKind.BAD_SYMBOL)
+            bad_block = kinds == EventKind.BAD_BLOCK
+            # (interval, stripe) and (interval, block) as one integer key each.
+            span = int(stripes.max(initial=0)) + 1
+            base, on = interval[symbol] * span, stripes[symbol]
+            _, inverse, counts = np.unique(base + on, return_inverse=True, return_counts=True)
+            alone = counts[inverse] == 1
+            alone &= ~np.isin(
+                base + on // cpb, interval[bad_block] * span + stripes[bad_block] // cpb
+            )
+            if self.resumed:
+                alone &= interval[symbol] > 0
+            isolated = symbol[alone]
+            others = kinds >= EventKind.BAD_BLOCK
+            others[isolated] = False
+            self._isolation = isolated, np.flatnonzero(others).tolist()
+        return self._isolation
 
 
-def _sorted_timeline(columns, mission: int) -> _Timeline:
+def _sorted_timeline(columns, mission: int, resumed: bool = True) -> _Timeline:
     """The timeline of these (times, kinds, bays, stripes, symbols) before the mission end."""
     times, kinds, bays, _, _ = columns = tuple(columns)
     order = np.lexsort((bays, kinds, times))
@@ -208,6 +270,7 @@ def _sorted_timeline(columns, mission: int) -> _Timeline:
         untaken,
         tuple(tuple(c.tolist()) for c in untaken),
         tuple(np.flatnonzero(untaken[1] < EventKind.BAD_BLOCK).tolist()),
+        resumed,
     )
 
 
@@ -279,6 +342,7 @@ class _Simulation:
         self.bs_lone: dict[int, tuple[int, int]] = {}
         self.recorded: set[int] = set()
         self.touched: set[int] = set()
+        self.pending: list[np.ndarray] = []
         self.records: list[DataLossRecord] = []
         self.ddf = 0
         self.tdf = 0
@@ -297,7 +361,8 @@ class _Simulation:
             events = [self._install(i, pool.drives[int(initial[i])], 0.0) for i in range(n)]
             events.append(_columns(-1, scrubs, EventKind.SCRUB))
             columns = (np.concatenate(column) for column in zip(*events))
-            memo = _SCHEDULES[pool] = _Schedule(key, [_sorted_timeline(columns, self.mission)], [])
+            state = _sorted_timeline(columns, self.mission, resumed=False)
+            memo = _SCHEDULES[pool] = _Schedule(key, [state], [])
         self._show(memo.states[0])
 
     # -- installation and schedules -------------------------------------
@@ -448,36 +513,40 @@ class _Simulation:
         for (_, label), count in bdl_groups.items():
             self.records.append(DataLossRecord(time, "BDL", label, count))
 
-    def _lone_verdicts(self, n: int) -> list[bool]:
-        """Verdicts on n lone bad symbols: one `uncorrectable` call each, in one batch."""
+    def _lone_verdict(self, n: int) -> bool:
+        """The verdict on n lone bad symbols, from one `uncorrectable` call each.
+
+        The n calls share their arguments and so their verdict.
+        """
         faulty, multi, _, _ = stripe_counts(len(self.failed), None, {-1: (0,)})
-        return list(map(uncorrectable, repeat(self.code, n), repeat(faulty, n), repeat(multi, n)))
+        code = self.code
+        judge = uncorrectable  # read per batch: wrappers patch the module global
+        lost = False
+        for _ in range(n):
+            lost = judge(code, faulty, multi)
+        return lost
 
     def _promote(self, stripe: int) -> None:
         """Move a lone stripe's symbol to `bs_stripe`."""
         i, sym = self.bs_lone.pop(stripe)
         self.bs_stripe[stripe] = {i: {sym}}
 
-    def _lose_lone(self, stripe: int) -> None:
-        """Mark a lone stripe lost: it is recorded and leaves `bs_lone`."""
-        self._promote(stripe)
-        self.recorded.add(stripe)
-
     def _judge_latent(self, time: float) -> None:
         """Judge every latent stripe: the lone ones in one batch, the rest block by block.
 
-        Blocks go in ascending order: a bad block as a unit, any other
-        block's `bs_stripe` stripes one by one.  The scan shares one set of
-        BDL groups, so the records come out as a judge of all latent
-        stripes in stripe order would make them.
+        Lone stripes, pending ones included, share one verdict; when it is
+        lost, every one of them is recorded.  Blocks go in ascending order:
+        a bad block as a unit, any other block's `bs_stripe` stripes one by
+        one.  The scan shares one set of BDL groups, so the records come out
+        as a judge of all latent stripes in stripe order would make them.
         """
-        lost = self._lone_verdicts(len(self.bs_lone))
-        if any(lost):
-            lost = {stripe for stripe, is_lost in zip(self.bs_lone, lost) if is_lost}
-            for stripe in lost:
-                self._lose_lone(stripe)
-        else:
-            lost = ()
+        lone = {}
+        if self._lone_verdict(len(self.bs_lone) + sum(map(len, self.pending))):
+            self._materialise()
+            lone, self.bs_lone = self.bs_lone, {}
+            for stripe, (i, sym) in lone.items():
+                self.bs_stripe[stripe] = {i: {sym}}
+            self.recorded.update(lone)
         cpb = self.cpb
         bb_block = self.bb_block
         bs_blocks: dict[int, list[int]] = {}
@@ -488,29 +557,57 @@ class _Simulation:
             if block in bb_block:
                 self._judge_block(block, time, bdl_groups)
             else:
-                self._judge_stripes(sorted(bs_blocks[block]), time, bdl_groups, lost)
+                self._judge_stripes(sorted(bs_blocks[block]), time, bdl_groups, lone)
         self._record_bdl(bdl_groups, time)
 
     # -- timeline -----------------------------------------------------------
 
     def _show(self, state: _Timeline) -> None:
-        """Make `state` the untaken timeline; `boundaries` yields its boundary events' indices."""
-        self.untaken, self.timeline, boundaries = state
-        self.boundaries = iter(boundaries)
+        """Make `state` the untaken timeline; `boundaries` yields its boundary events' indices.
+
+        Pending arrivals are positions on the timeline shown before, so they
+        go to `bs_lone` first.
+        """
+        self._materialise()
+        self.state = state
+        self.untaken, self.timeline = state.untaken, state.timeline
+        self.boundaries = iter(state.boundaries)
         self.next_event = 0
+
+    def _materialise(self) -> None:
+        """Put the pending isolated bad symbols in `bs_lone` and their blocks in `touched`."""
+        if not self.pending:
+            return
+        _, _, bays, stripes, syms = self.untaken
+        k = np.concatenate(self.pending)
+        self.pending = []
+        lone = stripes[k]
+        self.bs_lone.update(zip(lone.tolist(), zip(bays[k].tolist(), syms[k].tolist())))
+        self.touched.update((lone // self.cpb).tolist())
 
     def _consume_arrivals(self, end: int) -> None:
         """Mark and judge, in timeline order, the untaken bad blocks and symbols before `end`.
 
         A fresh lone symbol, on a stripe with no other latent fault and no
         loss, is judged as it arrives, with the lone counts taken once per
-        pass: no failure starts or ends within a pass.
+        pass: no failure starts or ends within a pass.  With no failed
+        device, a large pass takes its isolated bad symbols first: their
+        judge calls in one batch, then one pending entry of their positions.
         """
-        times, _, bays, stripes, syms = self.timeline
         start = self.next_event
         if end == start:
             return
         self.next_event = end
+        if self.failed or end - start < _BULK_PASS:
+            positions = range(start, end)
+        else:
+            isolated, rest = self.state.isolation(self.cpb)
+            lo, hi = np.searchsorted(isolated, (start, end)).tolist()
+            if self._lone_verdict(hi - lo):
+                raise EngineError(f"{self.code.value} loses a lone bad symbol on a healthy array")
+            self.pending.append(isolated[lo:hi])
+            positions = rest[bisect_left(rest, start) : bisect_left(rest, end)]
+        times, _, bays, stripes, syms = self.timeline
         code = self.code
         failed = self.failed
         bs_lone = self.bs_lone
@@ -522,7 +619,7 @@ class _Simulation:
         judging = not self.adl_epoch
         judge = uncorrectable  # read per pass: wrappers patch the module global
         faulty, multi, _, _ = stripe_counts(len(failed), None, {-1: (0,)})
-        for k in range(start, end):
+        for k in positions:
             i = bays[k]
             if i in failed:
                 continue  # arrivals on a failed device are subsumed
@@ -596,6 +693,7 @@ class _Simulation:
         self.bs_lone.clear()
         self.recorded.clear()
         self.touched.clear()
+        self.pending.clear()
 
     def apply_reconstruct(self, i: int, time: float) -> None:
         self.failed.discard(i)
@@ -620,6 +718,8 @@ class _Simulation:
                 del self.bs_stripe[stripe]
         for stripe in [s for s, (bay, _) in self.bs_lone.items() if bay == i]:
             del self.bs_lone[stripe]
+        bays = self.untaken[2]
+        self.pending = [k[bays[k] != i] for k in self.pending]
 
     def _replace(self, i: int, time: float) -> None:
         """Install a fresh pool drive in bay i in place of the old drive's untaken events."""

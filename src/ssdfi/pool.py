@@ -385,11 +385,15 @@ def generate_pool(
         )
     # Guard against duplicate floats after normalization: within a drive,
     # a time no later than the one before becomes the next float above it,
-    # in ascending order.  A drive's first time is never moved.
-    dup = np.flatnonzero(flat[1:] <= flat[:-1]) + 1
-    dup = dup[~np.isin(dup, starts)]
-    for i in dup.tolist():
-        flat[i] = np.nextafter(flat[i - 1], np.inf)
+    # in ascending order, until no tie is left (a nudged time can tie with
+    # the raw time after it).  A drive's first time is never moved.
+    while True:
+        dup = np.flatnonzero(flat[1:] <= flat[:-1]) + 1
+        dup = dup[~np.isin(dup, starts)]
+        if not dup.size:
+            break
+        for i in dup.tolist():
+            flat[i] = np.nextafter(flat[i - 1], np.inf)
     flat.flags.writeable = False
     drives = [
         PooledSsd(

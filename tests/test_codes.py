@@ -88,6 +88,13 @@ class TestJudge:
         for code in ErasureCode:
             assert not check_stripe_dl(code, state())
 
+    @pytest.mark.parametrize("code", list(ErasureCode))
+    def test_one_bad_symbol_on_a_healthy_stripe_is_correctable(self, code):
+        # The engine's bulk intake of isolated bad symbols rests on this.
+        for chunk in range(8):
+            for symbol in range(4):
+                assert not check_stripe_dl(code, state(**{f"c{chunk}": syms(symbol)}))
+
     def test_failed_plus_symbol(self):
         s = state(c0=FAILED, c3=syms(1))
         assert check_stripe_dl(R5, s)

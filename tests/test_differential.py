@@ -22,9 +22,13 @@ rebuild times (ADL epochs and rebuilds), and a P/E ramp that wears drives
 out every 300 hours.  Half of the seeds round every bad-symbol arrival
 and every pool bad-block time up to a whole hour, so bad blocks and bad
 symbols tie with each other, across bays, and with scrubs and wear-outs,
-which exercises the same-time order.
+which exercises the same-time order.  The bulk-intake test widens the
+array to 1,024 stripes and raises the bad-symbol rate tenfold, so that
+passes hold hundreds of isolated bad symbols, which the production engine
+takes in bulk and keeps pending until a scan, a drop or a replacement.
 """
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -161,7 +165,9 @@ def test_replayed_schedules_match_reference(pool, hourly_pool, monkeypatch):
     sorts = [0]
     sort = ssdfi.engine._sorted_timeline
     monkeypatch.setattr(
-        ssdfi.engine, "_sorted_timeline", lambda *a: sorts.__setitem__(0, sorts[0] + 1) or sort(*a)
+        ssdfi.engine,
+        "_sorted_timeline",
+        lambda *a, **kw: sorts.__setitem__(0, sorts[0] + 1) or sort(*a, **kw),
     )
     setups = {
         False: (ssdfi.engine._Simulation, reference_engine._Simulation, pool),
@@ -220,3 +226,63 @@ def test_every_draw_input_keys_the_schedule(pool, hourly_pool):
         ssdfi.engine._SCHEDULES.clear()
         assert _mission(pool=pool) == base
         assert _mission(**change) == want, name
+
+
+# A wider array (1,024 stripes) under ten times the bad-symbol rate: a scrub
+# interval holds hundreds of arrivals, most of them alone on their stripe, so
+# the production engine takes them in bulk and keeps them pending.
+WIDE = dataclasses.replace(GEOMETRY, blocks_per_device=256)
+WIDE_PROFILE = dataclasses.replace(PROFILE, rber_curve=RberCurve(points=((0.0, 5e-7), (1e9, 5e-7))))
+BULK_SEEDS = 60
+
+
+class _Pending(ssdfi.engine._Simulation):
+    """The production engine, counting how its pending isolated arrivals come and go."""
+
+    counts: Counter = Counter()
+
+    def _pending(self) -> int:
+        return sum(map(len, self.pending))
+
+    def _consume_arrivals(self, end):
+        before = self._pending()
+        super()._consume_arrivals(end)
+        self.counts["bulk arrivals"] += self._pending() - before
+
+    def _judge_latent(self, time):
+        before = self._pending()
+        super()._judge_latent(time)
+        self.counts["materialising scans"] += before > 0 and not self._pending()
+
+    def _replace(self, i, time):
+        self.counts["replacements with pending"] += self._pending() > 0
+        super()._replace(i, time)
+
+    def _drop_latent(self, i):
+        before = self._pending()
+        super()._drop_latent(i)
+        self.counts["pending drops"] += before > self._pending()
+
+
+def test_bulk_intake_matches_reference(pool, hourly_pool, monkeypatch):
+    # Seed-major, so a seed's later codes also share the first's isolation index.
+    new_calls = _counting(monkeypatch, ssdfi.engine)
+    ref_calls = _counting(monkeypatch, reference_engine)
+    setups = {
+        False: (_Pending, reference_engine._Simulation, pool),
+        True: (_hourly(_Pending), _hourly(reference_engine._Simulation), hourly_pool),
+    }
+    _Pending.counts.clear()
+    for seed in range(BULK_SEEDS):
+        tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
+        new, ref, seed_pool = setups[seed % 2 == 1]
+        for code in ErasureCode:
+            args = (WIDE, code, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
+            before = new_calls[0], ref_calls[0]
+            got, want = new(*args).run(), ref(*args, 1.0).run()
+            assert got == want, f"seed {seed}, {code.value}"
+            assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
+    # Every way a pending arrival leaves must have been taken.
+    counts = _Pending.counts
+    keys = ("bulk arrivals", "materialising scans", "replacements with pending", "pending drops")
+    assert min(counts[k] for k in keys) > 0, counts

@@ -536,6 +536,72 @@ class TestTimeline:
         )
 
 
+class TestIsolation:
+    """Which bad symbols a timeline's isolation index holds, and the bulk path that takes them."""
+
+    CPB = GEOMETRY.chunks_per_block
+
+    def timeline(self, resumed):
+        # A scrub at 100 h splits two intervals; block b's first stripe is 16 b.
+        cpb = self.CPB
+        symbols = [  # (hour, bay, stripe)
+            (10.0, 0, cpb), (20.0, 1, cpb),  # two on one stripe
+            (30.0, 0, 2 * cpb),  # alone; its stripe is hit again at 170 h
+            (40.0, 0, 3 * cpb),  # alone; block 3 goes bad at 150 h
+            (45.0, 1, 4 * cpb),  # block 4 went bad at 5 h
+            (90.0, 2, 5 * cpb), (100.0, 2, 5 * cpb),  # the scrub at 100 h comes first
+            (160.0, 1, 3 * cpb),
+            (170.0, 1, 2 * cpb),
+        ]
+        columns = [
+            _columns(-1, [100.0], EventKind.SCRUB),
+            _columns(2, [5.0, 150.0], EventKind.BAD_BLOCK, np.array([4, 3]) * cpb),
+            *(_columns(i, [t], EventKind.BAD_SYMBOL, s, 0) for t, i, s in symbols),
+        ]
+        state = _sorted_timeline((np.concatenate(c) for c in zip(*columns)), 200, resumed)
+        return state, state.untaken[0].tolist()
+
+    @pytest.mark.parametrize(
+        "resumed, isolated", [(False, [30.0, 40.0, 90.0, 100.0, 170.0]), (True, [100.0, 170.0])]
+    )
+    def test_isolated_symbols(self, resumed, isolated):
+        # A resumed timeline's first interval began before it: nothing in it is isolated.
+        state, hours = self.timeline(resumed)
+        positions, rest = state.isolation(self.CPB)
+        assert [hours[k] for k in positions] == isolated
+        arrivals = np.flatnonzero(state.untaken[1] >= EventKind.BAD_BLOCK).tolist()
+        assert rest == sorted(set(arrivals) - set(positions.tolist()))
+        assert state.isolation(self.CPB)[0] is positions  # computed once
+
+    def test_bulk_path_raises_on_a_lost_lone_verdict(self, monkeypatch):
+        # A healthy array's lone bad symbol is never lost (tests/test_codes.py);
+        # a judge that says otherwise stops the bulk path instead of being ignored.
+        judge = ssdfi.engine.uncorrectable
+        monkeypatch.setattr(ssdfi.engine, "uncorrectable", lambda c, f, m: f > 0 or judge(c, f, m))
+        sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)  # about one symbol per bay-hour
+        with pytest.raises(EngineError, match="loses a lone bad symbol"):
+            sim.run()
+
+    def test_pending_symbols_drop_and_materialise_like_taken_ones(self, monkeypatch):
+        # One pass over every arrival, bay 1's latent faults dropped, then a
+        # replacement in bay 0: in bulk or arrival by arrival, the same state.
+        def latent(bulk_pass):
+            monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
+            sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
+            sim._consume_arrivals(len(sim.timeline[0]))
+            pending = sum(map(len, sim.pending))
+            sim._drop_latent(1)
+            dropped = pending - sum(map(len, sim.pending))
+            sim._replace(0, 149.0)
+            assert not sim.pending
+            state = (sim.bs_lone, sim.bs_stripe, sim.bb_block, sim.recorded, sim.touched)
+            return pending, dropped, state, sim.records
+
+        pending, dropped, *bulk = latent(64)
+        assert pending > 100 and 0 < dropped < pending
+        assert latent(10**9)[2:] == tuple(bulk)
+
+
 class TestScriptedScenarios:
     def test_no_faults_no_records(self):
         pool = scripted_pool([drive(i) for i in range(3)])

@@ -162,6 +162,24 @@ class TestGeneratePool:
                 expected.append(float(np.nextafter(expected[-1], np.inf)))
             assert times == expected
 
+    def test_a_nudged_time_that_ties_the_next_is_nudged_again(self, monkeypatch):
+        # Raw times [1, 1, 1+, 1+, ...]: the second time moves to 1+, where
+        # it ties the third, which moves to 1++, and so on down the drive.
+        up = float(np.nextafter(1.0, np.inf))
+
+        def raw(rng, count, *_):
+            return np.array(([1.0, 1.0] + [up] * count)[:count])
+
+        monkeypatch.setattr("ssdfi.pool._bb_times", raw)
+        pool = generate_pool(synthetic_profile(), 50, BLOCKS, seed=3)
+        schedules = [d.mission_bb_times.tolist() for d in pool.drives if len(d.mission_bb_times)]
+        assert max(map(len, schedules)) >= 3
+        for times in schedules:
+            expected = [1.0]
+            while len(expected) < len(times):
+                expected.append(float(np.nextafter(expected[-1], np.inf)))
+            assert times == expected
+
     def test_escalation_compresses_later_gaps(self):
         # After the threshold, arrival gaps shrink by the escalation
         # factor; with factor 100 the post-threshold spans must be far
