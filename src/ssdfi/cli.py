@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .codes import UPDATE_STRATEGIES, ErasureCode, encode_xor_count, erf, update_penalty
@@ -84,9 +85,12 @@ def run_experiment(
 
     Raises `ValueError` for fewer than one worker or mission, for a
     mission length outside 1..`MISSION_HOURS`, for a non-positive `tts`
-    or `ttr`, for a stripe size the array geometry rejects, for a report
-    format other than json or csv, and for a usage-log file that does not
-    hold exactly one log per device; all before any pool is generated.
+    or `ttr`, for a stripe size the array geometry rejects, for a model
+    with no profile, for grid lists whose cells repeat a report key (such
+    as tts 10000 and 1e4, or one code twice), for a report format other
+    than json or csv, and for a usage-log file that does not hold exactly
+    one log per device; all before any pool is generated or `out_dir` is
+    made.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -105,6 +109,19 @@ def run_experiment(
         )
         for stripe_kb in stripe_kbs
     ]
+    profiles = [profile_by_name(model) for model in models]
+    grid = [
+        (model, profile, stripe_kb, geometry, code, tts, ttr)
+        for model, profile in zip(models, profiles)
+        for stripe_kb, geometry in zip(stripe_kbs, geometries)
+        for code in codes
+        for tts in tts_values
+        for ttr in ttr_values
+    ]
+    keys = [_grid_key(code, model, tts, ttr, kb) for model, _, kb, _, code, tts, ttr in grid]
+    repeated = sorted(key for key, n in Counter(keys).items() if n > 1)
+    if repeated:
+        raise ValueError(f"grid cells repeat the report key(s) {', '.join(repeated)}")
     if usage_log_path is not None:
         logs = parse_usage_log(usage_log_path)
         if len(logs) != n_devices:
@@ -117,31 +134,28 @@ def run_experiment(
             for i in range(n_devices)
         ]
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells: list[dict] = []
-    keys: list[str] = []
-    for model in models:
-        profile = profile_by_name(model)
-        pool = generate_pool(
+    pools = {
+        model: generate_pool(
             profile,
             pool_size=pool_size,
             blocks_per_device=pool_blocks,
             seed=pool_seed if pool_seed is not None else master_seed,
         )
-        for stripe_kb, geometry in zip(stripe_kbs, geometries):
-            for code in codes:
-                for tts in tts_values:
-                    for ttr in ttr_values:
-                        keys.append(_grid_key(code, model, tts, ttr, stripe_kb))
-                        cells.append({
-                            "geometry": geometry,
-                            "code": code,
-                            "profile": profile,
-                            "pool": pool,
-                            "usage_logs": logs,
-                            "tts": tts,
-                            "ttr": ttr,
-                            "mission": mission,
-                        })
+        for model, profile in zip(models, profiles)
+    }
+    cells = [
+        {
+            "geometry": geometry,
+            "code": code,
+            "profile": profile,
+            "pool": pools[model],
+            "usage_logs": logs,
+            "tts": tts,
+            "ttr": ttr,
+            "mission": mission,
+        }
+        for model, profile, _, geometry, code, tts, ttr in grid
+    ]
     jobs = [
         (cell, derive_seed(master_seed, key, i))
         for cell, key in enumerate(keys)

@@ -46,20 +46,31 @@ touches it: another arrival, a bad block on its block, or a loss.
 the epoch, and may hold more: a block outside it has neither, and a bad
 block outside it is clean.
 
-Most bad symbols stay out of the containers.  A bad symbol is isolated
-when, within its scrub interval, no other bad symbol hits its stripe and
-no bad block hits its block: until the next scrub it can only be a lone
-stripe.  Each timeline lists its isolated symbols in an index
-(`_Timeline.isolation`), computed on first use and shared by every
-mission that replays the timeline.  A pass with no failed device and at
-least `_BULK_PASS` arrivals makes its isolated symbols' judge calls in
-one batch and keeps their timeline positions as one `pending` entry;
+Most bad symbols and bad blocks stay out of the containers.  A bad
+symbol is isolated when, within its scrub interval, no other bad symbol
+hits its stripe and no bad block hits its block: until the next scrub it
+can only be a lone stripe.  A bad block is isolated when, within its
+scrub interval, no other arrival hits its block (no bad block from any
+bay, the same bay included, and no bad symbol): until the next scrub it
+is a clean bad block on one bay.  Each timeline lists both kinds in an
+index (`_Timeline.isolation`), computed on first use and shared by every
+mission that replays the timeline.  The index keys every arrival by
+(scrub interval, stripe), a bad block by its block's first stripe, and
+sorts the keys once: a symbol is isolated when its key is unique and
+its block's run of keys holds no bad block, and a bad block when its
+block's run holds only itself.  A pass with no failed device
+and at least `_BULK_PASS` arrivals makes its isolated symbols' judge
+calls in one batch and its isolated bad blocks' in another, and keeps
+their timeline positions as one `pending` and one `pending_bb` entry;
 only its other arrivals go through the containers.  A pending symbol
-counts as a lone stripe at every scan, leaves with its bay's latent
-faults and at a scrub, and is copied into `bs_lone` and `touched` only
-when exact state is needed: when a scan finds the lone stripes lost (a
-bad chip under RAID5 or PMDS(1,1)), and before a replacement shows a new
-timeline, whose arrivals may meet it.
+counts as a lone stripe at every scan, and a pending bad block as a
+clean one; both leave with their bay's latent faults and at a scrub.
+They are copied into the containers only when exact state is needed:
+pending symbols into `bs_lone` and `touched` when a scan finds the lone
+stripes lost (a bad chip under RAID5, or two under RAID6), pending bad
+blocks into `bb_block` when a scan finds the clean bad blocks lost (a
+bad chip under RAID5 or PMDS(1,1), or two under RAID6), and both before
+a replacement shows a new timeline, whose arrivals may meet them.
 
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
@@ -68,12 +79,15 @@ the reference engine.  A lone symbol's counts depend only on the number
 of failed bays, which no arrival changes: a pass takes them once and
 judges each fresh lone arrival as it comes, and a scrub or bad chip
 makes one call per lone stripe, pending ones included, and gives them
-all that one verdict.  With no failed bay every code corrects a lone
-symbol, so a bulk pass that gets any other verdict raises `EngineError`
-rather than drop the loss.  A bad block is judged as a unit,
-on arrival and at every scan: the stripes of a clean bad block all count
-as the block does, so they share one count and make their calls in a
-tight loop, and when they are lost they are recorded at once, as one BDL.
+all that one verdict.  A bad block is judged as a unit, on arrival and
+at every scan: the stripes of a clean bad block all count as the block
+does, so they share one count and make their calls in a tight loop, and
+when they are lost they are recorded at once, as one BDL.  A scan makes
+the calls of all pending bad blocks in one loop and gives them that one
+verdict; when it is lost, the block walk records each of them as one
+BDL, in block order, without a second call.  With no failed bay every
+code corrects a lone symbol and a clean bad block, so a bulk pass that
+gets any other verdict raises `EngineError` rather than drop the loss.
 A bad block with bad symbols or losses is judged stripe by stripe.  A
 scan (scrub or bad chip) walks the blocks of the bad blocks and of
 `bs_stripe` in ascending order.  Losses keep their record order: arrival
@@ -206,10 +220,16 @@ def _hour_grid(mission: int) -> np.ndarray:
 
 
 # A pass with no failed device and at least this many arrivals takes its
-# isolated bad symbols in bulk; a smaller pass goes arrival by arrival.  The
-# isolation index costs a sort of the whole timeline, which a mission of
-# small passes does not earn back (BENCH_isolated_arrivals.json).
+# isolated bad symbols and bad blocks in bulk; a smaller pass goes arrival
+# by arrival.  The isolation index costs one sort of the timeline's
+# arrivals, which a mission of small passes does not earn back
+# (BENCH_isolated_arrivals.json, BENCH_isolated_blocks.json).
 _BULK_PASS = 64
+
+# The latent faults of a lone stripe (one bad symbol) and of a stripe of a
+# clean bad block (one bay's chunk), as `stripe_counts` takes them.
+_ONE_SYMBOL = {-1: (0,)}
+_ONE_BAY = frozenset((-1,))
 
 
 @dataclass(eq=False)
@@ -224,37 +244,45 @@ class _Timeline:
     timeline: tuple[tuple, ...]
     boundaries: tuple[int, ...]
     resumed: bool = True
-    _isolation: tuple[np.ndarray, list[int]] | None = None
+    _isolation: tuple[np.ndarray, np.ndarray, list[int]] | None = None
 
-    def isolation(self, cpb: int) -> tuple[np.ndarray, list[int]]:
-        """(isolated, rest): the positions of its isolated bad symbols and of its other arrivals.
+    def isolation(self, cpb: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """(symbols, bad blocks, rest): positions of its isolated arrivals and of the others.
 
         A bad symbol is isolated when, within its scrub interval, no other
         bad symbol hits its stripe and no bad block hits its block: it can
-        only ever be a lone stripe.  The interval a resumed timeline starts
-        in holds no isolated symbol, as its earlier arrivals are not on it.
-        Computed on first use and kept: every mission that shares the
-        timeline shares its geometry, so `cpb` is always the same.
+        only ever be a lone stripe.  A bad block is isolated when no other
+        arrival (a bad block from any bay, or a bad symbol) hits its block
+        within its scrub interval: it stays a clean bad block on one bay.
+        The interval a resumed timeline starts in holds no isolated arrival,
+        as its earlier arrivals are not on it.  Computed on first use and
+        kept: every mission that shares the timeline shares its geometry,
+        so `cpb` is always the same.
         """
         if self._isolation is None:
             _, kinds, _, stripes, _ = self.untaken
             interval = np.cumsum(kinds == EventKind.SCRUB)
-            symbol = np.flatnonzero(kinds == EventKind.BAD_SYMBOL)
-            bad_block = kinds == EventKind.BAD_BLOCK
-            # (interval, stripe) and (interval, block) as one integer key each.
-            span = int(stripes.max(initial=0)) + 1
-            base, on = interval[symbol] * span, stripes[symbol]
-            _, inverse, counts = np.unique(base + on, return_inverse=True, return_counts=True)
-            alone = counts[inverse] == 1
-            alone &= ~np.isin(
-                base + on // cpb, interval[bad_block] * span + stripes[bad_block] // cpb
+            arrival = np.flatnonzero(kinds >= EventKind.BAD_BLOCK)
+            # (interval, stripe) as one key; a bad block's stripe is its block's
+            # first, and `span` is a multiple of cpb, so key // cpb is the block.
+            span = -(-(int(stripes.max(initial=0)) + 1) // cpb) * cpb
+            keys = interval[arrival] * span + stripes[arrival]
+            # Each flag depends only on its key's and block's group sizes, so
+            # the order of equal keys is free: no stable sort needed.
+            order = np.argsort(keys)
+            keys = keys[order]
+            bad_block = kinds[arrival[order]] == EventKind.BAD_BLOCK
+            stripe_id = np.cumsum(np.diff(keys, prepend=-1) != 0) - 1
+            block_id = np.cumsum(np.diff(keys // cpb, prepend=-1) != 0) - 1
+            alone = np.empty((2, len(keys)), bool)  # symbols, bad blocks; timeline order
+            alone[0, order] = (np.bincount(stripe_id)[stripe_id] == 1) & (
+                np.bincount(block_id, bad_block)[block_id] == 0
             )
+            alone[1, order] = bad_block & (np.bincount(block_id)[block_id] == 1)
             if self.resumed:
-                alone &= interval[symbol] > 0
-            isolated = symbol[alone]
-            others = kinds >= EventKind.BAD_BLOCK
-            others[isolated] = False
-            self._isolation = isolated, np.flatnonzero(others).tolist()
+                alone &= interval[arrival] > 0
+            others = ~(alone[0] | alone[1])
+            self._isolation = arrival[alone[0]], arrival[alone[1]], arrival[others].tolist()
         return self._isolation
 
 
@@ -343,6 +371,7 @@ class _Simulation:
         self.recorded: set[int] = set()
         self.touched: set[int] = set()
         self.pending: list[np.ndarray] = []
+        self.pending_bb: list[np.ndarray] = []
         self.records: list[DataLossRecord] = []
         self.ddf = 0
         self.tdf = 0
@@ -483,14 +512,15 @@ class _Simulation:
             else:
                 self.records.append(DataLossRecord(time, "SDL", label, 1))
 
-    def _judge_block(self, block: int, time: float, bdl_groups: dict) -> None:
+    def _judge_block(self, block: int, time: float, bdl_groups: dict, lost: bool = False) -> None:
         """Judge the stripes of bad block `block` as `_judge_stripes` does.
 
         A block outside `touched` is clean: none of its stripes holds a bad
         symbol or a loss of this epoch, so they all count as the block does.
         Its `cpb` judge calls share one count, and a lost clean stripe is a
         BDL: every code loses a stripe only to two whole-chunk faults, and
-        one of them is the bad block.
+        one of them is the bad block.  `lost` says that the caller has made
+        a clean block's calls already and they found it lost.
         """
         cpb = self.cpb
         lo = block * cpb
@@ -499,10 +529,11 @@ class _Simulation:
             return
         nf = len(self.failed)
         faulty, multi, n_bb, _ = stripe_counts(nf, self.bb_block[block], None)
-        code = self.code
-        judge = uncorrectable  # read per block: wrappers patch the module global
-        for _ in range(cpb):
-            lost = judge(code, faulty, multi)
+        if not lost:
+            code = self.code
+            judge = uncorrectable  # read per block: wrappers patch the module global
+            for _ in range(cpb):
+                lost = judge(code, faulty, multi)
         if lost:
             self.recorded.update(range(lo, lo + cpb))
             self.touched.add(block)
@@ -513,16 +544,17 @@ class _Simulation:
         for (_, label), count in bdl_groups.items():
             self.records.append(DataLossRecord(time, "BDL", label, count))
 
-    def _lone_verdict(self, n: int) -> bool:
-        """The verdict on n lone bad symbols, from one `uncorrectable` call each.
+    def _verdict(self, calls: int, bb_devs, bs_map) -> bool:
+        """The verdict of `calls` judge calls on a stripe whose only latent faults are these.
 
-        The n calls share their arguments and so their verdict.
+        `bb_devs` and `bs_map` are as `stripe_counts` takes them; the calls
+        share their arguments and so their verdict.
         """
-        faulty, multi, _, _ = stripe_counts(len(self.failed), None, {-1: (0,)})
+        faulty, multi, _, _ = stripe_counts(len(self.failed), bb_devs, bs_map)
         code = self.code
         judge = uncorrectable  # read per batch: wrappers patch the module global
         lost = False
-        for _ in range(n):
+        for _ in range(calls):
             lost = judge(code, faulty, multi)
         return lost
 
@@ -535,19 +567,26 @@ class _Simulation:
         """Judge every latent stripe: the lone ones in one batch, the rest block by block.
 
         Lone stripes, pending ones included, share one verdict; when it is
-        lost, every one of them is recorded.  Blocks go in ascending order:
-        a bad block as a unit, any other block's `bs_stripe` stripes one by
-        one.  The scan shares one set of BDL groups, so the records come out
-        as a judge of all latent stripes in stripe order would make them.
+        lost, every one of them is recorded.  Pending bad blocks share
+        another; when it is lost, they join `bb_block` and the walk records
+        each without judging it again.  Blocks go in ascending order: a bad
+        block as a unit, any other block's `bs_stripe` stripes one by one.
+        The scan shares one set of BDL groups, so the records come out as a
+        judge of all latent stripes in stripe order would make them.
         """
         lone = {}
-        if self._lone_verdict(len(self.bs_lone) + sum(map(len, self.pending))):
+        if self._verdict(len(self.bs_lone) + sum(map(len, self.pending)), None, _ONE_SYMBOL):
             self._materialise()
             lone, self.bs_lone = self.bs_lone, {}
             for stripe, (i, sym) in lone.items():
                 self.bs_stripe[stripe] = {i: {sym}}
             self.recorded.update(lone)
         cpb = self.cpb
+        lost_blocks = ()
+        if self.pending_bb and self._verdict(
+            cpb * sum(map(len, self.pending_bb)), _ONE_BAY, None
+        ):
+            lost_blocks = self._materialise_blocks()
         bb_block = self.bb_block
         bs_blocks: dict[int, list[int]] = {}
         for stripe in self.bs_stripe:
@@ -555,7 +594,7 @@ class _Simulation:
         bdl_groups: dict[tuple[int, str], int] = {}
         for block in sorted(bb_block.keys() | bs_blocks.keys()):
             if block in bb_block:
-                self._judge_block(block, time, bdl_groups)
+                self._judge_block(block, time, bdl_groups, block in lost_blocks)
             else:
                 self._judge_stripes(sorted(bs_blocks[block]), time, bdl_groups, lone)
         self._record_bdl(bdl_groups, time)
@@ -566,9 +605,10 @@ class _Simulation:
         """Make `state` the untaken timeline; `boundaries` yields its boundary events' indices.
 
         Pending arrivals are positions on the timeline shown before, so they
-        go to `bs_lone` first.
+        go to `bs_lone` and `bb_block` first.
         """
         self._materialise()
+        self._materialise_blocks()
         self.state = state
         self.untaken, self.timeline = state.untaken, state.timeline
         self.boundaries = iter(state.boundaries)
@@ -585,14 +625,26 @@ class _Simulation:
         self.bs_lone.update(zip(lone.tolist(), zip(bays[k].tolist(), syms[k].tolist())))
         self.touched.update((lone // self.cpb).tolist())
 
+    def _materialise_blocks(self) -> set[int]:
+        """Put the pending isolated bad blocks in `bb_block`; return their blocks."""
+        if not self.pending_bb:
+            return set()
+        _, _, bays, stripes, _ = self.untaken
+        k = np.concatenate(self.pending_bb)
+        self.pending_bb = []
+        blocks = (stripes[k] // self.cpb).tolist()
+        self.bb_block.update(zip(blocks, ({i} for i in bays[k].tolist())))
+        return set(blocks)
+
     def _consume_arrivals(self, end: int) -> None:
         """Mark and judge, in timeline order, the untaken bad blocks and symbols before `end`.
 
         A fresh lone symbol, on a stripe with no other latent fault and no
         loss, is judged as it arrives, with the lone counts taken once per
         pass: no failure starts or ends within a pass.  With no failed
-        device, a large pass takes its isolated bad symbols first: their
-        judge calls in one batch, then one pending entry of their positions.
+        device, a large pass takes its isolated bad symbols and bad blocks
+        first: for each kind, their judge calls in one batch, then one
+        pending entry of their positions.
         """
         start = self.next_event
         if end == start:
@@ -601,11 +653,15 @@ class _Simulation:
         if self.failed or end - start < _BULK_PASS:
             positions = range(start, end)
         else:
-            isolated, rest = self.state.isolation(self.cpb)
-            lo, hi = np.searchsorted(isolated, (start, end)).tolist()
-            if self._lone_verdict(hi - lo):
+            symbols, blocks, rest = self.state.isolation(self.cpb)
+            lo, hi = np.searchsorted(symbols, (start, end)).tolist()
+            if self._verdict(hi - lo, None, _ONE_SYMBOL):
                 raise EngineError(f"{self.code.value} loses a lone bad symbol on a healthy array")
-            self.pending.append(isolated[lo:hi])
+            self.pending.append(symbols[lo:hi])
+            lo, hi = np.searchsorted(blocks, (start, end)).tolist()
+            if self._verdict(self.cpb * (hi - lo), _ONE_BAY, None):
+                raise EngineError(f"{self.code.value} loses a lone bad block on a healthy array")
+            self.pending_bb.append(blocks[lo:hi])
             positions = rest[bisect_left(rest, start) : bisect_left(rest, end)]
         times, _, bays, stripes, syms = self.timeline
         code = self.code
@@ -618,7 +674,7 @@ class _Simulation:
         cpb = self.cpb
         judging = not self.adl_epoch
         judge = uncorrectable  # read per pass: wrappers patch the module global
-        faulty, multi, _, _ = stripe_counts(len(failed), None, {-1: (0,)})
+        faulty, multi, _, _ = stripe_counts(len(failed), None, _ONE_SYMBOL)
         for k in positions:
             i = bays[k]
             if i in failed:
@@ -694,6 +750,7 @@ class _Simulation:
         self.recorded.clear()
         self.touched.clear()
         self.pending.clear()
+        self.pending_bb.clear()
 
     def apply_reconstruct(self, i: int, time: float) -> None:
         self.failed.discard(i)
@@ -720,6 +777,7 @@ class _Simulation:
             del self.bs_lone[stripe]
         bays = self.untaken[2]
         self.pending = [k[bays[k] != i] for k in self.pending]
+        self.pending_bb = [k[bays[k] != i] for k in self.pending_bb]
 
     def _replace(self, i: int, time: float) -> None:
         """Install a fresh pool drive in bay i in place of the old drive's untaken events."""

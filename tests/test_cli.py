@@ -119,6 +119,7 @@ class TestRunExperiment:
             pytest.param("tts_values", [0.0], id="tts_values-0"),
             pytest.param("ttr_values", [-1.0], id="ttr_values--1"),
             pytest.param("stripe_kbs", [100], id="stripe_kbs-100"),
+            pytest.param("models", ["MLC-A", "QLC-Z"], id="models-QLC-Z"),
         ],
     )
     def test_rejects_bad_counts_before_any_pool(
@@ -128,9 +129,35 @@ class TestRunExperiment:
             raise AssertionError("pool generated before the check")
 
         # The grid's lists are rejected by the engine's and the geometry's own checks.
-        message = {"tts_values": "tts=0 ", "ttr_values": "ttr=-1$", "stripe_kbs": "stripe_size"}
+        message = {
+            "tts_values": "tts=0 ", "ttr_values": "ttr=-1$", "stripe_kbs": "stripe_size",
+            "models": "no profile named 'QLC-Z'",
+        }
         monkeypatch.setattr(cli, "generate_pool", no_pool)
         with pytest.raises(ValueError, match=message.get(name, name)):
+            run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, value, key",
+        [
+            ("tts_values", [10_000.0, 1e4], "RAID5-MLC-A-tts10000-ttr10-s128"),
+            ("ttr_values", [10.0, 10.0000001], "PMDS11-MLC-A-tts10000-ttr10-s128"),
+            ("codes", [ErasureCode.RAID5, ErasureCode.RAID5], "RAID5-MLC-A-tts10000-ttr10-s128"),
+            ("models", ["MLC-A", "MLC-A"], "RAID5-MLC-A-tts10000-ttr10-s128"),
+            ("stripe_kbs", [128, 128], "PMDS11-MLC-A-tts10000-ttr10-s128"),
+        ],
+        ids=["tts", "ttr", "codes", "models", "stripe_kbs"],
+    )
+    def test_rejects_repeated_cells_before_any_pool(
+        self, tmp_path, small_kwargs, monkeypatch, name, value, key
+    ):
+        # Two cells with one report key would write one report twice.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool generated before the check")
+
+        monkeypatch.setattr(cli, "generate_pool", no_pool)
+        with pytest.raises(ValueError, match=f"repeat the report key.*{key}"):
             run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
         assert not (tmp_path / "out").exists()
 
@@ -150,8 +177,10 @@ class TestRunExperiment:
             (["--sims", "0"], "n_sims must be at least 1"),
             (["--mission", "40000"], "mission must be between 1 and"),
             (["--usage-log", "LOGS"], "3 device log"),
+            (["--models", "MLC-A", "QLC-Z"], "no profile named 'QLC-Z'"),
+            (["--tts", "10000", "1e4"], "repeat the report key"),
         ],
-        ids=["workers", "sims", "mission", "usage-log"],
+        ids=["workers", "sims", "mission", "usage-log", "models", "repeated-tts"],
     )
     def test_command_reports_rejected_input_as_usage_error(self, tmp_path, capsys, argv, message):
         logs = tmp_path / "logs.csv"

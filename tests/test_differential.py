@@ -24,8 +24,9 @@ and every pool bad-block time up to a whole hour, so bad blocks and bad
 symbols tie with each other, across bays, and with scrubs and wear-outs,
 which exercises the same-time order.  The bulk-intake test widens the
 array to 1,024 stripes and raises the bad-symbol rate tenfold, so that
-passes hold hundreds of isolated bad symbols, which the production engine
-takes in bulk and keeps pending until a scan, a drop or a replacement.
+passes hold hundreds of isolated bad symbols (and a mission about twenty
+isolated bad blocks), which the production engine takes in bulk and keeps
+pending until a scan, a drop or a replacement.
 """
 import dataclasses
 from collections import Counter
@@ -236,32 +237,40 @@ WIDE_PROFILE = dataclasses.replace(PROFILE, rber_curve=RberCurve(points=((0.0, 5
 BULK_SEEDS = 60
 
 
+# The two kinds of pending arrival, as `_Pending._pending` counts them.
+KINDS = ("", " bad blocks")
+
+
 class _Pending(ssdfi.engine._Simulation):
     """The production engine, counting how its pending isolated arrivals come and go."""
 
     counts: Counter = Counter()
 
-    def _pending(self) -> int:
-        return sum(map(len, self.pending))
+    def _pending(self) -> tuple[int, int]:
+        return sum(map(len, self.pending)), sum(map(len, self.pending_bb))
 
     def _consume_arrivals(self, end):
         before = self._pending()
         super()._consume_arrivals(end)
-        self.counts["bulk arrivals"] += self._pending() - before
+        for kind, b, a in zip(("arrivals", "bad blocks"), before, self._pending()):
+            self.counts["bulk " + kind] += a - b
 
     def _judge_latent(self, time):
         before = self._pending()
         super()._judge_latent(time)
-        self.counts["materialising scans"] += before > 0 and not self._pending()
+        for kind, b, a in zip(KINDS, before, self._pending()):
+            self.counts["materialising scans" + kind] += b > 0 and not a
 
     def _replace(self, i, time):
-        self.counts["replacements with pending"] += self._pending() > 0
+        for kind, n in zip(KINDS, self._pending()):
+            self.counts["replacements with pending" + kind] += n > 0
         super()._replace(i, time)
 
     def _drop_latent(self, i):
         before = self._pending()
         super()._drop_latent(i)
-        self.counts["pending drops"] += before > self._pending()
+        for kind, b, a in zip(KINDS, before, self._pending()):
+            self.counts["pending drops" + kind] += b > a
 
 
 def test_bulk_intake_matches_reference(pool, hourly_pool, monkeypatch):
@@ -282,7 +291,8 @@ def test_bulk_intake_matches_reference(pool, hourly_pool, monkeypatch):
             got, want = new(*args).run(), ref(*args, 1.0).run()
             assert got == want, f"seed {seed}, {code.value}"
             assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
-    # Every way a pending arrival leaves must have been taken.
+    # Every way a pending arrival of either kind leaves must have been taken.
     counts = _Pending.counts
-    keys = ("bulk arrivals", "materialising scans", "replacements with pending", "pending drops")
+    keys = ("materialising scans", "replacements with pending", "pending drops")
+    keys = ("bulk arrivals", "bulk bad blocks", *(k + kind for k in keys for kind in KINDS))
     assert min(counts[k] for k in keys) > 0, counts

@@ -29,6 +29,16 @@ GEOMETRY = ArrayGeometry(
 )
 
 
+# 4,096 blocks of 16 stripes: a bay's bad blocks and symbols seldom meet.
+WIDE = ArrayGeometry(
+    n_devices=3,
+    page_size=4096,
+    pages_per_block=64,
+    blocks_per_device=4096,
+    stripe_size=3 * 4096 * 4,
+)
+
+
 def flat_profile(rber=1e-12):
     return SsdModelProfile(
         name="flat",
@@ -537,7 +547,7 @@ class TestTimeline:
 
 
 class TestIsolation:
-    """Which bad symbols a timeline's isolation index holds, and the bulk path that takes them."""
+    """Which arrivals a timeline's isolation index holds, and the bulk path that takes them."""
 
     CPB = GEOMETRY.chunks_per_block
 
@@ -550,12 +560,23 @@ class TestIsolation:
             (40.0, 0, 3 * cpb),  # alone; block 3 goes bad at 150 h
             (45.0, 1, 4 * cpb),  # block 4 went bad at 5 h
             (90.0, 2, 5 * cpb), (100.0, 2, 5 * cpb),  # the scrub at 100 h comes first
+            (110.0, 0, 7 * cpb + 1),  # block 7 goes bad at 120 h
             (160.0, 1, 3 * cpb),
             (170.0, 1, 2 * cpb),
         ]
+        bad_blocks = [  # (hour, bay, block)
+            (5.0, 2, 4),  # a symbol on its block after it
+            (150.0, 2, 3),  # a symbol on its block after it; one before it, but a scrub between
+            (120.0, 1, 7),  # a symbol on its block before it
+            (60.0, 0, 8),  # alone
+            (130.0, 2, 9),  # alone
+            (20.0, 0, 10), (70.0, 0, 10),  # twice on one block from one bay
+            (110.0, 0, 11), (180.0, 1, 11),  # on one block from two bays
+            (95.0, 1, 12), (105.0, 1, 12),  # once on each side of the scrub
+        ]
         columns = [
             _columns(-1, [100.0], EventKind.SCRUB),
-            _columns(2, [5.0, 150.0], EventKind.BAD_BLOCK, np.array([4, 3]) * cpb),
+            *(_columns(i, [t], EventKind.BAD_BLOCK, b * cpb) for t, i, b in bad_blocks),
             *(_columns(i, [t], EventKind.BAD_SYMBOL, s, 0) for t, i, s in symbols),
         ]
         state = _sorted_timeline((np.concatenate(c) for c in zip(*columns)), 200, resumed)
@@ -567,11 +588,21 @@ class TestIsolation:
     def test_isolated_symbols(self, resumed, isolated):
         # A resumed timeline's first interval began before it: nothing in it is isolated.
         state, hours = self.timeline(resumed)
-        positions, rest = state.isolation(self.CPB)
+        positions, blocks, rest = state.isolation(self.CPB)
         assert [hours[k] for k in positions] == isolated
         arrivals = np.flatnonzero(state.untaken[1] >= EventKind.BAD_BLOCK).tolist()
-        assert rest == sorted(set(arrivals) - set(positions.tolist()))
+        assert rest == sorted(set(arrivals) - set(positions.tolist()) - set(blocks.tolist()))
         assert state.isolation(self.CPB)[0] is positions  # computed once
+
+    @pytest.mark.parametrize(
+        "resumed, isolated", [(False, [60.0, 95.0, 105.0, 130.0]), (True, [105.0, 130.0])]
+    )
+    def test_isolated_bad_blocks(self, resumed, isolated):
+        state, hours = self.timeline(resumed)
+        _, blocks, _ = state.isolation(self.CPB)
+        assert [hours[k] for k in blocks] == isolated
+        kinds = state.untaken[1]
+        assert (kinds[blocks] == EventKind.BAD_BLOCK).all()
 
     def test_bulk_path_raises_on_a_lost_lone_verdict(self, monkeypatch):
         # A healthy array's lone bad symbol is never lost (tests/test_codes.py);
@@ -581,6 +612,21 @@ class TestIsolation:
         sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)  # about one symbol per bay-hour
         with pytest.raises(EngineError, match="loses a lone bad symbol"):
             sim.run()
+
+    def test_bulk_path_raises_on_a_lost_lone_bad_block_verdict(self, monkeypatch):
+        # No code loses a clean bad block on a healthy array: a judge that loses
+        # a multi-symbol chunk there stops the bulk path at its isolated bad blocks.
+        judge = ssdfi.engine.uncorrectable
+        monkeypatch.setattr(ssdfi.engine, "uncorrectable", lambda c, f, m: m > 0 or judge(c, f, m))
+        sim = make_sim(self.bad_block_pool(), rber=1e-6, bits=1e6, geometry=WIDE)
+        assert len(sim.state.isolation(sim.cpb)[1])
+        with pytest.raises(EngineError, match="loses a lone bad block"):
+            sim.run()
+
+    @staticmethod
+    def bad_block_pool():
+        # Every bay takes a bad block every other hour.
+        return scripted_pool([drive(i, bb_times=range(1, 150, 2)) for i in range(3)])
 
     def test_pending_symbols_drop_and_materialise_like_taken_ones(self, monkeypatch):
         # One pass over every arrival, bay 1's latent faults dropped, then a
@@ -600,6 +646,30 @@ class TestIsolation:
         pending, dropped, *bulk = latent(64)
         assert pending > 100 and 0 < dropped < pending
         assert latent(10**9)[2:] == tuple(bulk)
+
+    def test_pending_bad_blocks_drop_and_materialise_like_taken_ones(self, monkeypatch):
+        # As above, on an array wide enough that most bad blocks are isolated.
+        # There `touched` need not be equal: the arrival loop keeps a dropped
+        # symbol's block in it, and the bulk path never adds that block.
+        def latent(bulk_pass):
+            monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
+            sim = make_sim(self.bad_block_pool(), rber=1e-6, bits=1e6, geometry=WIDE)
+            sim._consume_arrivals(len(sim.timeline[0]))
+            pending = sum(map(len, sim.pending_bb))
+            sim._drop_latent(1)
+            dropped = pending - sum(map(len, sim.pending_bb))
+            sim._replace(0, 149.0)
+            assert not sim.pending_bb
+            assert {s // sim.cpb for s in [*sim.bs_lone, *sim.bs_stripe, *sim.recorded]} <= (
+                sim.touched
+            )
+            state = (sim.bs_lone, sim.bs_stripe, sim.bb_block, sim.recorded)
+            return pending, dropped, state, sim.records, sim.touched
+
+        pending, dropped, *bulk, touched = latent(64)
+        assert pending > 100 and 0 < dropped < pending
+        *taken, taken_touched = latent(10**9)[2:]
+        assert taken == bulk and touched <= taken_touched
 
 
 class TestScriptedScenarios:
