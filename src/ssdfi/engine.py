@@ -18,21 +18,22 @@ A stripe is recorded at most once per fault epoch (until its latent
 faults are cleared), so repeated scans never double count.
 
 Every event of a mission sits on one timeline of columns (times, kinds,
-bays, stripes, symbols), sorted by `np.lexsort((bays, kinds, times))`:
-by time, then `EventKind` (scrub, rebuild, wear-out, bad chip, bad
-block, bad symbol), then bay; the sort is stable, so a bay's draws of
-one kind keep their order.  Events at or after the mission end are
-dropped.  Scrubs are placed once, at set-up.  Each drive contributes its
-whole schedule when it is installed: bad blocks, bad symbols, wear-out,
-and its bad chip together with the rebuild `ttr` hours later.  The
-rebuild can be drawn at install because a bay fails only through its own
-drive's chip and a failed bay skips its wear-out: a chip and its rebuild
-both fire, or both belong to a drive that was replaced before the chip.
-Replacing a drive swaps the bay's untaken events for the new drive's, so
-no stale event stays on the timeline.  The loop consumes the bad blocks
-and bad symbols up to the next boundary event (scrub, rebuild, wear-out,
-bad chip) in one pass, then handles that event.  Arrivals on a failed
-bay are dropped.
+bays, stripes, symbols), sorted by time, then `EventKind` (scrub,
+rebuild, wear-out, bad chip, bad block, bad symbol), then bay, then draw
+order.  With no two times equal, the time order is the only one, and
+`np.argsort(times)` finds it; otherwise (a scrub and a wear-out may
+share an hour) the stable `np.lexsort((bays, kinds, times))` does.
+Events at or after the mission end are dropped.  Scrubs are placed once,
+at set-up.  Each drive contributes its whole schedule when it is
+installed: bad blocks, bad symbols, wear-out, and its bad chip together
+with the rebuild `ttr` hours later.  The rebuild can be drawn at install
+because a bay fails only through its own drive's chip and a failed bay
+skips its wear-out: a chip and its rebuild both fire, or both belong to
+a drive that was replaced before the chip.  Replacing a drive swaps the
+bay's untaken events for the new drive's, so no stale event stays on the
+timeline.  The loop consumes the bad blocks and bad symbols up to the
+next boundary event (scrub, rebuild, wear-out, bad chip) in one pass,
+then handles that event.  Arrivals on a failed bay are dropped.
 
 Latent faults live in four containers: `bb_block` maps a block to the
 bays whose chunk of it is bad, `bs_stripe` maps a stripe to its bays'
@@ -40,11 +41,14 @@ bad symbol sets, `recorded` holds the stripes lost in this fault epoch,
 and `bs_lone` maps a stripe to the (bay, symbol) of its one bad symbol
 when that symbol is the stripe's only latent fault, the stripe is not
 recorded and its block is not bad.  Most arrivals land on clean stripes
-and stay lone.  A lone stripe moves to `bs_stripe` when anything else
-touches it: another arrival, a bad block on its block, or a loss.
-`touched` holds the block of every latent bad symbol and every loss of
-the epoch, and may hold more: a block outside it has neither, and a bad
-block outside it is clean.
+and stay lone.  A lone stripe moves to `bs_stripe` when another arrival
+or a bad block on its block touches it.  A scan that loses the lone
+stripes moves them all to `recorded`, and a pass that loses a fresh lone
+arrival records it; neither gets a `bs_stripe` entry, as a recorded
+stripe is never judged again in its epoch.  `touched` holds the block
+of every latent bad symbol and every loss of the epoch, and may hold
+more: a block outside it has neither, and a bad block outside it is
+clean.
 
 Most bad symbols and bad blocks stay out of the containers.  A bad
 symbol is isolated when, within its scrub interval, no other bad symbol
@@ -66,11 +70,14 @@ only its other arrivals go through the containers.  A pending symbol
 counts as a lone stripe at every scan, and a pending bad block as a
 clean one; both leave with their bay's latent faults and at a scrub.
 They are copied into the containers only when exact state is needed:
-pending symbols into `bs_lone` and `touched` when a scan finds the lone
-stripes lost (a bad chip under RAID5, or two under RAID6), pending bad
-blocks into `bb_block` when a scan finds the clean bad blocks lost (a
-bad chip under RAID5 or PMDS(1,1), or two under RAID6), and both before
-a replacement shows a new timeline, whose arrivals may meet them.
+pending bad blocks into `bb_block` when a scan finds the clean bad
+blocks lost (a bad chip under RAID5 or PMDS(1,1), or two under RAID6),
+and pending symbols into `bs_lone` and `touched` and pending bad blocks
+into `bb_block` before a replacement shows a new timeline, whose
+arrivals may meet them.  A scan that finds the lone stripes lost (a bad
+chip under RAID5, or two under RAID6) records the pending symbols'
+stripes straight from their positions and adds their blocks to
+`touched`.
 
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
@@ -90,9 +97,12 @@ code corrects a lone symbol and a clean bad block, so a bulk pass that
 gets any other verdict raises `EngineError` rather than drop the loss.
 A bad block with bad symbols or losses is judged stripe by stripe.  A
 scan (scrub or bad chip) walks the blocks of the bad blocks and of
-`bs_stripe` in ascending order.  Losses keep their record order: arrival
-order in a pass, stripe order among the SDL records of a scan, and
-first-lost-stripe order among its BDL records.
+`bs_stripe` in ascending order, and splices the SDL records of lost lone
+stripes into the walk by stripe.  Losses keep their record order:
+arrival order in a pass, stripe order among the SDL records of a scan,
+and first-lost-stripe order among its BDL records.  A batch of calls
+that share their arguments runs four calls to a loop pass
+(`_judge_many`).
 
 A drive installed at P/E offset 0 (every drive at the mission start)
 has a hazard that depends only on its usage log, the RBER curve and the
@@ -123,6 +133,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -232,22 +243,50 @@ _ONE_SYMBOL = {-1: (0,)}
 _ONE_BAY = frozenset((-1,))
 
 
+def _judge_many(code: ErasureCode, faulty: int, multi: int, calls: int) -> bool:
+    """The verdict of `calls` judge calls that share their arguments; False for none.
+
+    Makes every call, four to a loop pass, through this module's global.
+    """
+    judge = uncorrectable  # read per batch: wrappers patch the module global
+    lost = False
+    for _ in repeat(None, calls >> 2):
+        judge(code, faulty, multi)
+        judge(code, faulty, multi)
+        judge(code, faulty, multi)
+        lost = judge(code, faulty, multi)
+    for _ in repeat(None, calls & 3):
+        lost = judge(code, faulty, multi)
+    return lost
+
+
+def _rows(untaken: tuple[np.ndarray, ...], k) -> zip:
+    """(time, bay, stripe, symbol) rows of the events at `k`, an index array or a slice."""
+    times, _, bays, stripes, syms = untaken
+    return zip(times[k].tolist(), bays[k].tolist(), stripes[k].tolist(), syms[k].tolist())
+
+
 @dataclass(eq=False)
 class _Timeline:
-    """A sorted timeline: read-only columns, their values as tuples, its boundary indices.
+    """A sorted timeline: read-only columns and the rows of its boundary events.
 
+    `boundaries` holds a (position, time, kind, bay) row per scrub,
+    rebuild, wear-out and bad chip.  Arrivals (bad blocks and bad symbols)
+    stay in the columns: most of them never reach the arrival loop, which
+    reads the rows of the rest from `isolation` or from its pass's slice.
     A `resumed` timeline starts inside a scrub interval: every timeline but
     a mission's set-up one.
     """
 
     untaken: tuple[np.ndarray, ...]
-    timeline: tuple[tuple, ...]
-    boundaries: tuple[int, ...]
+    boundaries: tuple[tuple, ...]
     resumed: bool = True
-    _isolation: tuple[np.ndarray, np.ndarray, list[int]] | None = None
+    _isolation: tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[tuple, ...]] | None = None
 
-    def isolation(self, cpb: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """(symbols, bad blocks, rest): positions of its isolated arrivals and of the others.
+    def isolation(
+        self, cpb: int
+    ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[tuple, ...]]:
+        """(symbols, bad blocks, rest, rest rows): positions of its isolated arrivals and the rest.
 
         A bad symbol is isolated when, within its scrub interval, no other
         bad symbol hits its stripe and no bad block hits its block: it can
@@ -255,9 +294,10 @@ class _Timeline:
         arrival (a bad block from any bay, or a bad symbol) hits its block
         within its scrub interval: it stays a clean bad block on one bay.
         The interval a resumed timeline starts in holds no isolated arrival,
-        as its earlier arrivals are not on it.  Computed on first use and
-        kept: every mission that shares the timeline shares its geometry,
-        so `cpb` is always the same.
+        as its earlier arrivals are not on it.  The other arrivals come as
+        positions and as their (time, bay, stripe, symbol) rows.  Computed
+        on first use and kept: every mission that shares the timeline
+        shares its geometry, so `cpb` is always the same.
         """
         if self._isolation is None:
             _, kinds, _, stripes, _ = self.untaken
@@ -281,25 +321,32 @@ class _Timeline:
             alone[1, order] = bad_block & (np.bincount(block_id)[block_id] == 1)
             if self.resumed:
                 alone &= interval[arrival] > 0
-            others = ~(alone[0] | alone[1])
-            self._isolation = arrival[alone[0]], arrival[alone[1]], arrival[others].tolist()
+            symbols, blocks = arrival[alone[0]], arrival[alone[1]]
+            symbols.flags.writeable = blocks.flags.writeable = False
+            rest = arrival[~(alone[0] | alone[1])]
+            self._isolation = (
+                symbols, blocks, tuple(rest.tolist()), tuple(_rows(self.untaken, rest))
+            )
         return self._isolation
 
 
 def _sorted_timeline(columns, mission: int, resumed: bool = True) -> _Timeline:
     """The timeline of these (times, kinds, bays, stripes, symbols) before the mission end."""
     times, kinds, bays, _, _ = columns = tuple(columns)
-    order = np.lexsort((bays, kinds, times))
+    order = np.argsort(times)
     order = order[times[order] < mission]
-    untaken = tuple(c[order] for c in columns)
+    sorted_times = times[order]
+    if (sorted_times[1:] == sorted_times[:-1]).any():
+        # Equal times: order them by kind, then bay, then draw (a stable sort).
+        order = np.lexsort((bays, kinds, times))
+        order = order[times[order] < mission]
+        sorted_times = times[order]
+    untaken = (sorted_times, *(c[order] for c in columns[1:]))
     for column in untaken:
         column.flags.writeable = False
-    return _Timeline(
-        untaken,
-        tuple(tuple(c.tolist()) for c in untaken),
-        tuple(np.flatnonzero(untaken[1] < EventKind.BAD_BLOCK).tolist()),
-        resumed,
-    )
+    at = np.flatnonzero(untaken[1] < EventKind.BAD_BLOCK)
+    boundaries = zip(at.tolist(), *(c[at].tolist() for c in untaken[:3]))
+    return _Timeline(untaken, tuple(boundaries), resumed)
 
 
 @dataclass
@@ -529,12 +576,7 @@ class _Simulation:
             return
         nf = len(self.failed)
         faulty, multi, n_bb, _ = stripe_counts(nf, self.bb_block[block], None)
-        if not lost:
-            code = self.code
-            judge = uncorrectable  # read per block: wrappers patch the module global
-            for _ in range(cpb):
-                lost = judge(code, faulty, multi)
-        if lost:
+        if lost or _judge_many(self.code, faulty, multi, cpb):
             self.recorded.update(range(lo, lo + cpb))
             self.touched.add(block)
             bdl_groups[block, _cause_label(nf, n_bb, 0)] = cpb
@@ -551,36 +593,53 @@ class _Simulation:
         share their arguments and so their verdict.
         """
         faulty, multi, _, _ = stripe_counts(len(self.failed), bb_devs, bs_map)
-        code = self.code
-        judge = uncorrectable  # read per batch: wrappers patch the module global
-        lost = False
-        for _ in range(calls):
-            lost = judge(code, faulty, multi)
-        return lost
+        return _judge_many(self.code, faulty, multi, calls)
 
     def _promote(self, stripe: int) -> None:
         """Move a lone stripe's symbol to `bs_stripe`."""
         i, sym = self.bs_lone.pop(stripe)
         self.bs_stripe[stripe] = {i: {sym}}
 
+    def _lose_lone(self) -> list[int]:
+        """Record every lone stripe, pending ones included; return them in stripe order.
+
+        They leave `bs_lone` and `pending`, and the pending ones' blocks join
+        `touched`.  A recorded stripe is never judged again in its epoch, so
+        no later decision reads their symbols, and they get no `bs_stripe`
+        entry.
+        """
+        lone = list(self.bs_lone)
+        self.bs_lone.clear()
+        if self.pending:
+            stripes = self.untaken[3][np.concatenate(self.pending)]
+            self.pending = []
+            self.touched.update((stripes // self.cpb).tolist())
+            lone += stripes.tolist()
+        self.recorded.update(lone)
+        lone.sort()
+        return lone
+
     def _judge_latent(self, time: float) -> None:
         """Judge every latent stripe: the lone ones in one batch, the rest block by block.
 
         Lone stripes, pending ones included, share one verdict; when it is
-        lost, every one of them is recorded.  Pending bad blocks share
+        lost, every one of them is recorded at once.  Pending bad blocks share
         another; when it is lost, they join `bb_block` and the walk records
         each without judging it again.  Blocks go in ascending order: a bad
         block as a unit, any other block's `bs_stripe` stripes one by one.
-        The scan shares one set of BDL groups, so the records come out as a
-        judge of all latent stripes in stripe order would make them.
+        The lost lone stripes' SDL records are spliced into the walk by
+        stripe: those below a block of `bs_stripe` stripes come before it,
+        and those in it are judged with its stripes as `lone_lost`.  No lone
+        stripe lies in a bad block, and a bad block adds no SDL record to a
+        scan that loses lone stripes: there a bay has failed, so each lost
+        stripe of the block is a BDL.  The scan shares one set of BDL
+        groups, so the records come out as a judge of all latent stripes in
+        stripe order would make them.
         """
-        lone = {}
+        lone = []
         if self._verdict(len(self.bs_lone) + sum(map(len, self.pending)), None, _ONE_SYMBOL):
-            self._materialise()
-            lone, self.bs_lone = self.bs_lone, {}
-            for stripe, (i, sym) in lone.items():
-                self.bs_stripe[stripe] = {i: {sym}}
-            self.recorded.update(lone)
+            lone = self._lose_lone()
+            sdl = DataLossRecord(time, "SDL", _cause_label(len(self.failed), 0, 1), 1)
         cpb = self.cpb
         lost_blocks = ()
         if self.pending_bb and self._verdict(
@@ -592,17 +651,28 @@ class _Simulation:
         for stripe in self.bs_stripe:
             bs_blocks.setdefault(stripe // cpb, []).append(stripe)
         bdl_groups: dict[tuple[int, str], int] = {}
+        j, n = 0, len(lone)  # lone[:j] have their records
         for block in sorted(bb_block.keys() | bs_blocks.keys()):
             if block in bb_block:
                 self._judge_block(block, time, bdl_groups, block in lost_blocks)
-            else:
-                self._judge_stripes(sorted(bs_blocks[block]), time, bdl_groups, lone)
+                continue
+            stripes, inside = bs_blocks[block], ()
+            hi = (block + 1) * cpb
+            if j < n and lone[j] < hi:
+                k = bisect_left(lone, hi - cpb, j)
+                self.records.extend(repeat(sdl, k - j))
+                j = bisect_left(lone, hi, k)
+                inside = lone[k:j]
+                stripes += inside
+            self._judge_stripes(sorted(stripes), time, bdl_groups, inside)
+        if j < n:
+            self.records.extend(repeat(sdl, n - j))
         self._record_bdl(bdl_groups, time)
 
     # -- timeline -----------------------------------------------------------
 
     def _show(self, state: _Timeline) -> None:
-        """Make `state` the untaken timeline; `boundaries` yields its boundary events' indices.
+        """Make `state` the untaken timeline; `boundaries` yields its boundary events' rows.
 
         Pending arrivals are positions on the timeline shown before, so they
         go to `bs_lone` and `bb_block` first.
@@ -610,12 +680,16 @@ class _Simulation:
         self._materialise()
         self._materialise_blocks()
         self.state = state
-        self.untaken, self.timeline = state.untaken, state.timeline
+        self.untaken = state.untaken
         self.boundaries = iter(state.boundaries)
         self.next_event = 0
 
     def _materialise(self) -> None:
-        """Put the pending isolated bad symbols in `bs_lone` and their blocks in `touched`."""
+        """Put the pending isolated bad symbols in `bs_lone` and their blocks in `touched`.
+
+        Only a new timeline needs this: a scan that loses the lone stripes
+        records the pending ones straight from their positions.
+        """
         if not self.pending:
             return
         _, _, bays, stripes, syms = self.untaken
@@ -651,9 +725,9 @@ class _Simulation:
             return
         self.next_event = end
         if self.failed or end - start < _BULK_PASS:
-            positions = range(start, end)
+            rows = _rows(self.untaken, slice(start, end))
         else:
-            symbols, blocks, rest = self.state.isolation(self.cpb)
+            symbols, blocks, rest, rest_rows = self.state.isolation(self.cpb)
             lo, hi = np.searchsorted(symbols, (start, end)).tolist()
             if self._verdict(hi - lo, None, _ONE_SYMBOL):
                 raise EngineError(f"{self.code.value} loses a lone bad symbol on a healthy array")
@@ -662,8 +736,7 @@ class _Simulation:
             if self._verdict(self.cpb * (hi - lo), _ONE_BAY, None):
                 raise EngineError(f"{self.code.value} loses a lone bad block on a healthy array")
             self.pending_bb.append(blocks[lo:hi])
-            positions = rest[bisect_left(rest, start) : bisect_left(rest, end)]
-        times, _, bays, stripes, syms = self.timeline
+            rows = rest_rows[bisect_left(rest, start) : bisect_left(rest, end)]
         code = self.code
         failed = self.failed
         bs_lone = self.bs_lone
@@ -675,14 +748,12 @@ class _Simulation:
         judging = not self.adl_epoch
         judge = uncorrectable  # read per pass: wrappers patch the module global
         faulty, multi, _, _ = stripe_counts(len(failed), None, _ONE_SYMBOL)
-        for k in positions:
-            i = bays[k]
+        for time, i, stripe, sym in rows:
             if i in failed:
                 continue  # arrivals on a failed device are subsumed
-            stripe, sym = stripes[k], syms[k]
             block = stripe // cpb
             if sym < 0:  # a bad block
-                self.handle_bad_block(i, block, times[k])
+                self.handle_bad_block(i, block, time)
                 continue
             # A block outside `touched` holds no bad symbol and no loss.
             if block not in touched:
@@ -692,10 +763,9 @@ class _Simulation:
                 fresh = stripe not in bs_lone and stripe not in bs_stripe and stripe not in recorded
             if fresh and block not in bb_block:
                 if judging and judge(code, faulty, multi):
-                    bs_stripe[stripe] = {i: {sym}}
-                    recorded.add(stripe)
+                    recorded.add(stripe)  # never judged again: no `bs_stripe` entry
                     label = _cause_label(len(failed), 0, 1)
-                    self.records.append(DataLossRecord(times[k], "SDL", label, 1))
+                    self.records.append(DataLossRecord(time, "SDL", label, 1))
                 else:
                     bs_lone[stripe] = (i, sym)
                 continue
@@ -704,8 +774,8 @@ class _Simulation:
             bs_stripe.setdefault(stripe, {}).setdefault(i, set()).add(sym)
             if judging:
                 bdl_groups: dict[tuple[int, str], int] = {}
-                self._judge_stripes((stripe,), times[k], bdl_groups)
-                self._record_bdl(bdl_groups, times[k])
+                self._judge_stripes((stripe,), time, bdl_groups)
+                self._record_bdl(bdl_groups, time)
 
     # -- handlers ----------------------------------------------------------
 
@@ -764,17 +834,30 @@ class _Simulation:
         self._replace(i, time)
 
     def _drop_latent(self, i: int) -> None:
-        """Forget device i's bad blocks and bad symbols (rare: a bad chip or wear-out)."""
+        """Forget device i's bad blocks and bad symbols (rare: a bad chip or wear-out).
+
+        A dropped symbol's block leaves `touched` when no stripe of it is
+        left in `bs_lone`, `bs_stripe` or `recorded`: a later bad block
+        there is clean again.
+        """
         for block, devs in list(self.bb_block.items()):
             devs.discard(i)
             if not devs:
                 del self.bb_block[block]
+        cpb = self.cpb
+        freed = set()
         for stripe, per in list(self.bs_stripe.items()):
-            per.pop(i, None)
-            if not per:
-                del self.bs_stripe[stripe]
+            if per.pop(i, None) is not None:
+                freed.add(stripe // cpb)
+                if not per:
+                    del self.bs_stripe[stripe]
         for stripe in [s for s, (bay, _) in self.bs_lone.items() if bay == i]:
             del self.bs_lone[stripe]
+            freed.add(stripe // cpb)
+        if freed:
+            for stripe in chain(self.bs_lone, self.bs_stripe, self.recorded):
+                freed.discard(stripe // cpb)
+            self.touched -= freed
         bays = self.untaken[2]
         self.pending = [k[bays[k] != i] for k in self.pending]
         self.pending_bb = [k[bays[k] != i] for k in self.pending_bb]
@@ -807,13 +890,13 @@ class _Simulation:
 
     def run(self) -> SimResult:
         while True:
-            times, kinds, bays, _, _ = self.timeline
-            k = next(self.boundaries, len(times))
-            self._consume_arrivals(k)
-            if k == len(times):
+            row = next(self.boundaries, None)
+            if row is None:
+                self._consume_arrivals(len(self.untaken[0]))
                 return self._result()
+            k, time, kind, i = row
+            self._consume_arrivals(k)
             self.next_event = k + 1
-            time, kind, i = times[k], kinds[k], bays[k]
             if kind == EventKind.SCRUB:
                 self.apply_scrub(time)
             elif kind == EventKind.RECONSTRUCT:

@@ -26,7 +26,10 @@ which exercises the same-time order.  The bulk-intake test widens the
 array to 1,024 stripes and raises the bad-symbol rate tenfold, so that
 passes hold hundreds of isolated bad symbols (and a mission about twenty
 isolated bad blocks), which the production engine takes in bulk and keeps
-pending until a scan, a drop or a replacement.
+pending until a scan, a drop or a replacement.  The splice test keeps that
+rate on sixteen blocks, so that the lone stripes a bad chip loses share
+blocks with multi-symbol stripes and lie around touched bad blocks, where
+the production engine splices their records into its block walk.
 """
 import dataclasses
 from collections import Counter
@@ -296,3 +299,51 @@ def test_bulk_intake_matches_reference(pool, hourly_pool, monkeypatch):
     keys = ("materialising scans", "replacements with pending", "pending drops")
     keys = ("bulk arrivals", "bulk bad blocks", *(k + kind for k in keys for kind in KINDS))
     assert min(counts[k] for k in keys) > 0, counts
+
+
+# Sixteen blocks of four stripes under ten times the bad-symbol rate: a bad chip
+# often loses lone stripes in blocks that also hold a multi-symbol stripe, and
+# on both sides of a bad block that bad symbols or losses touch.
+DENSE = dataclasses.replace(GEOMETRY, blocks_per_device=16)
+SPLICE_SEEDS = 40
+
+
+class _Splice(ssdfi.engine._Simulation):
+    """The production engine, counting the scans whose lost lone stripes meet other faults."""
+
+    counts: Counter = Counter()
+
+    def _lose_lone(self):
+        lone = super()._lose_lone()
+        cpb = self.cpb
+        multi = {s // cpb for s, per in self.bs_stripe.items() if sum(map(len, per.values())) > 1}
+        shared = not multi.isdisjoint(s // cpb for s in lone)
+        walked = [b for b in self.bb_block if b in self.touched]
+        around = any(lone[0] < b * cpb <= lone[-1] for b in walked)
+        self.counts["lone in multi-symbol blocks"] += shared
+        self.counts["lone around touched bad blocks"] += around
+        self.counts["both"] += shared and around
+        return lone
+
+
+def test_lost_lone_stripes_splice_into_the_scan(pool, hourly_pool, monkeypatch):
+    # A scan records lost lone stripes without a `bs_stripe` entry and splices
+    # their records into its block walk: the records and their order must
+    # still be the reference engine's.
+    new_calls = _counting(monkeypatch, ssdfi.engine)
+    ref_calls = _counting(monkeypatch, reference_engine)
+    setups = {
+        False: (_Splice, reference_engine._Simulation, pool),
+        True: (_hourly(_Splice), _hourly(reference_engine._Simulation), hourly_pool),
+    }
+    _Splice.counts.clear()
+    for seed in range(SPLICE_SEEDS):
+        tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
+        new, ref, seed_pool = setups[seed % 2 == 1]
+        for code in ErasureCode:
+            args = (DENSE, code, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
+            before = new_calls[0], ref_calls[0]
+            got, want = new(*args).run(), ref(*args, 1.0).run()
+            assert got == want, f"seed {seed}, {code.value}"
+            assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
+    assert min(_Splice.counts.values()) > 0 and len(_Splice.counts) == 3, _Splice.counts

@@ -334,7 +334,8 @@ class TestLoneSymbols:
         assert len(calls) == self.CPB - len(causes)
 
     def test_bad_chip_on_the_lone_symbols_bay(self, monkeypatch):
-        # Bay 0's chip drops bay 0's symbol; bay 2's lone symbol is lost.
+        # Bay 0's chip drops bay 0's symbol; bay 2's lone symbol is lost: it
+        # goes from `bs_lone` to `recorded`, with no `bs_stripe` entry.
         calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
         plant_symbol(sim, 0, 9, 10.0)
@@ -344,8 +345,25 @@ class TestLoneSymbols:
         assert sim.records == [DataLossRecord(30.0, "SDL", "BC+BS", 1)]
         assert calls == [(R5, 2, 1)]
         stripe, sym = divmod(70, self.CP)
-        assert not sim.bs_lone and sim.bs_stripe == {stripe: {2: {sym}}}
-        assert sim.recorded == {stripe}
+        assert not sim.bs_lone and not sim.bs_stripe
+        assert sim.recorded == {stripe} and stripe // self.CPB in sim.touched
+
+    def test_a_lost_lone_stripe_is_not_judged_again(self, monkeypatch):
+        # Bay 0's chip loses bay 2's lone stripe.  A second symbol on it
+        # (bay 1) and then a bad block on its block (bay 1) judge only the
+        # block's other stripes, and record it no more.
+        calls = count_judge_calls(monkeypatch)
+        sim = make_sim(clean_pool())
+        stripe = 5 * self.CPB + 3
+        plant_symbol(sim, 2, stripe * self.CP, 10.0)
+        sim.handle_bad_chip(0, 20.0)
+        assert sim.records == [DataLossRecord(20.0, "SDL", "BC+BS", 1)]
+        del calls[:]
+        plant_symbol(sim, 1, stripe * self.CP + 1, 30.0)
+        assert calls == [] and len(sim.records) == 1
+        plant_block(sim, 1, 5, 40.0)
+        assert calls == [(R5, 2, 2)] * (self.CPB - 1)
+        assert sim.records[1:] == [DataLossRecord(40.0, "BDL", "BC+BB", self.CPB - 1)]
 
     def test_scrub_with_a_failed_bay_merges_lone_losses_in_stripe_order(self, monkeypatch):
         # Four bays; 0 and 1 fail, so bays 2 and 3 collect faults unjudged:
@@ -523,6 +541,23 @@ class TestTimeline:
             assert sim.failed == failed
             assert [r.cause for r in result.records] == causes
 
+    def test_scrub_wear_out_and_bad_chip_at_one_hour(self):
+        # Equal times sort by kind, then bay; a sort by time alone would keep
+        # the order the events are given in, bad chip first.
+        columns = [
+            _columns(0, [50.0], EventKind.BAD_CHIP),
+            _columns(1, [50.0], EventKind.WEAR_OUT),
+            _columns(-1, [50.0, 100.0], EventKind.SCRUB),
+            _columns(2, [10.0, 60.0], EventKind.BAD_SYMBOL, 3, 1),
+        ]
+        columns = [np.concatenate(c) for c in zip(*columns)]
+        state = _sorted_timeline(columns, 150)
+        order = np.lexsort(columns[2::-1])
+        assert [c.tolist() for c in state.untaken] == [c[order].tolist() for c in columns]
+        assert [row[2] for row in state.boundaries] == [
+            EventKind.SCRUB, EventKind.WEAR_OUT, EventKind.BAD_CHIP, EventKind.SCRUB
+        ]
+
     def test_bad_chip_before_bad_block(self):
         # Bay 2 is down; bay 1's chip at 30 h starts an ADL epoch, in which
         # bay 0's bad block at the same hour is not judged.
@@ -588,10 +623,14 @@ class TestIsolation:
     def test_isolated_symbols(self, resumed, isolated):
         # A resumed timeline's first interval began before it: nothing in it is isolated.
         state, hours = self.timeline(resumed)
-        positions, blocks, rest = state.isolation(self.CPB)
+        positions, blocks, rest, rows = state.isolation(self.CPB)
         assert [hours[k] for k in positions] == isolated
         arrivals = np.flatnonzero(state.untaken[1] >= EventKind.BAD_BLOCK).tolist()
-        assert rest == sorted(set(arrivals) - set(positions.tolist()) - set(blocks.tolist()))
+        assert rest == tuple(
+            sorted(set(arrivals) - set(positions.tolist()) - set(blocks.tolist()))
+        )
+        times, _, bays, stripes, syms = (c.tolist() for c in state.untaken)
+        assert rows == tuple((times[k], bays[k], stripes[k], syms[k]) for k in rest)
         assert state.isolation(self.CPB)[0] is positions  # computed once
 
     @pytest.mark.parametrize(
@@ -599,7 +638,7 @@ class TestIsolation:
     )
     def test_isolated_bad_blocks(self, resumed, isolated):
         state, hours = self.timeline(resumed)
-        _, blocks, _ = state.isolation(self.CPB)
+        _, blocks, *_ = state.isolation(self.CPB)
         assert [hours[k] for k in blocks] == isolated
         kinds = state.untaken[1]
         assert (kinds[blocks] == EventKind.BAD_BLOCK).all()
@@ -634,7 +673,7 @@ class TestIsolation:
         def latent(bulk_pass):
             monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
             sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
-            sim._consume_arrivals(len(sim.timeline[0]))
+            sim._consume_arrivals(len(sim.untaken[0]))
             pending = sum(map(len, sim.pending))
             sim._drop_latent(1)
             dropped = pending - sum(map(len, sim.pending))
@@ -649,12 +688,12 @@ class TestIsolation:
 
     def test_pending_bad_blocks_drop_and_materialise_like_taken_ones(self, monkeypatch):
         # As above, on an array wide enough that most bad blocks are isolated.
-        # There `touched` need not be equal: the arrival loop keeps a dropped
-        # symbol's block in it, and the bulk path never adds that block.
+        # `touched` is equal too: the drop takes a dropped symbol's block out
+        # of it, and the bulk path never adds that block.
         def latent(bulk_pass):
             monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
             sim = make_sim(self.bad_block_pool(), rber=1e-6, bits=1e6, geometry=WIDE)
-            sim._consume_arrivals(len(sim.timeline[0]))
+            sim._consume_arrivals(len(sim.untaken[0]))
             pending = sum(map(len, sim.pending_bb))
             sim._drop_latent(1)
             dropped = pending - sum(map(len, sim.pending_bb))
@@ -669,7 +708,7 @@ class TestIsolation:
         pending, dropped, *bulk, touched = latent(64)
         assert pending > 100 and 0 < dropped < pending
         *taken, taken_touched = latent(10**9)[2:]
-        assert taken == bulk and touched <= taken_touched
+        assert taken == bulk and touched == taken_touched
 
 
 class TestScriptedScenarios:
@@ -852,7 +891,9 @@ class TestScheduleMemo:
         for sim in (first, again):
             assert sim.untaken is ssdfi.engine._SCHEDULES[pool].states[-1].untaken
             assert not any(c.flags.writeable for c in sim.untaken)
-            assert all(isinstance(c, tuple) for c in sim.timeline)
+            assert isinstance(sim.state.boundaries, tuple)
+            assert all(isinstance(row, tuple) for row in sim.state.boundaries)
+            assert all(isinstance(c, tuple) for c in sim.state.isolation(sim.cpb)[2:])
 
     def test_memo_does_not_keep_a_pool_alive(self):
         pool = scripted_pool(self.POOL_DRIVES)
