@@ -84,13 +84,13 @@ def run_experiment(
     worker count.  Reports and `manifest.json` are written atomically.
 
     Raises `ValueError` for fewer than one worker or mission, for a
-    mission length outside 1..`MISSION_HOURS`, for a non-positive `tts`
-    or `ttr`, for a stripe size the array geometry rejects, for a model
-    with no profile, for grid lists whose cells repeat a report key (such
-    as tts 10000 and 1e4, or one code twice), for a report format other
-    than json or csv, and for a usage-log file that does not hold exactly
-    one log per device; all before any pool is generated or `out_dir` is
-    made.
+    mission length outside 1..`MISSION_HOURS`, for a `tts` or `ttr` that
+    is not finite and positive, for a stripe size the array geometry
+    rejects, for a model with no profile, for grid lists whose cells
+    repeat a report key (such as tts 10000 and 1e4, or one code twice),
+    for a report format other than json or csv, and for a usage-log file
+    that does not hold exactly one log per device; all before any pool is
+    generated or `out_dir` is made.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

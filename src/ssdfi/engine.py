@@ -23,15 +23,19 @@ rebuild, wear-out, bad chip, bad block, bad symbol), then bay, then draw
 order.  With no two times equal, the time order is the only one, and
 `np.argsort(times)` finds it; otherwise (a scrub and a wear-out may
 share an hour) the stable `np.lexsort((bays, kinds, times))` does.
-Events at or after the mission end are dropped.  Scrubs are placed once,
-at set-up.  Each drive contributes its whole schedule when it is
-installed: bad blocks, bad symbols, wear-out, and its bad chip together
-with the rebuild `ttr` hours later.  The rebuild can be drawn at install
-because a bay fails only through its own drive's chip and a failed bay
-skips its wear-out: a chip and its rebuild both fire, or both belong to
-a drive that was replaced before the chip.  Replacing a drive swaps the
-bay's untaken events for the new drive's, so no stale event stays on the
-timeline.  The loop consumes the bad blocks and bad symbols up to the
+Events at or after the mission end are dropped.  The whole timeline is
+drawn at set-up (`_Simulation._walk`).  Each drive contributes its whole
+schedule when it is installed: bad blocks, bad symbols, wear-out, and its
+bad chip together with the rebuild `ttr` hours later.  After the initial
+drives and the scrubs, the walk takes the boundary events (rebuild,
+wear-out, bad chip) in order and tracks which bays have failed.  A
+rebuild, and a wear-out of a bay that has not failed, replace the bay's
+drive: the timeline is cut after that event, the bay's later events leave
+it and the new drive's join it.  A wear-out of a failed bay is dropped, so
+every boundary event on the timeline happens.  A bay fails only through
+its own drive's chip, and a failed bay does not wear out, so a chip and
+its rebuild both stay, or both belong to a drive that was replaced before
+the chip.  The loop consumes the bad blocks and bad symbols up to the
 next boundary event (scrub, rebuild, wear-out, bad chip) in one pass,
 then handles that event.  Arrivals on a failed bay are dropped.
 
@@ -56,28 +60,25 @@ hits its stripe and no bad block hits its block: until the next scrub it
 can only be a lone stripe.  A bad block is isolated when, within its
 scrub interval, no other arrival hits its block (no bad block from any
 bay, the same bay included, and no bad symbol): until the next scrub it
-is a clean bad block on one bay.  Each timeline lists both kinds in an
+is a clean bad block on one bay.  The timeline lists both kinds in an
 index (`_Timeline.isolation`), computed on first use and shared by every
-mission that replays the timeline.  The index keys every arrival by
+mission that shares the timeline.  The index keys every arrival by
 (scrub interval, stripe), a bad block by its block's first stripe, and
 sorts the keys once: a symbol is isolated when its key is unique and
 its block's run of keys holds no bad block, and a bad block when its
 block's run holds only itself.  A pass with no failed device
 and at least `_BULK_PASS` arrivals makes its isolated symbols' judge
 calls in one batch and its isolated bad blocks' in another, and keeps
-their timeline positions as one `pending` and one `pending_bb` entry;
-only its other arrivals go through the containers.  A pending symbol
+their timeline positions, which no replacement moves, as one `pending`
+and one `pending_bb` entry; only its other arrivals go through the
+containers.  A pending symbol
 counts as a lone stripe at every scan, and a pending bad block as a
 clean one; both leave with their bay's latent faults and at a scrub.
-They are copied into the containers only when exact state is needed:
-pending bad blocks into `bb_block` when a scan finds the clean bad
-blocks lost (a bad chip under RAID5 or PMDS(1,1), or two under RAID6),
-and pending symbols into `bs_lone` and `touched` and pending bad blocks
-into `bb_block` before a replacement shows a new timeline, whose
-arrivals may meet them.  A scan that finds the lone stripes lost (a bad
-chip under RAID5, or two under RAID6) records the pending symbols'
-stripes straight from their positions and adds their blocks to
-`touched`.
+Pending bad blocks are copied into `bb_block` only when a scan finds the
+clean bad blocks lost (a bad chip under RAID5 or PMDS(1,1), or two under
+RAID6).  A scan that finds the lone stripes lost (a bad chip under
+RAID5, or two under RAID6) records the pending symbols' stripes straight
+from their positions and adds their blocks to `touched`.
 
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
@@ -111,19 +112,11 @@ shares the read-only arrays with every mission in the process.
 
 No draw depends on the code: a seed's initial drives, bad blocks, bad
 symbols, scrubs, bad chips, rebuilds, wear-outs and replacement drives
-are the same under every code, and only the verdicts differ.  So the
-timelines a mission's draw inputs give are kept per pool, for the last
-inputs drawn on it (`_SCHEDULES`): state 0, the timeline at set-up, and
-state r, the timeline after the r-th replacement, with the bay, hour and
-timeline position of that replacement.  A later mission on the same pool
-and the same inputs (its code aside) takes state 0 without drawing.  A
-replacement still draws its drive from `rng_repl`, and takes state r+1
-only if the current timeline is state r itself and the replacement has
-the stored bay, hour and position; otherwise it computes the timeline,
-and stores it only if it started from the last stored state.  A timeline
-changed in any other way never enters the memo and is never replaced
-from it.  Stored states are read-only arrays and tuples, shared by every
-mission that replays them.
+are the same under every code, and only the verdicts differ.  So each
+pool keeps the timeline of the last inputs drawn on it (`_SCHEDULES`),
+and a later mission on the same pool and the same inputs (its code
+aside) takes it without drawing.  A stored timeline is read-only arrays
+and tuples, shared by every mission that takes it.
 """
 from __future__ import annotations
 
@@ -131,7 +124,7 @@ import functools
 import math
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain, repeat
 
@@ -187,9 +180,11 @@ def _cause_label(n_bc: int, n_bb: int, n_bs: int) -> str:
 
 
 def check_tts_ttr(tts: float, ttr: float) -> None:
-    """Reject a time to scrub or a time to repair that is not positive."""
-    if tts <= 0 or ttr <= 0:
-        raise EngineError(f"tts and ttr must be positive, got tts={tts:g} and ttr={ttr:g}")
+    """Reject a time to scrub or a time to repair that is not finite and positive."""
+    if not (math.isfinite(tts) and math.isfinite(ttr) and tts > 0 and ttr > 0):
+        raise EngineError(
+            f"tts and ttr must be finite and positive, got tts={tts:g} and ttr={ttr:g}"
+        )
 
 
 def _columns(bay: int, times, kinds, stripes=-1, syms=-1) -> tuple[np.ndarray, ...]:
@@ -268,20 +263,25 @@ def _rows(untaken: tuple[np.ndarray, ...], k) -> zip:
 
 @dataclass(eq=False)
 class _Timeline:
-    """A sorted timeline: read-only columns and the rows of its boundary events.
+    """A mission's whole timeline: read-only columns and the rows of its boundary events.
 
-    `boundaries` holds a (position, time, kind, bay) row per scrub,
+    The columns hold every event that happens, replacement drives' events
+    included, so a position names one event for the whole mission and one
+    isolation index covers it.  `boundaries` holds a (position, time, kind, bay) row per scrub,
     rebuild, wear-out and bad chip.  Arrivals (bad blocks and bad symbols)
     stay in the columns: most of them never reach the arrival loop, which
     reads the rows of the rest from `isolation` or from its pass's slice.
-    A `resumed` timeline starts inside a scrub interval: every timeline but
-    a mission's set-up one.
     """
 
     untaken: tuple[np.ndarray, ...]
-    boundaries: tuple[tuple, ...]
-    resumed: bool = True
+    boundaries: tuple[tuple, ...] = field(init=False)
     _isolation: tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[tuple, ...]] | None = None
+
+    def __post_init__(self):
+        for column in self.untaken:
+            column.flags.writeable = False
+        at = np.flatnonzero(self.untaken[1] < EventKind.BAD_BLOCK)
+        self.boundaries = tuple(zip(at.tolist(), *(c[at].tolist() for c in self.untaken[:3])))
 
     def isolation(
         self, cpb: int
@@ -293,11 +293,10 @@ class _Timeline:
         only ever be a lone stripe.  A bad block is isolated when no other
         arrival (a bad block from any bay, or a bad symbol) hits its block
         within its scrub interval: it stays a clean bad block on one bay.
-        The interval a resumed timeline starts in holds no isolated arrival,
-        as its earlier arrivals are not on it.  The other arrivals come as
-        positions and as their (time, bay, stripe, symbol) rows.  Computed
-        on first use and kept: every mission that shares the timeline
-        shares its geometry, so `cpb` is always the same.
+        The other arrivals come as positions and as their (time, bay,
+        stripe, symbol) rows.  Computed on first use and kept: every mission
+        that shares the timeline shares its geometry, so `cpb` is always
+        the same.
         """
         if self._isolation is None:
             _, kinds, _, stripes, _ = self.untaken
@@ -319,8 +318,6 @@ class _Timeline:
                 np.bincount(block_id, bad_block)[block_id] == 0
             )
             alone[1, order] = bad_block & (np.bincount(block_id)[block_id] == 1)
-            if self.resumed:
-                alone &= interval[arrival] > 0
             symbols, blocks = arrival[alone[0]], arrival[alone[1]]
             symbols.flags.writeable = blocks.flags.writeable = False
             rest = arrival[~(alone[0] | alone[1])]
@@ -330,8 +327,8 @@ class _Timeline:
         return self._isolation
 
 
-def _sorted_timeline(columns, mission: int, resumed: bool = True) -> _Timeline:
-    """The timeline of these (times, kinds, bays, stripes, symbols) before the mission end."""
+def _sorted(columns, mission: int) -> tuple[np.ndarray, ...]:
+    """These (times, kinds, bays, stripes, symbols) columns before the mission end, sorted."""
     times, kinds, bays, _, _ = columns = tuple(columns)
     order = np.argsort(times)
     order = order[times[order] < mission]
@@ -341,29 +338,11 @@ def _sorted_timeline(columns, mission: int, resumed: bool = True) -> _Timeline:
         order = np.lexsort((bays, kinds, times))
         order = order[times[order] < mission]
         sorted_times = times[order]
-    untaken = (sorted_times, *(c[order] for c in columns[1:]))
-    for column in untaken:
-        column.flags.writeable = False
-    at = np.flatnonzero(untaken[1] < EventKind.BAD_BLOCK)
-    boundaries = zip(at.tolist(), *(c[at].tolist() for c in untaken[:3]))
-    return _Timeline(untaken, tuple(boundaries), resumed)
+    return (sorted_times, *(c[order] for c in columns[1:]))
 
 
-@dataclass
-class _Schedule:
-    """The timelines one set of draw inputs gives, at set-up and after each replacement.
-
-    `tags[r]` is the (bay, hour, timeline position) of the replacement
-    that turns `states[r]` into `states[r + 1]`.
-    """
-
-    key: tuple
-    states: list[_Timeline]
-    tags: list[tuple[int, float, int]]
-
-
-# The last schedule drawn on each live pool; an entry goes with its pool.
-_SCHEDULES: weakref.WeakKeyDictionary[SsdPool, _Schedule] = weakref.WeakKeyDictionary()
+# The (draw inputs, timeline) last drawn on each live pool; an entry goes with its pool.
+_SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class _Simulation:
@@ -402,15 +381,12 @@ class _Simulation:
         self.cpb = geometry.chunks_per_block
 
         n = geometry.n_devices
-        self.rng_repl = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-
         # Hazard ingredients per bay.  Logs are cycled over the bays, and
         # bays on one log share its read-only arrays.
         fresh = [_fresh_hazard(log, profile.rber_curve, self.mission) for log in usage_logs[:n]]
         self.log_bits, self.log_pe, self.fresh_hazard = map(list, zip(*(fresh * n)[:n]))
         self.hour_grid = _hour_grid(self.mission)
 
-        self.installs = [0] * n  # replacements per bay; part of each install's seed
         self.failed: set[int] = set()
         self.bb_block: dict[int, set[int]] = {}
         self.bs_stripe: dict[int, dict[int, set[int]]] = {}
@@ -424,9 +400,10 @@ class _Simulation:
         self.tdf = 0
         self.adl_epoch = False
 
-        key = self._schedule_key()
+        # Every input of the mission's draws but the pool, which keys `_SCHEDULES`.
+        key = (type(self), geometry, profile, self.usage_logs, tts, ttr, self.mission, seed)
         memo = _SCHEDULES.get(pool)
-        if memo is None or memo.key != key:
+        if memo is None or memo[0] != key:
             rng_sel = np.random.default_rng(np.random.SeedSequence([seed, 1]))
             initial = rng_sel.choice(len(pool.drives), size=n, replace=False)
             scrubs = []
@@ -434,38 +411,59 @@ class _Simulation:
             while t < self.mission:
                 scrubs.append(t)
                 t += self.tts
-            events = [self._install(i, pool.drives[int(initial[i])], 0.0) for i in range(n)]
+            events = [self._install(i, pool.drives[int(initial[i])], 0.0, 0) for i in range(n)]
             events.append(_columns(-1, scrubs, EventKind.SCRUB))
-            columns = (np.concatenate(column) for column in zip(*events))
-            state = _sorted_timeline(columns, self.mission, resumed=False)
-            memo = _SCHEDULES[pool] = _Schedule(key, [state], [])
-        self._show(memo.states[0])
+            memo = _SCHEDULES[pool] = (key, self._walk(np.concatenate(c) for c in zip(*events)))
+        self.state = memo[1]
+        self.untaken = self.state.untaken
+        self.next_event = 0
 
     # -- installation and schedules -------------------------------------
 
-    def _schedule_key(self) -> tuple:
-        """Every input of the mission's draws but the pool, which keys `_SCHEDULES`."""
-        return (
-            type(self), self.geometry, self.profile, self.usage_logs,
-            self.tts, self.ttr, self.mission, self.seed,
-        )
+    def _walk(self, columns) -> _Timeline:
+        """The mission timeline of these set-up columns: every event that happens, in order.
 
-    def _memo_at(self, r: int) -> _Schedule | None:
-        """The pool's stored schedule if it is this mission's and the timeline is its state r."""
-        memo = _SCHEDULES.get(self.pool)
-        if (
-            memo is None
-            or len(memo.states) <= r
-            or memo.states[r].untaken is not self.untaken
-            or memo.key != self._schedule_key()
-        ):
-            return None
-        return memo
+        Takes the boundary events in order and tracks the failed bays.  A
+        rebuild, and a wear-out of a bay that has not failed, cut the
+        timeline after the event, take the bay's later events out of the
+        rest and put a new pool drive's in (drawn from `rng_repl` in walk
+        order; the bay's install count is part of its seed).  A wear-out of
+        a failed bay is dropped.
+        """
+        rng_repl = np.random.default_rng(np.random.SeedSequence([self.seed, 2]))
+        installs = [0] * self.geometry.n_devices
+        failed: set[int] = set()
+        segments = []
+        rest = _sorted(columns, self.mission)
+        while True:
+            times, kinds, bays, _, _ = rest
+            at = np.flatnonzero((kinds > EventKind.SCRUB) & (kinds < EventKind.BAD_BLOCK))
+            keep = np.ones(len(times), bool)
+            for k, kind, i in zip(at.tolist(), kinds[at].tolist(), bays[at].tolist()):
+                if kind == EventKind.BAD_CHIP:
+                    failed.add(i)
+                elif kind == EventKind.WEAR_OUT and i in failed:
+                    keep[k] = False
+                else:
+                    failed.discard(i)
+                    break
+            else:
+                segments.append(tuple(c[keep] for c in rest))
+                return _Timeline(tuple(np.concatenate(c) for c in zip(*segments)))
+            cut = k + 1
+            segments.append(tuple(c[:cut][keep[:cut]] for c in rest))
+            installs[i] += 1
+            drive = self.pool.drives[int(rng_repl.integers(len(self.pool.drives)))]
+            new = self._install(i, drive, float(times[k]), installs[i])
+            later = bays[cut:] != i
+            rest = _sorted(
+                (np.concatenate((c[cut:][later], n)) for c, n in zip(rest, new)), self.mission
+            )
 
-    def _install(self, i: int, drive: PooledSsd, now: float) -> tuple[np.ndarray, ...]:
-        """Draw the schedule of `drive` installed in bay i at `now`; return its columns."""
+    def _install(self, i: int, drive: PooledSsd, now: float, n: int) -> tuple[np.ndarray, ...]:
+        """Draw the columns of `drive` installed in bay i at `now`, the bay's n-th replacement."""
         pe_offset = float(self.log_pe[i][min(int(now), self.mission - 1)]) if now else 0.0
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 3, i, self.installs[i]]))
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 3, i, n]))
 
         # Cut at the mission end before drawing locations: later draws
         # depend on how many are drawn.
@@ -671,34 +669,6 @@ class _Simulation:
 
     # -- timeline -----------------------------------------------------------
 
-    def _show(self, state: _Timeline) -> None:
-        """Make `state` the untaken timeline; `boundaries` yields its boundary events' rows.
-
-        Pending arrivals are positions on the timeline shown before, so they
-        go to `bs_lone` and `bb_block` first.
-        """
-        self._materialise()
-        self._materialise_blocks()
-        self.state = state
-        self.untaken = state.untaken
-        self.boundaries = iter(state.boundaries)
-        self.next_event = 0
-
-    def _materialise(self) -> None:
-        """Put the pending isolated bad symbols in `bs_lone` and their blocks in `touched`.
-
-        Only a new timeline needs this: a scan that loses the lone stripes
-        records the pending ones straight from their positions.
-        """
-        if not self.pending:
-            return
-        _, _, bays, stripes, syms = self.untaken
-        k = np.concatenate(self.pending)
-        self.pending = []
-        lone = stripes[k]
-        self.bs_lone.update(zip(lone.tolist(), zip(bays[k].tolist(), syms[k].tolist())))
-        self.touched.update((lone // self.cpb).tolist())
-
     def _materialise_blocks(self) -> set[int]:
         """Put the pending isolated bad blocks in `bb_block`; return their blocks."""
         if not self.pending_bb:
@@ -823,15 +793,14 @@ class _Simulation:
         self.pending_bb.clear()
 
     def apply_reconstruct(self, i: int, time: float) -> None:
+        # The new drive's events are on the timeline since set-up.
         self.failed.discard(i)
         if len(self.failed) <= self.tolerance:
             self.adl_epoch = False
-        self._replace(i, time)
 
     def replace_worn_out(self, i: int, time: float) -> None:
         # Mirror copy onto a fresh drive: no degraded window, no records.
         self._drop_latent(i)
-        self._replace(i, time)
 
     def _drop_latent(self, i: int) -> None:
         """Forget device i's bad blocks and bad symbols (rare: a bad chip or wear-out).
@@ -862,51 +831,22 @@ class _Simulation:
         self.pending = [k[bays[k] != i] for k in self.pending]
         self.pending_bb = [k[bays[k] != i] for k in self.pending_bb]
 
-    def _replace(self, i: int, time: float) -> None:
-        """Install a fresh pool drive in bay i in place of the old drive's untaken events."""
-        r = sum(self.installs)  # replacements so far
-        self.installs[i] += 1
-        drive = self.pool.drives[int(self.rng_repl.integers(len(self.pool.drives)))]
-        k = self.next_event
-        tag = (i, time, k)
-        memo = self._memo_at(r)
-        if memo is not None and r < len(memo.tags):
-            if memo.tags[r] == tag:
-                self._show(memo.states[r + 1])
-                return
-            memo = None  # another replacement than the stored one: not stored
-        keep = self.untaken[2][k:] != i
-        columns = (
-            np.concatenate((old[k:][keep], new))
-            for old, new in zip(self.untaken, self._install(i, drive, time))
-        )
-        state = _sorted_timeline(columns, self.mission)
-        if memo is not None:
-            memo.states.append(state)
-            memo.tags.append(tag)
-        self._show(state)
-
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimResult:
-        while True:
-            row = next(self.boundaries, None)
-            if row is None:
-                self._consume_arrivals(len(self.untaken[0]))
-                return self._result()
-            k, time, kind, i = row
+        for k, time, kind, i in self.state.boundaries:
             self._consume_arrivals(k)
             self.next_event = k + 1
             if kind == EventKind.SCRUB:
                 self.apply_scrub(time)
             elif kind == EventKind.RECONSTRUCT:
                 self.apply_reconstruct(i, time)
-            elif i in self.failed:
-                continue  # a failed device neither fails again nor wears out
             elif kind == EventKind.BAD_CHIP:
                 self.handle_bad_chip(i, time)
             else:
                 self.replace_worn_out(i, time)
+        self._consume_arrivals(len(self.untaken[0]))
+        return self._result()
 
     def _result(self) -> SimResult:
         scope_stripes = {"ADL": 0, "BDL": 0, "SDL": 0}

@@ -454,8 +454,8 @@ def test_criterion_12_sampler_statistics(capfd):
     expected = len(locs) / bins
     chi2_locs = float(((observed - expected) ** 2 / expected).sum())
 
-    sim._replace(1, mission / 2)
-    late, _ = scheduled(sim, 1, EventKind.BAD_SYMBOL)
+    late, kinds, *_ = sim._install(1, pool.drives[0], mission / 2, 1)
+    late = late[kinds == EventKind.BAD_SYMBOL]
     ok = (
         len(times) >= 1_000_000
         and count_err <= 0.01

@@ -161,6 +161,22 @@ class TestRunExperiment:
             run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tts_values", [10_000.0, float("nan")]), ("ttr_values", [float("inf")])],
+        ids=["tts-nan", "ttr-inf"],
+    )
+    def test_rejects_non_finite_tts_and_ttr_before_any_pool(
+        self, tmp_path, small_kwargs, monkeypatch, name, value
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool generated before the check")
+
+        monkeypatch.setattr(cli, "generate_pool", no_pool)
+        with pytest.raises(ValueError, match="tts and ttr must be finite and positive"):
+            run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
+        assert not (tmp_path / "out").exists()
+
     def test_rejects_usage_log_of_other_device_count(self, tmp_path, small_kwargs):
         logs = tmp_path / "logs.csv"
         assert main(["synth-log", "--devices", "3", "--out", str(logs)]) == 0
@@ -179,8 +195,9 @@ class TestRunExperiment:
             (["--usage-log", "LOGS"], "3 device log"),
             (["--models", "MLC-A", "QLC-Z"], "no profile named 'QLC-Z'"),
             (["--tts", "10000", "1e4"], "repeat the report key"),
+            (["--tts", "nan"], "tts and ttr must be finite and positive"),
         ],
-        ids=["workers", "sims", "mission", "usage-log", "models", "repeated-tts"],
+        ids=["workers", "sims", "mission", "usage-log", "models", "repeated-tts", "tts-nan"],
     )
     def test_command_reports_rejected_input_as_usage_error(self, tmp_path, capsys, argv, message):
         logs = tmp_path / "logs.csv"

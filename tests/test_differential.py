@@ -1,11 +1,12 @@
 """Differential test: the production engine against the per-event reference.
 
 `reference_engine._Simulation` pushes and pops every event as its own
-heap entry, pushes a rebuild when a bad chip fires and skips the events
-of replaced drives by a generation check.  `ssdfi.engine._Simulation`
-puts every event of the mission on one timeline sorted by time, kind and
-bay, draws each drive's rebuild when the drive is installed, swaps a
-replaced bay's untaken events for the new drive's, and consumes bad
+heap entry, pushes a rebuild when a bad chip fires, installs replacement
+drives as it goes and skips the events of replaced drives by a generation
+check.  `ssdfi.engine._Simulation` draws the whole mission at set-up: one
+timeline sorted by time, kind and bay, each drive's rebuild drawn when the
+drive is installed, and each replacement drive's events spliced in after
+its rebuild or wear-out in place of the old drive's.  It consumes bad
 blocks and bad symbols in one pass between boundary events.  Both must
 judge the same stripes in the same order at the same times, so the
 results (records and their order included) and the number of
@@ -26,10 +27,11 @@ which exercises the same-time order.  The bulk-intake test widens the
 array to 1,024 stripes and raises the bad-symbol rate tenfold, so that
 passes hold hundreds of isolated bad symbols (and a mission about twenty
 isolated bad blocks), which the production engine takes in bulk and keeps
-pending until a scan, a drop or a replacement.  The splice test keeps that
-rate on sixteen blocks, so that the lone stripes a bad chip loses share
-blocks with multi-symbol stripes and lie around touched bad blocks, where
-the production engine splices their records into its block walk.
+pending, across replacements, until a scan or a drop.  The splice test
+keeps that rate on sixteen blocks, so that the lone stripes a bad chip
+loses share blocks with multi-symbol stripes and lie around touched bad
+blocks, where the production engine splices their records into its block
+walk.
 """
 import dataclasses
 from collections import Counter
@@ -116,6 +118,12 @@ def _hourly(cls):
     return Hourly
 
 
+def _replacements(sim) -> int:
+    """The rebuilds and wear-outs on a production mission's timeline: one replacement each."""
+    kinds = (ssdfi.engine.EventKind.RECONSTRUCT, ssdfi.engine.EventKind.WEAR_OUT)
+    return sum(kind in kinds for _, _, kind, _ in sim.state.boundaries)
+
+
 def _counting(monkeypatch, module):
     calls = [0]
     judge = module.uncorrectable
@@ -151,7 +159,7 @@ def test_engine_matches_reference(pool, hourly_pool, code, monkeypatch):
         assert judged == ref_calls[0] - before[1], f"seed {seed}"
         totals["records"] += len(got.records)
         totals["judged"] += judged
-        totals["replaced"] += sum(sim.installs)
+        totals["replaced"] += _replacements(sim)
         for rec in got.records:
             totals[rec.scope] += 1
     # The configuration must reach every path it is meant to cover.
@@ -163,15 +171,15 @@ REPLAY_SEEDS = 200
 
 def test_replayed_schedules_match_reference(pool, hourly_pool, monkeypatch):
     # Seed-major, as a code sweep runs: the second and third codes of a seed
-    # replay the timelines the first drew, its replacements' included.
+    # replay the timeline the first drew, its replacement drives included.
     new_calls = _counting(monkeypatch, ssdfi.engine)
     ref_calls = _counting(monkeypatch, reference_engine)
-    sorts = [0]
-    sort = ssdfi.engine._sorted_timeline
+    draws = [0]  # drive installs, initial and replacement
+    install = ssdfi.engine._Simulation._install
     monkeypatch.setattr(
-        ssdfi.engine,
-        "_sorted_timeline",
-        lambda *a, **kw: sorts.__setitem__(0, sorts[0] + 1) or sort(*a, **kw),
+        ssdfi.engine._Simulation,
+        "_install",
+        lambda *a: draws.__setitem__(0, draws[0] + 1) or install(*a),
     )
     setups = {
         False: (ssdfi.engine._Simulation, reference_engine._Simulation, pool),
@@ -185,14 +193,14 @@ def test_replayed_schedules_match_reference(pool, hourly_pool, monkeypatch):
         new, ref, seed_pool = setups[seed % 2 == 1]
         for n, code in enumerate(ErasureCode):
             args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
-            before = new_calls[0], ref_calls[0], sorts[0]
+            before = new_calls[0], ref_calls[0], draws[0]
             sim = new(*args)
             got, want = sim.run(), ref(*args, 1.0).run()
             assert got == want, f"seed {seed}, {code.value}"
             assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
             if n:
-                assert sorts[0] == before[2], f"seed {seed}, {code.value}: not replayed"
-                replayed += sum(sim.installs)
+                assert draws[0] == before[2], f"seed {seed}, {code.value}: not replayed"
+                replayed += _replacements(sim)
     assert replayed > REPLAY_SEEDS  # replacements replayed, not only set-ups
 
 
@@ -245,12 +253,23 @@ KINDS = ("", " bad blocks")
 
 
 class _Pending(ssdfi.engine._Simulation):
-    """The production engine, counting how its pending isolated arrivals come and go."""
+    """The production engine, counting how its pending isolated arrivals come and go.
+
+    `kept` holds, per kind, the positions still pending after the last
+    rebuild or wear-out; the next scan or scrub counts those still pending.
+    """
 
     counts: Counter = Counter()
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.kept = None
+
     def _pending(self) -> tuple[int, int]:
         return sum(map(len, self.pending)), sum(map(len, self.pending_bb))
+
+    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.concatenate([[], *p]) for p in (self.pending, self.pending_bb))
 
     def _consume_arrivals(self, end):
         before = self._pending()
@@ -264,10 +283,27 @@ class _Pending(ssdfi.engine._Simulation):
         for kind, b, a in zip(KINDS, before, self._pending()):
             self.counts["materialising scans" + kind] += b > 0 and not a
 
-    def _replace(self, i, time):
-        for kind, n in zip(KINDS, self._pending()):
-            self.counts["replacements with pending" + kind] += n > 0
-        super()._replace(i, time)
+    def _count_kept(self):
+        if self.kept is not None:
+            for kind, kept, now in zip(KINDS, self.kept, self._positions()):
+                self.counts["pending across replacements" + kind] += int(np.isin(kept, now).sum())
+            self.kept = None
+
+    def apply_scrub(self, time):
+        self._count_kept()
+        super().apply_scrub(time)
+
+    def handle_bad_chip(self, i, time):
+        self._count_kept()
+        super().handle_bad_chip(i, time)
+
+    def apply_reconstruct(self, i, time):
+        super().apply_reconstruct(i, time)
+        self.kept = self._positions()
+
+    def replace_worn_out(self, i, time):
+        super().replace_worn_out(i, time)
+        self.kept = self._positions()
 
     def _drop_latent(self, i):
         before = self._pending()
@@ -296,7 +332,7 @@ def test_bulk_intake_matches_reference(pool, hourly_pool, monkeypatch):
             assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
     # Every way a pending arrival of either kind leaves must have been taken.
     counts = _Pending.counts
-    keys = ("materialising scans", "replacements with pending", "pending drops")
+    keys = ("materialising scans", "pending across replacements", "pending drops")
     keys = ("bulk arrivals", "bulk bad blocks", *(k + kind for k in keys for kind in KINDS))
     assert min(counts[k] for k in keys) > 0, counts
 

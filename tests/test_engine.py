@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from ssdfi.engine import (
     EventKind,
     _columns,
     _Simulation,
-    _sorted_timeline,
+    _sorted,
+    _Timeline,
     run_simulation,
 )
 from ssdfi.geometry import ArrayGeometry
@@ -119,10 +122,14 @@ def plant_block(sim, i, block, time):
 
 
 def schedule(sim, kind, i, times, locs=()):
-    """Put scripted events of one kind on bay i onto the simulation's untaken timeline.
+    """Put scripted events of one kind on bay i onto the simulation's timeline.
 
     `locs` are blocks for bad blocks and device symbols for bad symbols; a
-    bad chip also schedules its rebuild `sim.ttr` hours later.
+    bad chip also schedules its rebuild `sim.ttr` hours later.  The events
+    join the timeline's columns, which then go through set-up's replacement
+    walk.  `make_sim`'s drives neither fail nor wear out, so its timeline is
+    the set-up one; the walk takes a replaced bay's later events out again,
+    so a timeline that has walked once walks to itself.
     """
     stripes, syms = -1, -1
     if kind == EventKind.BAD_BLOCK:
@@ -132,9 +139,9 @@ def schedule(sim, kind, i, times, locs=()):
     new = [_columns(i, times, kind, stripes, syms)]
     if kind == EventKind.BAD_CHIP:
         new.append(_columns(i, np.asarray(times) + sim.ttr, EventKind.RECONSTRUCT))
-    k = sim.next_event
-    columns = (np.concatenate((old[k:], *c)) for old, *c in zip(sim.untaken, *new))
-    sim._show(_sorted_timeline(columns, sim.mission))
+    columns = (np.concatenate((old, *c)) for old, *c in zip(sim.untaken, *new))
+    sim.state = sim._walk(columns)
+    sim.untaken = sim.state.untaken
 
 
 def scheduled(sim, i, kind):
@@ -144,6 +151,12 @@ def scheduled(sim, i, kind):
     if kind == EventKind.BAD_BLOCK:
         return times[mine], stripes[mine] // sim.cpb
     return times[mine], stripes[mine] * sim.cp + syms[mine]
+
+
+def replaced(sim):
+    """The bays that the timeline's rebuilds and wear-outs replace, in order."""
+    kinds = (EventKind.RECONSTRUCT, EventKind.WEAR_OUT)
+    return [i for _, _, kind, i in sim.state.boundaries if kind in kinds]
 
 
 def plant_symbol(sim, i, symbol, time):
@@ -167,8 +180,8 @@ class TestSamplers:
         times, _ = scheduled(make_sim(clean_pool()), 0, EventKind.BAD_SYMBOL)
         assert len(times) == 0  # zero hazard
         sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
-        sim._replace(0, 75.5)
-        times, _ = scheduled(sim, 0, EventKind.BAD_SYMBOL)
+        times, kinds, *_ = sim._install(0, drive(9), 75.5, 1)
+        times = times[kinds == EventKind.BAD_SYMBOL]
         assert len(times) > 0
         assert times.min() > 75.5 and times.max() < 150
 
@@ -182,8 +195,9 @@ class TestSamplers:
     def test_location_validation(self):
         sim = make_sim(scripted_pool([drive(i, bb_times=(10.0, 60.0, 140.0)) for i in range(3)]))
         assert list(scheduled(sim, 0, EventKind.BAD_BLOCK)[0]) == [10.0, 60.0, 140.0]
-        sim._replace(0, 75.0)
-        times, blocks = scheduled(sim, 0, EventKind.BAD_BLOCK)
+        times, kinds, _, stripes, _ = sim._install(0, sim.pool.drives[0], 75.0, 1)
+        bad_block = kinds == EventKind.BAD_BLOCK
+        times, blocks = times[bad_block], stripes[bad_block] // sim.cpb
         # Pool times count from the install; those past the mission drop.
         assert list(times) == [85.0, 135.0]
         assert len(blocks) == 2
@@ -279,7 +293,7 @@ class TestAffectedStripes:
         schedule(sim, EventKind.BAD_CHIP, 0, [10.0])
         schedule(sim, EventKind.BAD_CHIP, 1, [100.0])
         result = sim.run()
-        assert sim.installs[0] == 1  # rebuilt
+        assert replaced(sim) == [0]  # rebuilt
         assert not sim.bs_stripe and not sim.bs_lone
         assert result.records == ()
 
@@ -502,7 +516,7 @@ class TestTimeline:
         schedule(sim, EventKind.BAD_SYMBOL, 1, [149.5, 150.0], [9, 70])
         result = sim.run()
         assert result.records == (DataLossRecord(149.5, "SDL", "BC+BS", 1),)
-        assert sim.failed == {0} and sim.installs == [0, 0, 0]
+        assert sim.failed == {0} and replaced(sim) == []
 
     def test_scrub_before_rebuild(self):
         # Bays 0 and 1 fail (ADL); bay 2's symbol at 30 h is not judged in
@@ -517,16 +531,34 @@ class TestTimeline:
         result = sim.run()
         assert [(r.time, r.scope) for r in result.records] == [(20.0, "ADL")]
 
-    def test_rebuild_before_wear_out(self, monkeypatch):
+    def test_rebuild_before_wear_out(self):
         sim = make_sim(clean_pool())
         sim.ttr = 40.0
         schedule(sim, EventKind.BAD_CHIP, 1, [10.0])
         schedule(sim, EventKind.WEAR_OUT, 0, [50.0])
-        replaced = []
-        replace = sim._replace
-        monkeypatch.setattr(sim, "_replace", lambda i, time: replaced.append(i) or replace(i, time))
-        sim.run()
-        assert replaced == [1, 0]
+        assert replaced(sim) == [1, 0]
+        assert sim.run().records == ()
+
+    def test_wear_out_of_a_failed_bay_is_dropped(self):
+        # Bay 0 fails at 10 h and is rebuilt at 60 h.  Its wear-out at 30 h
+        # falls while it is down: the walk drops it, and only the rebuild
+        # replaces the drive.
+        sim = make_sim(clean_pool())
+        sim.ttr = 50.0
+        schedule(sim, EventKind.BAD_CHIP, 0, [10.0])
+        schedule(sim, EventKind.WEAR_OUT, 0, [30.0])
+        assert [row[2] for row in sim.state.boundaries] == [
+            EventKind.BAD_CHIP, EventKind.RECONSTRUCT
+        ]
+        assert sim.run().records == () and not sim.failed
+
+    def test_replacement_as_the_last_event_installs_its_drive(self):
+        # Every drive takes a bad block half an hour after its install.  Bay
+        # 0's wear-out at 149 h is the last event of the set-up timeline; its
+        # new drive still brings its bad block at 149.5 h.
+        sim = make_sim(scripted_pool([drive(i, bb_times=(0.5,)) for i in range(3)]))
+        schedule(sim, EventKind.WEAR_OUT, 0, [149.0])
+        assert list(scheduled(sim, 0, EventKind.BAD_BLOCK)[0]) == [0.5, 149.5]
 
     def test_wear_out_before_bad_chip(self):
         # Bay 1's wear-out copy at 50 h drops its bad block before bay 0's
@@ -551,7 +583,7 @@ class TestTimeline:
             _columns(2, [10.0, 60.0], EventKind.BAD_SYMBOL, 3, 1),
         ]
         columns = [np.concatenate(c) for c in zip(*columns)]
-        state = _sorted_timeline(columns, 150)
+        state = _Timeline(_sorted(columns, 150))
         order = np.lexsort(columns[2::-1])
         assert [c.tolist() for c in state.untaken] == [c[order].tolist() for c in columns]
         assert [row[2] for row in state.boundaries] == [
@@ -586,7 +618,7 @@ class TestIsolation:
 
     CPB = GEOMETRY.chunks_per_block
 
-    def timeline(self, resumed):
+    def timeline(self):
         # A scrub at 100 h splits two intervals; block b's first stripe is 16 b.
         cpb = self.CPB
         symbols = [  # (hour, bay, stripe)
@@ -614,17 +646,13 @@ class TestIsolation:
             *(_columns(i, [t], EventKind.BAD_BLOCK, b * cpb) for t, i, b in bad_blocks),
             *(_columns(i, [t], EventKind.BAD_SYMBOL, s, 0) for t, i, s in symbols),
         ]
-        state = _sorted_timeline((np.concatenate(c) for c in zip(*columns)), 200, resumed)
+        state = _Timeline(_sorted((np.concatenate(c) for c in zip(*columns)), 200))
         return state, state.untaken[0].tolist()
 
-    @pytest.mark.parametrize(
-        "resumed, isolated", [(False, [30.0, 40.0, 90.0, 100.0, 170.0]), (True, [100.0, 170.0])]
-    )
-    def test_isolated_symbols(self, resumed, isolated):
-        # A resumed timeline's first interval began before it: nothing in it is isolated.
-        state, hours = self.timeline(resumed)
+    def test_isolated_symbols(self):
+        state, hours = self.timeline()
         positions, blocks, rest, rows = state.isolation(self.CPB)
-        assert [hours[k] for k in positions] == isolated
+        assert [hours[k] for k in positions] == [30.0, 40.0, 90.0, 100.0, 170.0]
         arrivals = np.flatnonzero(state.untaken[1] >= EventKind.BAD_BLOCK).tolist()
         assert rest == tuple(
             sorted(set(arrivals) - set(positions.tolist()) - set(blocks.tolist()))
@@ -633,13 +661,10 @@ class TestIsolation:
         assert rows == tuple((times[k], bays[k], stripes[k], syms[k]) for k in rest)
         assert state.isolation(self.CPB)[0] is positions  # computed once
 
-    @pytest.mark.parametrize(
-        "resumed, isolated", [(False, [60.0, 95.0, 105.0, 130.0]), (True, [105.0, 130.0])]
-    )
-    def test_isolated_bad_blocks(self, resumed, isolated):
-        state, hours = self.timeline(resumed)
+    def test_isolated_bad_blocks(self):
+        state, hours = self.timeline()
         _, blocks, *_ = state.isolation(self.CPB)
-        assert [hours[k] for k in blocks] == isolated
+        assert [hours[k] for k in blocks] == [60.0, 95.0, 105.0, 130.0]
         kinds = state.untaken[1]
         assert (kinds[blocks] == EventKind.BAD_BLOCK).all()
 
@@ -667,9 +692,37 @@ class TestIsolation:
         # Every bay takes a bad block every other hour.
         return scripted_pool([drive(i, bb_times=range(1, 150, 2)) for i in range(3)])
 
+    def test_one_index_spans_a_replacement(self, monkeypatch):
+        # Every bay's drive wears out at 75 h, inside the mission's one scrub
+        # interval.  The mission timeline's one index lists isolated symbols
+        # and bad blocks on both sides of the wear-outs, the new drives'
+        # included; the bulk path takes those after the wear-outs, with the
+        # results of a run that takes every arrival one by one.
+        profile = dataclasses.replace(flat_profile(1e-6), wol=75)
+        log = quiet_log(pe_per_hour=1.0, bits=1e6)
+
+        def mission(bulk_pass):
+            monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
+            sim = _Simulation(WIDE, R5, profile, self.bad_block_pool(), [log], 1e6, 1e6, 150, 0)
+            return sim, sim.run()
+
+        sim, bulk = mission(64)
+        assert replaced(sim) == [0, 1, 2]
+        assert {row[1] for row in sim.state.boundaries} == {75.0}
+        times = sim.untaken[0]
+        symbols, blocks, *_ = sim.state.isolation(sim.cpb)
+        for isolated in (symbols, blocks):
+            assert (times[isolated] < 75).any() and (times[isolated] > 75).any()
+        # The wear-outs dropped what came before them; what is left came after.
+        for pending in (sim.pending, sim.pending_bb):
+            after = times[np.concatenate(pending)]
+            assert len(after) and after.min() > 75
+        assert bulk.records and bulk == mission(10**9)[1]
+
     def test_pending_symbols_drop_and_materialise_like_taken_ones(self, monkeypatch):
-        # One pass over every arrival, bay 1's latent faults dropped, then a
-        # replacement in bay 0: in bulk or arrival by arrival, the same state.
+        # One pass over every arrival, bay 1's latent faults dropped, then bay
+        # 0's chip, whose scan loses every lone stripe and clean bad block: in
+        # bulk or arrival by arrival, the same state and records.
         def latent(bulk_pass):
             monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
             sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
@@ -677,7 +730,7 @@ class TestIsolation:
             pending = sum(map(len, sim.pending))
             sim._drop_latent(1)
             dropped = pending - sum(map(len, sim.pending))
-            sim._replace(0, 149.0)
+            sim.handle_bad_chip(0, 149.0)
             assert not sim.pending
             state = (sim.bs_lone, sim.bs_stripe, sim.bb_block, sim.recorded, sim.touched)
             return pending, dropped, state, sim.records
@@ -697,7 +750,7 @@ class TestIsolation:
             pending = sum(map(len, sim.pending_bb))
             sim._drop_latent(1)
             dropped = pending - sum(map(len, sim.pending_bb))
-            sim._replace(0, 149.0)
+            sim.handle_bad_chip(0, 149.0)
             assert not sim.pending_bb
             assert {s // sim.cpb for s in [*sim.bs_lone, *sim.bs_stripe, *sim.recorded]} <= (
                 sim.touched
@@ -841,6 +894,13 @@ class TestSetUp:
             with pytest.raises(EngineError, match="mission"):
                 run(pool, mission=mission)
 
+    @pytest.mark.parametrize("tts, ttr", [
+        (float("nan"), 10.0), (10.0, float("nan")), (float("inf"), 10.0), (10.0, -float("inf")),
+    ])
+    def test_rejects_non_finite_tts_and_ttr(self, tts, ttr):
+        with pytest.raises(EngineError, match="tts and ttr must be finite and positive"):
+            run(clean_pool(), tts=tts, ttr=ttr)
+
     def test_bays_on_one_log_share_its_arrays(self, monkeypatch):
         calls = []
 
@@ -887,9 +947,9 @@ class TestScheduleMemo:
         again = self.mission(pool, PMDS)
         assert again.untaken is drawn
         again.run()
-        assert sum(again.installs) >= 1
+        assert replaced(again)
         for sim in (first, again):
-            assert sim.untaken is ssdfi.engine._SCHEDULES[pool].states[-1].untaken
+            assert sim.untaken is ssdfi.engine._SCHEDULES[pool][1].untaken
             assert not any(c.flags.writeable for c in sim.untaken)
             assert isinstance(sim.state.boundaries, tuple)
             assert all(isinstance(row, tuple) for row in sim.state.boundaries)
@@ -903,22 +963,15 @@ class TestScheduleMemo:
         assert len(ssdfi.engine._SCHEDULES) == entries - 1
 
     def test_changed_timelines_stay_out_of_the_memo(self):
-        # A mission whose timeline gets planted events, or a replacement it
-        # would not make itself, leaves a later mission of the same inputs
-        # as it would run on a fresh memo.
+        # A mission whose timeline gets planted events leaves a later mission
+        # of the same inputs as it would run on a fresh memo.
         pool = scripted_pool(self.POOL_DRIVES)
         want = self.mission(pool).run()
         assert [r.time for r in want.records] == [20.0, 20.0]  # both before the rebuild
-        meddles = {
-            "planted chips": lambda sim: [
-                schedule(sim, EventKind.BAD_CHIP, i, [100.0]) for i in (1, 2)
-            ],
-            "direct replacement": lambda sim: sim._replace(1, 0.0),
-        }
-        for name, meddle in meddles.items():
-            del ssdfi.engine._SCHEDULES[pool]
-            sim = self.mission(pool)
-            meddle(sim)
-            sim.run()
-            assert self.mission(pool).run() == want, name
-            assert self.mission(pool).run() == want, name
+        del ssdfi.engine._SCHEDULES[pool]
+        sim = self.mission(pool)
+        for i in (1, 2):
+            schedule(sim, EventKind.BAD_CHIP, i, [100.0])
+        assert sim.run() != want
+        assert self.mission(pool).run() == want
+        assert self.mission(pool).run() == want
