@@ -84,20 +84,26 @@ def run_experiment(
     worker count.  Reports and `manifest.json` are written atomically.
 
     Raises `ValueError` for fewer than one worker or mission, for a
-    mission length outside 1..`MISSION_HOURS`, for a `tts` or `ttr` that
-    is not finite and positive, for a stripe size the array geometry
-    rejects, for a model with no profile, for grid lists whose cells
-    repeat a report key (such as tts 10000 and 1e4, or one code twice),
-    for a report format other than json or csv, and for a usage-log file
-    that does not hold exactly one log per device; all before any pool is
-    generated or `out_dir` is made.
+    mission that is not a whole number of hours in 1..`MISSION_HOURS`,
+    for a pool smaller than the array, for a `tts` or `ttr` that is not
+    finite and positive, for a stripe size the array geometry rejects,
+    for a model with no profile, for grid lists whose cells repeat a
+    report key (such as tts 10000 and 1e4, or one code twice), for a
+    report format other than json or csv, and for a usage-log file that
+    does not hold exactly one log per device; all before any pool is
+    generated.  `out_dir` is made after the pools, so a pool input that
+    `generate_pool` rejects leaves no directory behind.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if n_sims < 1:
         raise ValueError(f"n_sims must be at least 1, got {n_sims}")
-    if not 1 <= mission <= MISSION_HOURS:
-        raise ValueError(f"mission must be between 1 and {MISSION_HOURS} hours, got {mission:g}")
+    if not 1 <= mission <= MISSION_HOURS or mission != int(mission):
+        raise ValueError(
+            f"mission must be between 1 and {MISSION_HOURS} whole hours, got {mission:g}"
+        )
+    if pool_size < n_devices:
+        raise ValueError(f"pool_size {pool_size} is smaller than the array's {n_devices} devices")
     if fmt not in ("json", "csv"):
         raise ValueError(f"fmt must be 'json' or 'csv', got {fmt!r}")
     for tts in tts_values:
@@ -133,7 +139,6 @@ def run_experiment(
             synthesize_usage_log(SynthWorkloadParams(), f"dev{i}", workload_seed + i)
             for i in range(n_devices)
         ]
-    out_dir.mkdir(parents=True, exist_ok=True)
     pools = {
         model: generate_pool(
             profile,
@@ -143,6 +148,7 @@ def run_experiment(
         )
         for model, profile in zip(models, profiles)
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     cells = [
         {
             "geometry": geometry,

@@ -23,10 +23,10 @@ rebuild, wear-out, bad chip, bad block, bad symbol), then bay, then draw
 order.  With no two times equal, the time order is the only one, and
 `np.argsort(times)` finds it; otherwise (a scrub and a wear-out may
 share an hour) the stable `np.lexsort((bays, kinds, times))` does.
-Events at or after the mission end are dropped.  The whole timeline is
-drawn at set-up (`_Simulation._walk`).  Each drive contributes its whole
-schedule when it is installed: bad blocks, bad symbols, wear-out, and its
-bad chip together with the rebuild `ttr` hours later.  After the initial
+Events at or after the mission end are dropped.  `_Draw` draws the whole
+timeline, and the judge (`_Simulation`) is handed it.  Each drive adds
+its whole schedule when it is installed: bad blocks, bad symbols,
+wear-out, and its bad chip together with the rebuild `ttr` hours later.  After the initial
 drives and the scrubs, the walk takes the boundary events (rebuild,
 wear-out, bad chip) in order and tracks which bays have failed.  A
 rebuild, and a wear-out of a bay that has not failed, replace the bay's
@@ -101,9 +101,7 @@ scan (scrub or bad chip) walks the blocks of the bad blocks and of
 `bs_stripe` in ascending order, and splices the SDL records of lost lone
 stripes into the walk by stripe.  Losses keep their record order:
 arrival order in a pass, stripe order among the SDL records of a scan,
-and first-lost-stripe order among its BDL records.  A batch of calls
-that share their arguments runs four calls to a loop pass
-(`_judge_many`).
+and first-lost-stripe order among its BDL records.
 
 A drive installed at P/E offset 0 (every drive at the mission start)
 has a hazard that depends only on its usage log, the RBER curve and the
@@ -112,11 +110,11 @@ shares the read-only arrays with every mission in the process.
 
 No draw depends on the code: a seed's initial drives, bad blocks, bad
 symbols, scrubs, bad chips, rebuilds, wear-outs and replacement drives
-are the same under every code, and only the verdicts differ.  So each
-pool keeps the timeline of the last inputs drawn on it (`_SCHEDULES`),
-and a later mission on the same pool and the same inputs (its code
-aside) takes it without drawing.  A stored timeline is read-only arrays
-and tuples, shared by every mission that takes it.
+are the same under every code, and only the verdicts differ.  So
+`run_simulation` keeps, per pool, the timeline of the last inputs drawn
+on it (`_SCHEDULES`), and a later mission with the same inputs (its code
+aside) judges it without drawing.  A timeline is read-only arrays and
+tuples, shared by every mission that judges it; it holds no pool.
 """
 from __future__ import annotations
 
@@ -217,14 +215,6 @@ def _fresh_hazard(
     return arrays
 
 
-@functools.lru_cache(maxsize=4)
-def _hour_grid(mission: int) -> np.ndarray:
-    """Hours 0..mission as floats; read-only, shared."""
-    grid = np.arange(mission + 1, dtype=float)
-    grid.flags.writeable = False
-    return grid
-
-
 # A pass with no failed device and at least this many arrivals takes its
 # isolated bad symbols and bad blocks in bulk; a smaller pass goes arrival
 # by arrival.  The isolation index costs one sort of the timeline's
@@ -239,25 +229,17 @@ _ONE_BAY = frozenset((-1,))
 
 
 def _judge_many(code: ErasureCode, faulty: int, multi: int, calls: int) -> bool:
-    """The verdict of `calls` judge calls that share their arguments; False for none.
-
-    Makes every call, four to a loop pass, through this module's global.
-    """
+    """The verdict of `calls` judge calls that share their arguments; False for none."""
     judge = uncorrectable  # read per batch: wrappers patch the module global
     lost = False
-    for _ in repeat(None, calls >> 2):
-        judge(code, faulty, multi)
-        judge(code, faulty, multi)
-        judge(code, faulty, multi)
-        lost = judge(code, faulty, multi)
-    for _ in repeat(None, calls & 3):
+    for _ in repeat(None, calls):
         lost = judge(code, faulty, multi)
     return lost
 
 
-def _rows(untaken: tuple[np.ndarray, ...], k) -> zip:
+def _rows(columns: tuple[np.ndarray, ...], k) -> zip:
     """(time, bay, stripe, symbol) rows of the events at `k`, an index array or a slice."""
-    times, _, bays, stripes, syms = untaken
+    times, _, bays, stripes, syms = columns
     return zip(times[k].tolist(), bays[k].tolist(), stripes[k].tolist(), syms[k].tolist())
 
 
@@ -271,21 +253,24 @@ class _Timeline:
     rebuild, wear-out and bad chip.  Arrivals (bad blocks and bad symbols)
     stay in the columns: most of them never reach the arrival loop, which
     reads the rows of the rest from `isolation` or from its pass's slice.
+    `config` holds the code-independent (key, value) pairs of the config
+    echo.  No reference to the pool: the memo, keyed by pool, would keep it.
     """
 
-    untaken: tuple[np.ndarray, ...]
+    columns: tuple[np.ndarray, ...]
+    geometry: ArrayGeometry
+    seed: int
+    config: tuple[tuple[str, object], ...]
     boundaries: tuple[tuple, ...] = field(init=False)
-    _isolation: tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[tuple, ...]] | None = None
 
     def __post_init__(self):
-        for column in self.untaken:
+        for column in self.columns:
             column.flags.writeable = False
-        at = np.flatnonzero(self.untaken[1] < EventKind.BAD_BLOCK)
-        self.boundaries = tuple(zip(at.tolist(), *(c[at].tolist() for c in self.untaken[:3])))
+        at = np.flatnonzero(self.columns[1] < EventKind.BAD_BLOCK)
+        self.boundaries = tuple(zip(at.tolist(), *(c[at].tolist() for c in self.columns[:3])))
 
-    def isolation(
-        self, cpb: int
-    ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[tuple, ...]]:
+    @functools.cached_property
+    def isolation(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], tuple[tuple, ...]]:
         """(symbols, bad blocks, rest, rest rows): positions of its isolated arrivals and the rest.
 
         A bad symbol is isolated when, within its scrub interval, no other
@@ -294,37 +279,32 @@ class _Timeline:
         arrival (a bad block from any bay, or a bad symbol) hits its block
         within its scrub interval: it stays a clean bad block on one bay.
         The other arrivals come as positions and as their (time, bay,
-        stripe, symbol) rows.  Computed on first use and kept: every mission
-        that shares the timeline shares its geometry, so `cpb` is always
-        the same.
+        stripe, symbol) rows.  Computed on first use and kept.
         """
-        if self._isolation is None:
-            _, kinds, _, stripes, _ = self.untaken
-            interval = np.cumsum(kinds == EventKind.SCRUB)
-            arrival = np.flatnonzero(kinds >= EventKind.BAD_BLOCK)
-            # (interval, stripe) as one key; a bad block's stripe is its block's
-            # first, and `span` is a multiple of cpb, so key // cpb is the block.
-            span = -(-(int(stripes.max(initial=0)) + 1) // cpb) * cpb
-            keys = interval[arrival] * span + stripes[arrival]
-            # Each flag depends only on its key's and block's group sizes, so
-            # the order of equal keys is free: no stable sort needed.
-            order = np.argsort(keys)
-            keys = keys[order]
-            bad_block = kinds[arrival[order]] == EventKind.BAD_BLOCK
-            stripe_id = np.cumsum(np.diff(keys, prepend=-1) != 0) - 1
-            block_id = np.cumsum(np.diff(keys // cpb, prepend=-1) != 0) - 1
-            alone = np.empty((2, len(keys)), bool)  # symbols, bad blocks; timeline order
-            alone[0, order] = (np.bincount(stripe_id)[stripe_id] == 1) & (
-                np.bincount(block_id, bad_block)[block_id] == 0
-            )
-            alone[1, order] = bad_block & (np.bincount(block_id)[block_id] == 1)
-            symbols, blocks = arrival[alone[0]], arrival[alone[1]]
-            symbols.flags.writeable = blocks.flags.writeable = False
-            rest = arrival[~(alone[0] | alone[1])]
-            self._isolation = (
-                symbols, blocks, tuple(rest.tolist()), tuple(_rows(self.untaken, rest))
-            )
-        return self._isolation
+        cpb = self.geometry.chunks_per_block
+        _, kinds, _, stripes, _ = self.columns
+        interval = np.cumsum(kinds == EventKind.SCRUB)
+        arrival = np.flatnonzero(kinds >= EventKind.BAD_BLOCK)
+        # (interval, stripe) as one key; a bad block's stripe is its block's
+        # first, and `span` is a multiple of cpb, so key // cpb is the block.
+        span = -(-(int(stripes.max(initial=0)) + 1) // cpb) * cpb
+        keys = interval[arrival] * span + stripes[arrival]
+        # Each flag depends only on its key's and block's group sizes, so
+        # the order of equal keys is free: no stable sort needed.
+        order = np.argsort(keys)
+        keys = keys[order]
+        bad_block = kinds[arrival[order]] == EventKind.BAD_BLOCK
+        stripe_id = np.cumsum(np.diff(keys, prepend=-1) != 0) - 1
+        block_id = np.cumsum(np.diff(keys // cpb, prepend=-1) != 0) - 1
+        alone = np.empty((2, len(keys)), bool)  # symbols, bad blocks; timeline order
+        alone[0, order] = (np.bincount(stripe_id)[stripe_id] == 1) & (
+            np.bincount(block_id, bad_block)[block_id] == 0
+        )
+        alone[1, order] = bad_block & (np.bincount(block_id)[block_id] == 1)
+        symbols, blocks = arrival[alone[0]], arrival[alone[1]]
+        symbols.flags.writeable = blocks.flags.writeable = False
+        rest = arrival[~(alone[0] | alone[1])]
+        return symbols, blocks, tuple(rest.tolist()), tuple(_rows(self.columns, rest))
 
 
 def _sorted(columns, mission: int) -> tuple[np.ndarray, ...]:
@@ -341,15 +321,12 @@ def _sorted(columns, mission: int) -> tuple[np.ndarray, ...]:
     return (sorted_times, *(c[order] for c in columns[1:]))
 
 
-# The (draw inputs, timeline) last drawn on each live pool; an entry goes with its pool.
-_SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+class _Draw:
+    """The draws of one mission: every input of its timeline, and no code."""
 
-
-class _Simulation:
     def __init__(
         self,
         geometry: ArrayGeometry,
-        code: ErasureCode,
         profile: SsdModelProfile,
         pool: SsdPool,
         usage_logs: list[UsageLog],
@@ -361,64 +338,56 @@ class _Simulation:
         if not usage_logs:
             raise EngineError("need at least one usage log")
         check_tts_ttr(tts, ttr)
-        if not 1 <= mission <= MISSION_HOURS:
+        if not 1 <= mission <= MISSION_HOURS or mission != int(mission):
             # Pool schedules end at MISSION_HOURS; a longer mission would
             # silently see no bad blocks or bad chips after that hour.
-            raise EngineError(f"mission must be between 1 and {MISSION_HOURS} hours")
+            raise EngineError(f"mission must be between 1 and {MISSION_HOURS} whole hours")
         if len(pool.drives) < geometry.n_devices:
             raise EngineError("pool smaller than the array")
         self.geometry = geometry
-        self.code = code
         self.profile = profile
         self.pool = pool
         self.tts = float(tts)
         self.ttr = float(ttr)
         self.mission = int(mission)
         self.seed = seed
-        self.usage_logs = tuple(usage_logs)
-        self.tolerance = DEVICE_TOLERANCE[code]
-        self.cp = geometry.chunk_pages
-        self.cpb = geometry.chunks_per_block
 
         n = geometry.n_devices
         # Hazard ingredients per bay.  Logs are cycled over the bays, and
         # bays on one log share its read-only arrays.
         fresh = [_fresh_hazard(log, profile.rber_curve, self.mission) for log in usage_logs[:n]]
         self.log_bits, self.log_pe, self.fresh_hazard = map(list, zip(*(fresh * n)[:n]))
-        self.hour_grid = _hour_grid(self.mission)
+        self.hour_grid = np.arange(self.mission + 1, dtype=float)
+        self.config = (
+            ("profile", profile.name),
+            ("pool_seed", pool.seed),
+            ("pool_size", len(pool.drives)),
+            ("pool_blocks_per_device", pool.blocks_per_device),
+            ("n_devices", n),
+            ("page_size", geometry.page_size),
+            ("pages_per_block", geometry.pages_per_block),
+            ("blocks_per_device", geometry.blocks_per_device),
+            ("stripe_size", geometry.stripe_size),
+            ("tts", self.tts),
+            ("ttr", self.ttr),
+            ("mission", self.mission),
+            # No longer a parameter; echoed until the next ENGINE_VERSION.
+            ("mirror_copy_hours", 1.0),
+        )
 
-        self.failed: set[int] = set()
-        self.bb_block: dict[int, set[int]] = {}
-        self.bs_stripe: dict[int, dict[int, set[int]]] = {}
-        self.bs_lone: dict[int, tuple[int, int]] = {}
-        self.recorded: set[int] = set()
-        self.touched: set[int] = set()
-        self.pending: list[np.ndarray] = []
-        self.pending_bb: list[np.ndarray] = []
-        self.records: list[DataLossRecord] = []
-        self.ddf = 0
-        self.tdf = 0
-        self.adl_epoch = False
-
-        # Every input of the mission's draws but the pool, which keys `_SCHEDULES`.
-        key = (type(self), geometry, profile, self.usage_logs, tts, ttr, self.mission, seed)
-        memo = _SCHEDULES.get(pool)
-        if memo is None or memo[0] != key:
-            rng_sel = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-            initial = rng_sel.choice(len(pool.drives), size=n, replace=False)
-            scrubs = []
-            t = self.tts
-            while t < self.mission:
-                scrubs.append(t)
-                t += self.tts
-            events = [self._install(i, pool.drives[int(initial[i])], 0.0, 0) for i in range(n)]
-            events.append(_columns(-1, scrubs, EventKind.SCRUB))
-            memo = _SCHEDULES[pool] = (key, self._walk(np.concatenate(c) for c in zip(*events)))
-        self.state = memo[1]
-        self.untaken = self.state.untaken
-        self.next_event = 0
-
-    # -- installation and schedules -------------------------------------
+    def timeline(self) -> _Timeline:
+        """Draw the initial drives and the scrubs, and walk them into the mission timeline."""
+        n = self.geometry.n_devices
+        rng_sel = np.random.default_rng(np.random.SeedSequence([self.seed, 1]))
+        initial = rng_sel.choice(len(self.pool.drives), size=n, replace=False)
+        scrubs = []
+        t = self.tts
+        while t < self.mission:
+            scrubs.append(t)
+            t += self.tts
+        events = [self._install(i, self.pool.drives[int(initial[i])], 0.0, 0) for i in range(n)]
+        events.append(_columns(-1, scrubs, EventKind.SCRUB))
+        return self._walk(np.concatenate(c) for c in zip(*events))
 
     def _walk(self, columns) -> _Timeline:
         """The mission timeline of these set-up columns: every event that happens, in order.
@@ -449,7 +418,8 @@ class _Simulation:
                     break
             else:
                 segments.append(tuple(c[keep] for c in rest))
-                return _Timeline(tuple(np.concatenate(c) for c in zip(*segments)))
+                columns = tuple(np.concatenate(c) for c in zip(*segments))
+                return _Timeline(columns, self.geometry, self.seed, self.config)
             cut = k + 1
             segments.append(tuple(c[:cut][keep[:cut]] for c in rest))
             installs[i] += 1
@@ -464,19 +434,20 @@ class _Simulation:
         """Draw the columns of `drive` installed in bay i at `now`, the bay's n-th replacement."""
         pe_offset = float(self.log_pe[i][min(int(now), self.mission - 1)]) if now else 0.0
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 3, i, n]))
+        geometry = self.geometry
 
         # Cut at the mission end before drawing locations: later draws
         # depend on how many are drawn.
         bb = drive.mission_bb_times + now
         bb = bb[bb < self.mission]
-        blocks = (rng.random(len(bb)) * self.geometry.blocks_per_device).astype(np.int64)
+        blocks = (rng.random(len(bb)) * geometry.blocks_per_device).astype(np.int64)
 
         bs = self._draw_bs_times(self._hazard(i, pe_offset), now, rng)
-        symbols = (rng.random(len(bs)) * self.geometry.symbols_per_device).astype(np.int64)
-        stripes, syms = np.divmod(symbols, self.cp)
+        symbols = (rng.random(len(bs)) * geometry.symbols_per_device).astype(np.int64)
+        stripes, syms = np.divmod(symbols, geometry.chunk_pages)
 
         events = [
-            _columns(i, bb, EventKind.BAD_BLOCK, blocks * self.cpb),
+            _columns(i, bb, EventKind.BAD_BLOCK, blocks * geometry.chunks_per_block),
             _columns(i, bs, EventKind.BAD_SYMBOL, stripes, syms),
         ]
         if drive.bad_chip_time is not None:
@@ -513,6 +484,35 @@ class _Simulation:
         targets = targets[targets < cum[-1]]
         times = np.interp(targets, cum, self.hour_grid)
         return times[times > now]
+
+
+# The (draw inputs, timeline) last drawn on each live pool; an entry goes with its pool.
+_SCHEDULES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class _Simulation:
+    """The judge of one mission: `code`'s verdicts and records on a drawn timeline."""
+
+    def __init__(self, timeline: _Timeline, code: ErasureCode):
+        self.timeline = timeline
+        self.columns = timeline.columns
+        self.code = code
+        self.tolerance = DEVICE_TOLERANCE[code]
+        self.cpb = timeline.geometry.chunks_per_block
+
+        self.failed: set[int] = set()
+        self.bb_block: dict[int, set[int]] = {}
+        self.bs_stripe: dict[int, dict[int, set[int]]] = {}
+        self.bs_lone: dict[int, tuple[int, int]] = {}
+        self.recorded: set[int] = set()
+        self.touched: set[int] = set()
+        self.pending: list[np.ndarray] = []
+        self.pending_bb: list[np.ndarray] = []
+        self.records: list[DataLossRecord] = []
+        self.ddf = 0
+        self.tdf = 0
+        self.adl_epoch = False
+        self.next_event = 0
 
     # -- judging ----------------------------------------------------------
 
@@ -609,7 +609,7 @@ class _Simulation:
         lone = list(self.bs_lone)
         self.bs_lone.clear()
         if self.pending:
-            stripes = self.untaken[3][np.concatenate(self.pending)]
+            stripes = self.columns[3][np.concatenate(self.pending)]
             self.pending = []
             self.touched.update((stripes // self.cpb).tolist())
             lone += stripes.tolist()
@@ -673,7 +673,7 @@ class _Simulation:
         """Put the pending isolated bad blocks in `bb_block`; return their blocks."""
         if not self.pending_bb:
             return set()
-        _, _, bays, stripes, _ = self.untaken
+        _, _, bays, stripes, _ = self.columns
         k = np.concatenate(self.pending_bb)
         self.pending_bb = []
         blocks = (stripes[k] // self.cpb).tolist()
@@ -681,7 +681,7 @@ class _Simulation:
         return set(blocks)
 
     def _consume_arrivals(self, end: int) -> None:
-        """Mark and judge, in timeline order, the untaken bad blocks and symbols before `end`.
+        """Mark and judge, in timeline order, the bad blocks and symbols left before `end`.
 
         A fresh lone symbol, on a stripe with no other latent fault and no
         loss, is judged as it arrives, with the lone counts taken once per
@@ -695,9 +695,9 @@ class _Simulation:
             return
         self.next_event = end
         if self.failed or end - start < _BULK_PASS:
-            rows = _rows(self.untaken, slice(start, end))
+            rows = _rows(self.columns, slice(start, end))
         else:
-            symbols, blocks, rest, rest_rows = self.state.isolation(self.cpb)
+            symbols, blocks, rest, rest_rows = self.timeline.isolation
             lo, hi = np.searchsorted(symbols, (start, end)).tolist()
             if self._verdict(hi - lo, None, _ONE_SYMBOL):
                 raise EngineError(f"{self.code.value} loses a lone bad symbol on a healthy array")
@@ -765,7 +765,7 @@ class _Simulation:
                         time,
                         "ADL",
                         _cause_label(len(self.failed), 0, 0),
-                        self.geometry.array_stripes,
+                        self.timeline.geometry.array_stripes,
                     )
                 )
         else:
@@ -827,14 +827,14 @@ class _Simulation:
             for stripe in chain(self.bs_lone, self.bs_stripe, self.recorded):
                 freed.discard(stripe // cpb)
             self.touched -= freed
-        bays = self.untaken[2]
+        bays = self.columns[2]
         self.pending = [k[bays[k] != i] for k in self.pending]
         self.pending_bb = [k[bays[k] != i] for k in self.pending_bb]
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> SimResult:
-        for k, time, kind, i in self.state.boundaries:
+        for k, time, kind, i in self.timeline.boundaries:
             self._consume_arrivals(k)
             self.next_event = k + 1
             if kind == EventKind.SCRUB:
@@ -845,7 +845,7 @@ class _Simulation:
                 self.handle_bad_chip(i, time)
             else:
                 self.replace_worn_out(i, time)
-        self._consume_arrivals(len(self.untaken[0]))
+        self._consume_arrivals(len(self.columns[0]))
         return self._result()
 
     def _result(self) -> SimResult:
@@ -858,34 +858,17 @@ class _Simulation:
             c = cause.setdefault(rec.cause, [0, 0])
             c[0] += 1
             c[1] += rec.stripes_lost
-        config = {
-            "engine_version": ENGINE_VERSION,
-            "code": self.code.value,
-            "profile": self.profile.name,
-            "pool_seed": self.pool.seed,
-            "pool_size": len(self.pool.drives),
-            "pool_blocks_per_device": self.pool.blocks_per_device,
-            "n_devices": self.geometry.n_devices,
-            "page_size": self.geometry.page_size,
-            "pages_per_block": self.geometry.pages_per_block,
-            "blocks_per_device": self.geometry.blocks_per_device,
-            "stripe_size": self.geometry.stripe_size,
-            "tts": self.tts,
-            "ttr": self.ttr,
-            "mission": self.mission,
-            # No longer a parameter; echoed until the next ENGINE_VERSION.
-            "mirror_copy_hours": 1.0,
-        }
+        config = (("engine_version", ENGINE_VERSION), ("code", self.code.value))
         return SimResult(
-            seed=self.seed,
+            seed=self.timeline.seed,
             records=tuple(self.records),
             stripes_lost=total,
-            bytes_lost=total * self.geometry.stripe_size,
+            bytes_lost=total * self.timeline.geometry.stripe_size,
             scope_stripes=scope_stripes,
             cause_totals={k: (v[0], v[1]) for k, v in sorted(cause.items())},
             ddf=self.ddf,
             tdf=self.tdf,
-            config=config,
+            config=dict(config + self.timeline.config),
         )
 
 
@@ -900,5 +883,14 @@ def run_simulation(
     mission: int = MISSION_HOURS,
     seed: int = 0,
 ) -> SimResult:
-    """Simulate one array mission; deterministic in all arguments."""
-    return _Simulation(geometry, code, profile, pool, usage_logs, tts, ttr, mission, seed).run()
+    """Simulate one array mission; deterministic in all arguments.
+
+    Judges the pool's stored timeline when its draw inputs are these; draws and stores one if not.
+    """
+    # Every input of the mission's draws but the pool, which keys `_SCHEDULES`.
+    key = (geometry, profile, tuple(usage_logs), tts, ttr, mission, seed)
+    memo = _SCHEDULES.get(pool)
+    if memo is None or memo[0] != key:
+        draw = _Draw(geometry, profile, pool, usage_logs, tts, ttr, mission, seed)
+        memo = _SCHEDULES[pool] = (key, draw.timeline())
+    return _Simulation(memo[1], code).run()

@@ -25,7 +25,7 @@ from ssdfi.codes import (
     erf,
     update_penalty,
 )
-from ssdfi.engine import EventKind, _Simulation, run_simulation
+from ssdfi.engine import EventKind, _Draw, _Simulation, run_simulation
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import COND_MEDIAN_TARGETS, PooledSsd, SsdPool, generate_pool, validate_pool
 from ssdfi.profiles import MISSION_HOURS, RberCurve, SsdModelProfile, default_profiles
@@ -439,8 +439,8 @@ def test_criterion_12_sampler_statistics(capfd):
     profile = stress_profile(rber_curve=RberCurve(points=((0.0, r0), (knot, r1))))
     pool = SsdPool("stress", 2_048, 0, tuple(PooledSsd(i, (), None) for i in range(3)))
     geometry = ArrayGeometry(n_devices=3, blocks_per_device=512, stripe_size=3 * 4096 * 4)
-    sim = _Simulation(geometry, R5, profile, pool, [log], 10_000.0, 10.0, mission, 2024)
-    times, locs = scheduled(sim, 0, EventKind.BAD_SYMBOL)
+    draw = _Draw(geometry, profile, pool, [log], 10_000.0, 10.0, mission, 2024)
+    times, locs = scheduled(_Simulation(draw.timeline(), R5), 0, EventKind.BAD_SYMBOL)
 
     pe = np.arange(mission) * pe_per_hour
     rate = np.minimum(r0 + (r1 - r0) * pe / knot, r1) * bits  # expected arrivals per hour
@@ -454,7 +454,7 @@ def test_criterion_12_sampler_statistics(capfd):
     expected = len(locs) / bins
     chi2_locs = float(((observed - expected) ** 2 / expected).sum())
 
-    late, kinds, *_ = sim._install(1, pool.drives[0], mission / 2, 1)
+    late, kinds, *_ = draw._install(1, pool.drives[0], mission / 2, 1)
     late = late[kinds == EventKind.BAD_SYMBOL]
     ok = (
         len(times) >= 1_000_000

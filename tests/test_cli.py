@@ -115,7 +115,8 @@ class TestRunExperiment:
         "name, value",
         [
             ("workers", 0), ("workers", -3), ("n_sims", 0), ("n_sims", -1),
-            ("mission", 0), ("mission", MISSION_HOURS + 1), ("fmt", "xml"),
+            ("mission", 0), ("mission", MISSION_HOURS + 1), ("mission", 200.5), ("fmt", "xml"),
+            ("pool_size", 5),
             pytest.param("tts_values", [0.0], id="tts_values-0"),
             pytest.param("ttr_values", [-1.0], id="ttr_values--1"),
             pytest.param("stripe_kbs", [100], id="stripe_kbs-100"),
@@ -192,12 +193,18 @@ class TestRunExperiment:
             (["--workers", "0"], "workers must be at least 1"),
             (["--sims", "0"], "n_sims must be at least 1"),
             (["--mission", "40000"], "mission must be between 1 and"),
+            (["--mission", "200.5"], "whole hours, got 200.5"),
+            (["--pool-size", "5"], "smaller than the array"),
+            (["--pool-blocks", "10"], "blocks_per_device must be >= 64"),
             (["--usage-log", "LOGS"], "3 device log"),
             (["--models", "MLC-A", "QLC-Z"], "no profile named 'QLC-Z'"),
             (["--tts", "10000", "1e4"], "repeat the report key"),
             (["--tts", "nan"], "tts and ttr must be finite and positive"),
         ],
-        ids=["workers", "sims", "mission", "usage-log", "models", "repeated-tts", "tts-nan"],
+        ids=[
+            "workers", "sims", "mission", "fractional-mission", "pool-size", "pool-blocks",
+            "usage-log", "models", "repeated-tts", "tts-nan",
+        ],
     )
     def test_command_reports_rejected_input_as_usage_error(self, tmp_path, capsys, argv, message):
         logs = tmp_path / "logs.csv"

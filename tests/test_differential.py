@@ -3,15 +3,15 @@
 `reference_engine._Simulation` pushes and pops every event as its own
 heap entry, pushes a rebuild when a bad chip fires, installs replacement
 drives as it goes and skips the events of replaced drives by a generation
-check.  `ssdfi.engine._Simulation` draws the whole mission at set-up: one
+check.  `ssdfi.engine._Draw` draws the whole mission before judging: one
 timeline sorted by time, kind and bay, each drive's rebuild drawn when the
 drive is installed, and each replacement drive's events spliced in after
-its rebuild or wear-out in place of the old drive's.  It consumes bad
-blocks and bad symbols in one pass between boundary events.  Both must
-judge the same stripes in the same order at the same times, so the
-results (records and their order included) and the number of
-`uncorrectable` calls must be equal, also when a seed's later codes
-replay the schedule its first code drew.  The reference engine still takes
+its rebuild or wear-out in place of the old drive's.  `ssdfi.engine._Simulation`
+judges that timeline, consuming bad blocks and bad symbols in one pass
+between boundary events.  Both engines must judge the same stripes in the
+same order at the same times, so the results (records and their order
+included) and the number of `uncorrectable` calls must be equal, also when
+one drawn timeline is judged under every code.  The reference engine still takes
 the `mirror_copy_hours` argument that the production engine dropped; it
 gets the value that production results still echo.
 
@@ -118,10 +118,19 @@ def _hourly(cls):
     return Hourly
 
 
+@pytest.fixture(scope="module")
+def setups(pool, hourly_pool):
+    """(production draw class, reference engine class, pool), by whether arrivals are hourly."""
+    return {
+        False: (ssdfi.engine._Draw, reference_engine._Simulation, pool),
+        True: (_hourly(ssdfi.engine._Draw), _hourly(reference_engine._Simulation), hourly_pool),
+    }
+
+
 def _replacements(sim) -> int:
     """The rebuilds and wear-outs on a production mission's timeline: one replacement each."""
     kinds = (ssdfi.engine.EventKind.RECONSTRUCT, ssdfi.engine.EventKind.WEAR_OUT)
-    return sum(kind in kinds for _, _, kind, _ in sim.state.boundaries)
+    return sum(kind in kinds for _, _, kind, _ in sim.timeline.boundaries)
 
 
 def _counting(monkeypatch, module):
@@ -137,22 +146,17 @@ def _counting(monkeypatch, module):
 
 
 @pytest.mark.parametrize("code", list(ErasureCode), ids=lambda c: c.value)
-def test_engine_matches_reference(pool, hourly_pool, code, monkeypatch):
+def test_engine_matches_reference(setups, code, monkeypatch):
     new_calls = _counting(monkeypatch, ssdfi.engine)
     ref_calls = _counting(monkeypatch, reference_engine)
-    setups = {
-        False: (ssdfi.engine._Simulation, reference_engine._Simulation, pool),
-        True: (
-            _hourly(ssdfi.engine._Simulation), _hourly(reference_engine._Simulation), hourly_pool
-        ),
-    }
     totals = {"records": 0, "ADL": 0, "BDL": 0, "SDL": 0, "judged": 0, "replaced": 0}
     for seed in range(SEEDS):
         tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        new, ref, seed_pool = setups[seed % 2 == 1]
+        draw, ref, seed_pool = setups[seed % 2 == 1]
         args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
         before = new_calls[0], ref_calls[0]
-        sim = new(*args)
+        timeline = draw(GEOMETRY, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
+        sim = ssdfi.engine._Simulation(timeline, code)
         got, want = sim.run(), ref(*args, 1.0).run()
         assert got == want, f"seed {seed}"
         judged = new_calls[0] - before[0]
@@ -169,54 +173,49 @@ def test_engine_matches_reference(pool, hourly_pool, code, monkeypatch):
 REPLAY_SEEDS = 200
 
 
-def test_replayed_schedules_match_reference(pool, hourly_pool, monkeypatch):
-    # Seed-major, as a code sweep runs: the second and third codes of a seed
-    # replay the timeline the first drew, its replacement drives included.
+def test_one_timeline_judged_under_each_code_matches_reference(setups, monkeypatch):
+    # Seed-major, as a code sweep runs: one timeline per seed, its replacement
+    # drives included, drawn once and judged under every code.
     new_calls = _counting(monkeypatch, ssdfi.engine)
     ref_calls = _counting(monkeypatch, reference_engine)
     draws = [0]  # drive installs, initial and replacement
-    install = ssdfi.engine._Simulation._install
+    install = ssdfi.engine._Draw._install
     monkeypatch.setattr(
-        ssdfi.engine._Simulation,
+        ssdfi.engine._Draw,
         "_install",
         lambda *a: draws.__setitem__(0, draws[0] + 1) or install(*a),
     )
-    setups = {
-        False: (ssdfi.engine._Simulation, reference_engine._Simulation, pool),
-        True: (
-            _hourly(ssdfi.engine._Simulation), _hourly(reference_engine._Simulation), hourly_pool
-        ),
-    }
-    replayed = 0
+    judged = 0
     for seed in range(REPLAY_SEEDS):
         tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        new, ref, seed_pool = setups[seed % 2 == 1]
+        draw, ref, seed_pool = setups[seed % 2 == 1]
+        timeline = draw(GEOMETRY, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
         for n, code in enumerate(ErasureCode):
             args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
             before = new_calls[0], ref_calls[0], draws[0]
-            sim = new(*args)
+            sim = ssdfi.engine._Simulation(timeline, code)
             got, want = sim.run(), ref(*args, 1.0).run()
             assert got == want, f"seed {seed}, {code.value}"
             assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
+            assert draws[0] == before[2], f"seed {seed}, {code.value}: the judge drew"
             if n:
-                assert draws[0] == before[2], f"seed {seed}, {code.value}: not replayed"
-                replayed += _replacements(sim)
-    assert replayed > REPLAY_SEEDS  # replacements replayed, not only set-ups
+                judged += _replacements(sim)
+    assert judged > REPLAY_SEEDS  # replacements judged again, not only set-ups
 
 
-def _mission(sim_class=ssdfi.engine._Simulation, **changes):
+def _mission(**changes):
     """The `run_simulation` result of one dense RAID6 mission, with some inputs changed."""
     kwargs = dict(
         geometry=GEOMETRY, code=ErasureCode.RAID6, profile=PROFILE, pool=None,
         usage_logs=[LOG], tts=150.0, ttr=60.0, mission=MISSION, seed=11,
     )
     kwargs.update(changes)
-    return sim_class(**kwargs).run()
+    return ssdfi.engine.run_simulation(**kwargs)
 
 
 def test_every_draw_input_keys_the_schedule(pool, hourly_pool):
     # A mission that changes one input of the draws after a first mission on
-    # the same pool must not replay the first's schedule.
+    # the same pool must not judge the first's timeline.
     ten_pe = dataclasses.replace(LOG, pe_cycles=tuple(10 * p for p in LOG.pe_cycles))
     changes = {
         "tts": dict(tts=30.0),
@@ -227,7 +226,6 @@ def test_every_draw_input_keys_the_schedule(pool, hourly_pool):
         "geometry": dict(geometry=dataclasses.replace(GEOMETRY, blocks_per_device=6)),
         "profile": dict(profile=dataclasses.replace(PROFILE, wol=150)),
         "pool": dict(pool=hourly_pool),
-        "subclass": dict(sim_class=_hourly(ssdfi.engine._Simulation)),
     }
     base = _mission(pool=pool)
     for name, change in changes.items():
@@ -253,7 +251,7 @@ KINDS = ("", " bad blocks")
 
 
 class _Pending(ssdfi.engine._Simulation):
-    """The production engine, counting how its pending isolated arrivals come and go.
+    """The production judge, counting how its pending isolated arrivals come and go.
 
     `kept` holds, per kind, the positions still pending after the last
     rebuild or wear-out; the next scan or scrub counts those still pending.
@@ -312,22 +310,19 @@ class _Pending(ssdfi.engine._Simulation):
             self.counts["pending drops" + kind] += b > a
 
 
-def test_bulk_intake_matches_reference(pool, hourly_pool, monkeypatch):
-    # Seed-major, so a seed's later codes also share the first's isolation index.
+def test_bulk_intake_matches_reference(setups, monkeypatch):
+    # Seed-major, so a seed's codes share one timeline and its isolation index.
     new_calls = _counting(monkeypatch, ssdfi.engine)
     ref_calls = _counting(monkeypatch, reference_engine)
-    setups = {
-        False: (_Pending, reference_engine._Simulation, pool),
-        True: (_hourly(_Pending), _hourly(reference_engine._Simulation), hourly_pool),
-    }
     _Pending.counts.clear()
     for seed in range(BULK_SEEDS):
         tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        new, ref, seed_pool = setups[seed % 2 == 1]
+        draw, ref, seed_pool = setups[seed % 2 == 1]
+        timeline = draw(WIDE, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
         for code in ErasureCode:
             args = (WIDE, code, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
             before = new_calls[0], ref_calls[0]
-            got, want = new(*args).run(), ref(*args, 1.0).run()
+            got, want = _Pending(timeline, code).run(), ref(*args, 1.0).run()
             assert got == want, f"seed {seed}, {code.value}"
             assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
     # Every way a pending arrival of either kind leaves must have been taken.
@@ -335,6 +330,25 @@ def test_bulk_intake_matches_reference(pool, hourly_pool, monkeypatch):
     keys = ("materialising scans", "pending across replacements", "pending drops")
     keys = ("bulk arrivals", "bulk bad blocks", *(k + kind for k in keys for kind in KINDS))
     assert min(counts[k] for k in keys) > 0, counts
+
+
+def test_judging_leaves_the_timeline_as_drawn(pool):
+    # One timeline judged under every code gives the results of one
+    # `run_simulation` call per code on a cleared memo, and its shared
+    # columns stay as drawn and read-only.
+    for seed in range(20):
+        kwargs = dict(
+            geometry=WIDE, profile=WIDE_PROFILE, pool=pool, usage_logs=[LOG],
+            tts=TTS[seed % 3], ttr=TTR[seed // 3 % 3], mission=MISSION, seed=seed,
+        )
+        timeline = ssdfi.engine._Draw(**kwargs).timeline()
+        drawn = [c.copy() for c in timeline.columns]
+        for code in ErasureCode:
+            got = ssdfi.engine._Simulation(timeline, code).run()
+            ssdfi.engine._SCHEDULES.clear()
+            assert got == ssdfi.engine.run_simulation(code=code, **kwargs), f"seed {seed}"
+        assert all(np.array_equal(c, d) for c, d in zip(timeline.columns, drawn))
+        assert not any(c.flags.writeable for c in timeline.columns)
 
 
 # Sixteen blocks of four stripes under ten times the bad-symbol rate: a bad chip
@@ -345,7 +359,7 @@ SPLICE_SEEDS = 40
 
 
 class _Splice(ssdfi.engine._Simulation):
-    """The production engine, counting the scans whose lost lone stripes meet other faults."""
+    """The production judge, counting the scans whose lost lone stripes meet other faults."""
 
     counts: Counter = Counter()
 
@@ -362,24 +376,21 @@ class _Splice(ssdfi.engine._Simulation):
         return lone
 
 
-def test_lost_lone_stripes_splice_into_the_scan(pool, hourly_pool, monkeypatch):
+def test_lost_lone_stripes_splice_into_the_scan(setups, monkeypatch):
     # A scan records lost lone stripes without a `bs_stripe` entry and splices
     # their records into its block walk: the records and their order must
     # still be the reference engine's.
     new_calls = _counting(monkeypatch, ssdfi.engine)
     ref_calls = _counting(monkeypatch, reference_engine)
-    setups = {
-        False: (_Splice, reference_engine._Simulation, pool),
-        True: (_hourly(_Splice), _hourly(reference_engine._Simulation), hourly_pool),
-    }
     _Splice.counts.clear()
     for seed in range(SPLICE_SEEDS):
         tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        new, ref, seed_pool = setups[seed % 2 == 1]
+        draw, ref, seed_pool = setups[seed % 2 == 1]
+        timeline = draw(DENSE, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
         for code in ErasureCode:
             args = (DENSE, code, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
             before = new_calls[0], ref_calls[0]
-            got, want = new(*args).run(), ref(*args, 1.0).run()
+            got, want = _Splice(timeline, code).run(), ref(*args, 1.0).run()
             assert got == want, f"seed {seed}, {code.value}"
             assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
     assert min(_Splice.counts.values()) > 0 and len(_Splice.counts) == 3, _Splice.counts

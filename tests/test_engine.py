@@ -11,6 +11,7 @@ from ssdfi.engine import (
     EngineError,
     EventKind,
     _columns,
+    _Draw,
     _Simulation,
     _sorted,
     _Timeline,
@@ -97,12 +98,20 @@ def run(pool, code=R5, mission=150, tts=1_000_000.0, ttr=1_000_000.0, seed=0, **
     )
 
 
-def make_sim(pool, rber=1e-12, bits=0.0, geometry=GEOMETRY):
-    """A simulation set up like `run`, for driving its handlers directly."""
-    return _Simulation(
-        geometry, R5, flat_profile(rber), pool, [quiet_log(bits=bits)],
-        1_000_000.0, 1_000_000.0, 150, 0,
-    )
+def make_draw(pool, rber=1e-12, bits=0.0, geometry=GEOMETRY, ttr=1_000_000.0):
+    """The draws of a mission set up like `run`."""
+    return _Draw(geometry, flat_profile(rber), pool, [quiet_log(bits=bits)], 1e6, ttr, 150, 0)
+
+
+def make_sim(pool, **kw):
+    """A RAID5 judge set up like `run`, for driving its handlers directly.
+
+    It keeps its draw, through which `schedule` walks planted events.
+    """
+    draw = make_draw(pool, **kw)
+    sim = _Simulation(draw.timeline(), R5)
+    sim.draw = draw
+    return sim
 
 
 def clean_pool(n=3):
@@ -125,43 +134,44 @@ def schedule(sim, kind, i, times, locs=()):
     """Put scripted events of one kind on bay i onto the simulation's timeline.
 
     `locs` are blocks for bad blocks and device symbols for bad symbols; a
-    bad chip also schedules its rebuild `sim.ttr` hours later.  The events
-    join the timeline's columns, which then go through set-up's replacement
-    walk.  `make_sim`'s drives neither fail nor wear out, so its timeline is
-    the set-up one; the walk takes a replaced bay's later events out again,
-    so a timeline that has walked once walks to itself.
+    bad chip also schedules its rebuild `ttr` hours later.  The events join
+    the timeline's columns, which then go through the draw's replacement
+    walk, and the judge takes the new timeline.  `make_sim`'s drives
+    neither fail nor wear out, so its timeline is the set-up one; the walk
+    takes a replaced bay's later events out again, so a timeline that has
+    walked once walks to itself.
     """
     stripes, syms = -1, -1
     if kind == EventKind.BAD_BLOCK:
         stripes = np.asarray(locs) * sim.cpb
     elif kind == EventKind.BAD_SYMBOL:
-        stripes, syms = np.divmod(np.asarray(locs), sim.cp)
+        stripes, syms = np.divmod(np.asarray(locs), sim.timeline.geometry.chunk_pages)
     new = [_columns(i, times, kind, stripes, syms)]
     if kind == EventKind.BAD_CHIP:
-        new.append(_columns(i, np.asarray(times) + sim.ttr, EventKind.RECONSTRUCT))
-    columns = (np.concatenate((old, *c)) for old, *c in zip(sim.untaken, *new))
-    sim.state = sim._walk(columns)
-    sim.untaken = sim.state.untaken
+        new.append(_columns(i, np.asarray(times) + sim.draw.ttr, EventKind.RECONSTRUCT))
+    columns = (np.concatenate((old, *c)) for old, *c in zip(sim.columns, *new))
+    sim.timeline = sim.draw._walk(columns)
+    sim.columns = sim.timeline.columns
 
 
 def scheduled(sim, i, kind):
-    """Bay i's untaken events of one kind: (times, locs), locs as `schedule` takes them."""
-    times, kinds, bays, stripes, syms = (c[sim.next_event:] for c in sim.untaken)
+    """Bay i's events from `next_event` on of one kind: (times, locs), as `schedule` takes them."""
+    times, kinds, bays, stripes, syms = (c[sim.next_event:] for c in sim.columns)
     mine = (bays == i) & (kinds == kind)
     if kind == EventKind.BAD_BLOCK:
         return times[mine], stripes[mine] // sim.cpb
-    return times[mine], stripes[mine] * sim.cp + syms[mine]
+    return times[mine], stripes[mine] * sim.timeline.geometry.chunk_pages + syms[mine]
 
 
 def replaced(sim):
     """The bays that the timeline's rebuilds and wear-outs replace, in order."""
     kinds = (EventKind.RECONSTRUCT, EventKind.WEAR_OUT)
-    return [i for _, _, kind, i in sim.state.boundaries if kind in kinds]
+    return [i for _, _, kind, i in sim.timeline.boundaries if kind in kinds]
 
 
 def plant_symbol(sim, i, symbol, time):
     schedule(sim, EventKind.BAD_SYMBOL, i, [time], [symbol])
-    sim._consume_arrivals(int(np.searchsorted(sim.untaken[0], time, side="right")))
+    sim._consume_arrivals(int(np.searchsorted(sim.columns[0], time, side="right")))
 
 
 class TestSamplers:
@@ -170,8 +180,8 @@ class TestSamplers:
     def test_offset_value(self):
         # A constant rate of 2/h: arrival times are unit exponential
         # sums divided by the rate.
-        sim = make_sim(clean_pool(), rber=2e-6, bits=1e6)
-        times = sim._draw_bs_times(sim._hazard(0, 0.0), 0.0, np.random.default_rng(7))
+        draw = make_draw(clean_pool(), rber=2e-6, bits=1e6)
+        times = draw._draw_bs_times(draw._hazard(0, 0.0), 0.0, np.random.default_rng(7))
         assert 250 < len(times) < 350
         gaps = np.random.default_rng(7).exponential(1.0, size=len(times))
         assert times == pytest.approx(np.cumsum(gaps) / 2.0, rel=1e-9)
@@ -179,8 +189,8 @@ class TestSamplers:
     def test_offset_validation(self):
         times, _ = scheduled(make_sim(clean_pool()), 0, EventKind.BAD_SYMBOL)
         assert len(times) == 0  # zero hazard
-        sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
-        times, kinds, *_ = sim._install(0, drive(9), 75.5, 1)
+        draw = make_draw(clean_pool(), rber=1e-6, bits=1e6)
+        times, kinds, *_ = draw._install(0, drive(9), 75.5, 1)
         times = times[kinds == EventKind.BAD_SYMBOL]
         assert len(times) > 0
         assert times.min() > 75.5 and times.max() < 150
@@ -195,7 +205,7 @@ class TestSamplers:
     def test_location_validation(self):
         sim = make_sim(scripted_pool([drive(i, bb_times=(10.0, 60.0, 140.0)) for i in range(3)]))
         assert list(scheduled(sim, 0, EventKind.BAD_BLOCK)[0]) == [10.0, 60.0, 140.0]
-        times, kinds, _, stripes, _ = sim._install(0, sim.pool.drives[0], 75.0, 1)
+        times, kinds, _, stripes, _ = sim.draw._install(0, sim.draw.pool.drives[0], 75.0, 1)
         bad_block = kinds == EventKind.BAD_BLOCK
         times, blocks = times[bad_block], stripes[bad_block] // sim.cpb
         # Pool times count from the install; those past the mission drop.
@@ -287,8 +297,7 @@ class TestAffectedStripes:
         # Bay 0 fails at 10 h and is rebuilt at 60 h; its arrivals at 20 h
         # and 30 h are subsumed, so bay 1's bad chip at 100 h meets no
         # latent fault and loses nothing.
-        sim = make_sim(clean_pool())
-        sim.ttr = 50.0
+        sim = make_sim(clean_pool(), ttr=50.0)
         schedule(sim, EventKind.BAD_SYMBOL, 0, [20.0, 30.0], [9, 70])
         schedule(sim, EventKind.BAD_CHIP, 0, [10.0])
         schedule(sim, EventKind.BAD_CHIP, 1, [100.0])
@@ -510,8 +519,7 @@ class TestTimeline:
     def test_nothing_happens_at_mission_end(self):
         # Bay 0 fails at 100 h; its rebuild would fall at 150 h, the mission
         # end, so it stays failed, and a symbol at 150 h on bay 1 is no loss.
-        sim = make_sim(clean_pool())
-        sim.ttr = 50.0
+        sim = make_sim(clean_pool(), ttr=50.0)
         schedule(sim, EventKind.BAD_CHIP, 0, [100.0])
         schedule(sim, EventKind.BAD_SYMBOL, 1, [149.5, 150.0], [9, 70])
         result = sim.run()
@@ -522,8 +530,7 @@ class TestTimeline:
         # Bays 0 and 1 fail (ADL); bay 2's symbol at 30 h is not judged in
         # the ADL epoch.  The scrub at 50 h still sees the epoch and clears
         # the symbol; after bay 0's rebuild it would judge it as BC+BS.
-        sim = make_sim(clean_pool())
-        sim.ttr = 40.0
+        sim = make_sim(clean_pool(), ttr=40.0)
         schedule(sim, EventKind.BAD_CHIP, 0, [10.0])
         schedule(sim, EventKind.BAD_CHIP, 1, [20.0])
         schedule(sim, EventKind.BAD_SYMBOL, 2, [30.0], [9])
@@ -532,8 +539,7 @@ class TestTimeline:
         assert [(r.time, r.scope) for r in result.records] == [(20.0, "ADL")]
 
     def test_rebuild_before_wear_out(self):
-        sim = make_sim(clean_pool())
-        sim.ttr = 40.0
+        sim = make_sim(clean_pool(), ttr=40.0)
         schedule(sim, EventKind.BAD_CHIP, 1, [10.0])
         schedule(sim, EventKind.WEAR_OUT, 0, [50.0])
         assert replaced(sim) == [1, 0]
@@ -543,11 +549,10 @@ class TestTimeline:
         # Bay 0 fails at 10 h and is rebuilt at 60 h.  Its wear-out at 30 h
         # falls while it is down: the walk drops it, and only the rebuild
         # replaces the drive.
-        sim = make_sim(clean_pool())
-        sim.ttr = 50.0
+        sim = make_sim(clean_pool(), ttr=50.0)
         schedule(sim, EventKind.BAD_CHIP, 0, [10.0])
         schedule(sim, EventKind.WEAR_OUT, 0, [30.0])
-        assert [row[2] for row in sim.state.boundaries] == [
+        assert [row[2] for row in sim.timeline.boundaries] == [
             EventKind.BAD_CHIP, EventKind.RECONSTRUCT
         ]
         assert sim.run().records == () and not sim.failed
@@ -583,10 +588,10 @@ class TestTimeline:
             _columns(2, [10.0, 60.0], EventKind.BAD_SYMBOL, 3, 1),
         ]
         columns = [np.concatenate(c) for c in zip(*columns)]
-        state = _Timeline(_sorted(columns, 150))
+        timeline = _Timeline(_sorted(columns, 150), GEOMETRY, 0, ())
         order = np.lexsort(columns[2::-1])
-        assert [c.tolist() for c in state.untaken] == [c[order].tolist() for c in columns]
-        assert [row[2] for row in state.boundaries] == [
+        assert [c.tolist() for c in timeline.columns] == [c[order].tolist() for c in columns]
+        assert [row[2] for row in timeline.boundaries] == [
             EventKind.SCRUB, EventKind.WEAR_OUT, EventKind.BAD_CHIP, EventKind.SCRUB
         ]
 
@@ -646,26 +651,27 @@ class TestIsolation:
             *(_columns(i, [t], EventKind.BAD_BLOCK, b * cpb) for t, i, b in bad_blocks),
             *(_columns(i, [t], EventKind.BAD_SYMBOL, s, 0) for t, i, s in symbols),
         ]
-        state = _Timeline(_sorted((np.concatenate(c) for c in zip(*columns)), 200))
-        return state, state.untaken[0].tolist()
+        columns = _sorted((np.concatenate(c) for c in zip(*columns)), 200)
+        timeline = _Timeline(columns, GEOMETRY, 0, ())
+        return timeline, timeline.columns[0].tolist()
 
     def test_isolated_symbols(self):
-        state, hours = self.timeline()
-        positions, blocks, rest, rows = state.isolation(self.CPB)
+        timeline, hours = self.timeline()
+        positions, blocks, rest, rows = timeline.isolation
         assert [hours[k] for k in positions] == [30.0, 40.0, 90.0, 100.0, 170.0]
-        arrivals = np.flatnonzero(state.untaken[1] >= EventKind.BAD_BLOCK).tolist()
+        arrivals = np.flatnonzero(timeline.columns[1] >= EventKind.BAD_BLOCK).tolist()
         assert rest == tuple(
             sorted(set(arrivals) - set(positions.tolist()) - set(blocks.tolist()))
         )
-        times, _, bays, stripes, syms = (c.tolist() for c in state.untaken)
+        times, _, bays, stripes, syms = (c.tolist() for c in timeline.columns)
         assert rows == tuple((times[k], bays[k], stripes[k], syms[k]) for k in rest)
-        assert state.isolation(self.CPB)[0] is positions  # computed once
+        assert timeline.isolation[0] is positions  # computed once
 
     def test_isolated_bad_blocks(self):
-        state, hours = self.timeline()
-        _, blocks, *_ = state.isolation(self.CPB)
+        timeline, hours = self.timeline()
+        _, blocks, *_ = timeline.isolation
         assert [hours[k] for k in blocks] == [60.0, 95.0, 105.0, 130.0]
-        kinds = state.untaken[1]
+        kinds = timeline.columns[1]
         assert (kinds[blocks] == EventKind.BAD_BLOCK).all()
 
     def test_bulk_path_raises_on_a_lost_lone_verdict(self, monkeypatch):
@@ -683,7 +689,7 @@ class TestIsolation:
         judge = ssdfi.engine.uncorrectable
         monkeypatch.setattr(ssdfi.engine, "uncorrectable", lambda c, f, m: m > 0 or judge(c, f, m))
         sim = make_sim(self.bad_block_pool(), rber=1e-6, bits=1e6, geometry=WIDE)
-        assert len(sim.state.isolation(sim.cpb)[1])
+        assert len(sim.timeline.isolation[1])
         with pytest.raises(EngineError, match="loses a lone bad block"):
             sim.run()
 
@@ -703,14 +709,15 @@ class TestIsolation:
 
         def mission(bulk_pass):
             monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
-            sim = _Simulation(WIDE, R5, profile, self.bad_block_pool(), [log], 1e6, 1e6, 150, 0)
+            draw = _Draw(WIDE, profile, self.bad_block_pool(), [log], 1e6, 1e6, 150, 0)
+            sim = _Simulation(draw.timeline(), R5)
             return sim, sim.run()
 
         sim, bulk = mission(64)
         assert replaced(sim) == [0, 1, 2]
-        assert {row[1] for row in sim.state.boundaries} == {75.0}
-        times = sim.untaken[0]
-        symbols, blocks, *_ = sim.state.isolation(sim.cpb)
+        assert {row[1] for row in sim.timeline.boundaries} == {75.0}
+        times = sim.columns[0]
+        symbols, blocks, *_ = sim.timeline.isolation
         for isolated in (symbols, blocks):
             assert (times[isolated] < 75).any() and (times[isolated] > 75).any()
         # The wear-outs dropped what came before them; what is left came after.
@@ -726,7 +733,7 @@ class TestIsolation:
         def latent(bulk_pass):
             monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
             sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
-            sim._consume_arrivals(len(sim.untaken[0]))
+            sim._consume_arrivals(len(sim.columns[0]))
             pending = sum(map(len, sim.pending))
             sim._drop_latent(1)
             dropped = pending - sum(map(len, sim.pending))
@@ -746,7 +753,7 @@ class TestIsolation:
         def latent(bulk_pass):
             monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
             sim = make_sim(self.bad_block_pool(), rber=1e-6, bits=1e6, geometry=WIDE)
-            sim._consume_arrivals(len(sim.untaken[0]))
+            sim._consume_arrivals(len(sim.columns[0]))
             pending = sum(map(len, sim.pending_bb))
             sim._drop_latent(1)
             dropped = pending - sum(map(len, sim.pending_bb))
@@ -890,7 +897,7 @@ class TestSetUp:
     def test_mission_limited_to_pool_schedules(self):
         pool = clean_pool()
         assert run(pool, mission=MISSION_HOURS).stripes_lost == 0
-        for mission in (0, MISSION_HOURS + 1):
+        for mission in (0, MISSION_HOURS + 1, 200.5):
             with pytest.raises(EngineError, match="mission"):
                 run(pool, mission=mission)
 
@@ -912,23 +919,24 @@ class TestSetUp:
         monkeypatch.setattr(ssdfi.engine, "dense_arrays", dense_arrays)
         ssdfi.engine._fresh_hazard.cache_clear()
         logs = [quiet_log(), quiet_log(bits=1e6)]
-        sim = _Simulation(GEOMETRY, R5, flat_profile(), clean_pool(), logs, 1e6, 1e6, 150, 0)
+        draw = _Draw(GEOMETRY, flat_profile(), clean_pool(), logs, 1e6, 1e6, 150, 0)
         assert len(calls) == 2  # three bays cycle over two logs
-        assert sim.log_bits[0] is sim.log_bits[2] and sim.log_pe[0] is sim.log_pe[2]
-        assert sim.log_bits[1] is not sim.log_bits[0]
+        assert draw.log_bits[0] is draw.log_bits[2] and draw.log_pe[0] is draw.log_pe[2]
+        assert draw.log_bits[1] is not draw.log_bits[0]
         # Later missions on equal logs reuse the arrays, which nobody can write.
-        again = _Simulation(
-            GEOMETRY, PMDS, flat_profile(), clean_pool(), [quiet_log(), quiet_log(bits=1e6)],
+        again = _Draw(
+            GEOMETRY, flat_profile(), clean_pool(), [quiet_log(), quiet_log(bits=1e6)],
             1e6, 1e6, 150, 1,
         )
         assert len(calls) == 2
-        assert again.log_bits[1] is sim.log_bits[1] and again.fresh_hazard[0] is sim.fresh_hazard[0]
-        for arrays in (sim.log_bits, sim.log_pe, sim.fresh_hazard):
+        assert again.log_bits[1] is draw.log_bits[1]
+        assert again.fresh_hazard[0] is draw.fresh_hazard[0]
+        for arrays in (draw.log_bits, draw.log_pe, draw.fresh_hazard):
             assert not any(a.flags.writeable for a in arrays)
 
 
 class TestScheduleMemo:
-    """Timelines drawn once per pool and draw inputs, and replayed by later missions."""
+    """Timelines drawn once per pool and draw inputs, and judged again by later missions."""
 
     POOL_DRIVES = (
         drive(0, bb_times=(5.0, 40.0), bc_time=20.0),
@@ -937,23 +945,26 @@ class TestScheduleMemo:
     )
 
     def mission(self, pool, code=R5):
-        return _Simulation(GEOMETRY, code, flat_profile(), pool, [quiet_log()], 1e6, 10.0, 150, 0)
+        """A judge of `code` on the timeline that `run_simulation` keeps for the pool."""
+        run_simulation(GEOMETRY, code, flat_profile(), pool, [quiet_log()], 1e6, 10.0, 150, 0)
+        return _Simulation(ssdfi.engine._SCHEDULES[pool][1], code)
 
     def test_shared_timelines_are_read_only(self):
         pool = scripted_pool(self.POOL_DRIVES)
         first = self.mission(pool)
-        drawn = first.untaken
+        drawn = first.columns
         first.run()
         again = self.mission(pool, PMDS)
-        assert again.untaken is drawn
+        assert again.columns is drawn
         again.run()
         assert replaced(again)
         for sim in (first, again):
-            assert sim.untaken is ssdfi.engine._SCHEDULES[pool][1].untaken
-            assert not any(c.flags.writeable for c in sim.untaken)
-            assert isinstance(sim.state.boundaries, tuple)
-            assert all(isinstance(row, tuple) for row in sim.state.boundaries)
-            assert all(isinstance(c, tuple) for c in sim.state.isolation(sim.cpb)[2:])
+            assert sim.timeline is ssdfi.engine._SCHEDULES[pool][1]
+            assert not any(c.flags.writeable for c in sim.columns)
+            assert isinstance(sim.timeline.boundaries, tuple)
+            assert all(isinstance(row, tuple) for row in sim.timeline.boundaries)
+            assert all(isinstance(c, tuple) for c in sim.timeline.isolation[2:])
+            assert isinstance(sim.timeline.config, tuple)
 
     def test_memo_does_not_keep_a_pool_alive(self):
         pool = scripted_pool(self.POOL_DRIVES)
@@ -970,6 +981,7 @@ class TestScheduleMemo:
         assert [r.time for r in want.records] == [20.0, 20.0]  # both before the rebuild
         del ssdfi.engine._SCHEDULES[pool]
         sim = self.mission(pool)
+        sim.draw = _Draw(GEOMETRY, flat_profile(), pool, [quiet_log()], 1e6, 10.0, 150, 0)
         for i in (1, 2):
             schedule(sim, EventKind.BAD_CHIP, i, [100.0])
         assert sim.run() != want
