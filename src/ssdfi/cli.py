@@ -219,10 +219,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_pool(args: argparse.Namespace) -> int:
-    profile = profile_by_name(args.model)
-    pool = generate_pool(
-        profile, pool_size=args.pool_size, blocks_per_device=args.pool_blocks, seed=args.seed
-    )
+    try:
+        profile = profile_by_name(args.model)
+        pool = generate_pool(
+            profile, pool_size=args.pool_size, blocks_per_device=args.pool_blocks, seed=args.seed
+        )
+    except ValueError as exc:  # a rejected input: report it as a usage error
+        args.parser.error(str(exc))
     report = validate_pool(pool)
     n = len(pool.drives)
     checks = [
@@ -253,16 +256,22 @@ def _cmd_validate_pool(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     code = ErasureCode(args.code.upper())
     n, r = args.devices, args.chunk_pages
+    try:
+        xors, ratio = encode_xor_count(code, n, r), erf(code, n, r)
+        penalties = [(s, update_penalty(code, s, n, r)) for s in UPDATE_STRATEGIES]
+    except ValueError as exc:  # a rejected input: report it as a usage error
+        args.parser.error(str(exc))
     print(f"code={code.value} n={n} r={r}")
-    print(f"encode_xors_per_stripe={encode_xor_count(code, n, r)}")
-    print(f"erf={erf(code, n, r):.6f}")
-    for strategy in UPDATE_STRATEGIES:
-        pen = update_penalty(code, strategy, n, r)
+    print(f"encode_xors_per_stripe={xors}")
+    print(f"erf={ratio:.6f}")
+    for strategy, pen in penalties:
         print(f"update[{strategy}]: writes={pen.writes} reads={pen.reads}")
     return 0
 
 
 def _cmd_synth_log(args: argparse.Namespace) -> int:
+    if args.devices < 1:
+        args.parser.error(f"--devices must be at least 1, got {args.devices}")
     logs = [
         synthesize_usage_log(SynthWorkloadParams(), f"dev{i}", args.seed + i)
         for i in range(args.devices)
@@ -307,19 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--pool-size", type=int, default=10_000)
     val_p.add_argument("--pool-blocks", type=int, default=16_384)
     val_p.add_argument("--seed", type=int, default=0)
-    val_p.set_defaults(func=_cmd_validate_pool)
+    val_p.set_defaults(func=_cmd_validate_pool, parser=val_p)
 
     cost_p = sub.add_parser("cost", help="print encoding and update cost figures")
     cost_p.add_argument("--code", default="pmds11", choices=code_names)
     cost_p.add_argument("--devices", type=int, default=8)
     cost_p.add_argument("--chunk-pages", type=int, default=4)
-    cost_p.set_defaults(func=_cmd_cost)
+    cost_p.set_defaults(func=_cmd_cost, parser=cost_p)
 
     synth_p = sub.add_parser("synth-log", help="synthesize per-device usage logs")
     synth_p.add_argument("--devices", type=int, default=8)
     synth_p.add_argument("--seed", type=int, default=0)
     synth_p.add_argument("--out", default="usage_log.csv")
-    synth_p.set_defaults(func=_cmd_synth_log)
+    synth_p.set_defaults(func=_cmd_synth_log, parser=synth_p)
     return parser
 
 

@@ -5,11 +5,13 @@ pre-drawn fault schedule for one mission: an optional bad chip time and
 a set of mission bad block arrival times.  The simulator draws array
 members from the pool and replays their schedules.
 
-A generated pool stores every drive's bad block times, in drive order,
-in one contiguous read-only float64 array; each drive's
-`mission_bb_times` is a view of its own slice of that array.  Holding
-millions of arrival times this way costs 8 bytes each, and a forked
-worker shares the buffer instead of touching millions of Python floats.
+A generated pool does not store its drives' bad block times.  For each
+drive it keeps the bad block count, the bad chip time and the position
+of the pool's random stream just before that drive's times were drawn.
+Reading `pool.drives[k]` redraws drive k's times from that position, so
+a mission pays only for the drives it installs, and a pool pickles (to
+a `spawn` or `forkserver` worker, say) as three small arrays.  A
+hand-built pool holds the `PooledSsd` drives it is given.
 
 Counts of mission bad blocks are heavily skewed in the field: the
 median among affected drives is 2-3 while the mean is in the hundreds,
@@ -33,6 +35,9 @@ the calibration targets tightly at any realistic pool size.
 from __future__ import annotations
 
 import math
+import operator
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,32 +103,16 @@ class PooledSsd:
 
 @dataclass(frozen=True, eq=False)
 class SsdPool:
+    """A drive population: `drives[k]` is drive k.
+
+    A hand-built pool passes its drives as a tuple of `PooledSsd`.  A
+    generated pool's `drives` rebuilds a drive each time it is read.
+    """
+
     profile_name: str
     blocks_per_device: int
     seed: int
-    drives: tuple[PooledSsd, ...]
-
-    def __reduce__(self):
-        # All bad block times as one bytes object plus per-drive counts: an
-        # unpickled pool, as a `spawn` or `forkserver` worker gets it,
-        # holds one read-only buffer rather than a writeable array per drive.
-        drives = self.drives
-        times = b"".join(d.mission_bb_times.tobytes() for d in drives)
-        counts = [d.mission_bb_times.size for d in drives]
-        rest = [(d.drive_id, d.bad_chip_time) for d in drives]
-        return _unpickle_pool, (
-            self.profile_name, self.blocks_per_device, self.seed, times, counts, rest
-        )
-
-
-def _unpickle_pool(profile_name, blocks_per_device, seed, times, counts, rest) -> SsdPool:
-    flat = np.frombuffer(times, dtype=np.float64)  # read-only: bytes are immutable
-    ends = np.cumsum(counts, dtype=np.int64).tolist()
-    drives = tuple(
-        PooledSsd(drive_id, flat[end - count : end], bad_chip_time)
-        for (drive_id, bad_chip_time), count, end in zip(rest, counts, ends)
-    )
-    return SsdPool(profile_name, blocks_per_device, seed, drives)
+    drives: Sequence[PooledSsd]
 
 
 @dataclass(frozen=True)
@@ -290,21 +279,45 @@ def _unmarked_counts(segments: list[_Segment], n: int, rng: np.random.Generator)
     return counts
 
 
+def _gaps(rng: np.random.Generator, count: int, threshold: int, factor: float) -> np.ndarray:
+    """The `count + 1` exponential inter-arrival gaps of `count` bad blocks.
+
+    Unit-rate gaps up to the escalation threshold, gaps shrunk by the
+    escalation factor afterwards.  `generate_pool` draws them here to step
+    past a drive, and `_bb_times` draws them here again when the drive is
+    read, so both take the same draws from the stream.
+    """
+    gaps = rng.standard_exponential(count + 1)
+    gaps[min(count, threshold) :] /= factor
+    return gaps
+
+
 def _bb_times(rng: np.random.Generator, count: int, threshold: int, factor: float) -> np.ndarray:
     """Arrival times for `count` bad blocks over one mission.
 
-    Exponential inter-arrival construction conditioned on the count:
-    unit-rate gaps up to the escalation threshold, gaps shrunk by the
-    escalation factor afterwards, then normalized onto [0, mission).
+    Exponential inter-arrival construction conditioned on the count: the
+    gaps of `_gaps`, normalized onto [0, mission).
     """
-    k = min(count, threshold)
-    gaps = np.empty(count + 1)
-    gaps[:k] = rng.exponential(1.0, size=k)
-    gaps[k:] = rng.exponential(1.0, size=count + 1 - k) / factor
-    cum = gaps.cumsum()
+    cum = _gaps(rng, count, threshold, factor).cumsum()
     # Non-decreasing: scaling a non-decreasing `cum` by a positive factor
-    # keeps its order under IEEE rounding.  `generate_pool` breaks ties.
+    # keeps its order under IEEE rounding.  `_break_ties` breaks ties.
     return MISSION_HOURS * cum[:count] / cum[-1]
+
+
+def _break_ties(times: np.ndarray) -> None:
+    """Make one drive's bad block times strictly ascending, in place.
+
+    Guards against duplicate floats after normalization: a time no later
+    than the one before becomes the next float above it, in ascending
+    order, until no tie is left (a nudged time can tie with the raw time
+    after it).  The first time is never moved.
+    """
+    while True:
+        dup = np.flatnonzero(times[1:] <= times[:-1]) + 1
+        if not dup.size:
+            return
+        for i in dup.tolist():
+            times[i] = np.nextafter(times[i - 1], np.inf)
 
 
 def _truncated_exp_time(rng: np.random.Generator, pct: float) -> float:
@@ -315,6 +328,74 @@ def _truncated_exp_time(rng: np.random.Generator, pct: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Generated pools
+
+
+def _stream_state(bit_generator: np.random.BitGenerator) -> tuple[int, tuple]:
+    """A PCG64 state as (128-bit position, the rest of the state)."""
+    state = bit_generator.state
+    inner = state["state"]
+    return inner["state"], (
+        state["bit_generator"], inner["inc"], state["has_uint32"], state["uinteger"]
+    )
+
+
+# One generator per thread redraws every drive read in that thread: each
+# rebuild sets the whole state first, and making a generator costs about
+# as much as the rebuild itself.
+_REBUILD = threading.local()
+
+
+def _thread_rng() -> np.random.Generator:
+    rng = getattr(_REBUILD, "rng", None)
+    if rng is None:
+        rng = _REBUILD.rng = np.random.Generator(np.random.PCG64())
+    return rng
+
+
+_NO_TIMES = np.empty(0)
+_NO_TIMES.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class _GeneratedDrives(Sequence):
+    """A generated pool's drives, each rebuilt when it is read.
+
+    Drive k has `counts[k]` bad blocks, whose gaps the pool's PCG64
+    stream drew from position `positions[k]` (high and low 64-bit words),
+    and a bad chip at hour `bad_chip_times[k]` (NaN: none).  `stream` is
+    the rest of the generator's state, which no drive's draws change.
+    """
+
+    counts: np.ndarray
+    bad_chip_times: np.ndarray
+    positions: np.ndarray
+    stream: tuple
+    threshold: int
+    factor: float
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, k: int) -> PooledSsd:
+        k = range(len(self.counts))[operator.index(k)]  # IndexError when out of range
+        times = _NO_TIMES
+        count = int(self.counts[k])
+        if count:
+            rng = _thread_rng()
+            high, low = self.positions[k].tolist()
+            name, inc, has_uint32, uinteger = self.stream
+            rng.bit_generator.state = {
+                "bit_generator": name,
+                "state": {"state": high << 64 | low, "inc": inc},
+                "has_uint32": has_uint32,
+                "uinteger": uinteger,
+            }
+            times = _bb_times(rng, count, self.threshold, self.factor)
+            _break_ties(times)
+            times.flags.writeable = False  # so `PooledSsd` keeps it without a copy
+        bad_chip_time = float(self.bad_chip_times[k])
+        return PooledSsd(k, times, None if math.isnan(bad_chip_time) else bad_chip_time)
 
 
 def generate_pool(
@@ -330,6 +411,10 @@ def generate_pool(
     bad chip drives (rounded) are marked with more than 5% failed
     blocks.  Bad chip drives outside the marked share carry no mission
     bad blocks, keeping the 2/3 ratio exact.
+
+    Every draw is made here, in a fixed order, but a drive's bad block
+    gaps are dropped once drawn: the pool keeps where in the stream they
+    start and draws them again whenever the drive is read.
     """
     if pool_size < 1:
         raise PoolError("pool_size must be >= 1")
@@ -367,57 +452,43 @@ def generate_pool(
     # every later draw, and so every schedule, at its established value.
     rng.normal(profile.factory_bb_mean, profile.factory_bb_std, size=pool_size)
 
-    # Drive k's bad block times are flat[starts[k]:ends[k]].
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    flat = np.empty(int(ends[-1]))
-    bc_times: list[float | None] = []
-    for drive_id in range(pool_size):
-        if counts[drive_id]:
-            flat[starts[drive_id] : ends[drive_id]] = _bb_times(
-                rng,
-                int(counts[drive_id]),
-                profile.bb_escalation_threshold,
-                profile.bb_escalation_factor,
-            )
-        bc_times.append(
-            _truncated_exp_time(rng, profile.pct_bad_chip) if drive_id in bc_ids else None
-        )
-    # Guard against duplicate floats after normalization: within a drive,
-    # a time no later than the one before becomes the next float above it,
-    # in ascending order, until no tie is left (a nudged time can tie with
-    # the raw time after it).  A drive's first time is never moved.
-    while True:
-        dup = np.flatnonzero(flat[1:] <= flat[:-1]) + 1
-        dup = dup[~np.isin(dup, starts)]
-        if not dup.size:
-            break
-        for i in dup.tolist():
-            flat[i] = np.nextafter(flat[i - 1], np.inf)
-    flat.flags.writeable = False
-    drives = [
-        PooledSsd(
-            drive_id=drive_id,
-            mission_bb_times=flat[starts[drive_id] : ends[drive_id]],
-            bad_chip_time=bc_times[drive_id],
-        )
-        for drive_id in range(pool_size)
-    ]
+    threshold, factor = profile.bb_escalation_threshold, profile.bb_escalation_factor
+    bit_generator = rng.bit_generator
+    _, stream = _stream_state(bit_generator)
+    positions = np.zeros((pool_size, 2), dtype=np.uint64)
+    bc_times = np.full(pool_size, np.nan)
+    for drive_id, count in enumerate(counts.tolist()):
+        if count:
+            position, rest = _stream_state(bit_generator)
+            # Exponential and uniform draws move only the 128-bit position,
+            # so that position alone restarts the drive's draws.
+            if rest != stream:
+                raise RuntimeError(f"drawing moved the PCG64 state beyond its position: {rest}")
+            positions[drive_id] = divmod(position, 1 << 64)
+            _gaps(rng, count, threshold, factor)
+        if drive_id in bc_ids:
+            bc_times[drive_id] = _truncated_exp_time(rng, profile.pct_bad_chip)
+    for column in (counts, bc_times, positions):
+        column.flags.writeable = False
     return SsdPool(
         profile_name=profile.name,
         blocks_per_device=blocks_per_device,
         seed=seed,
-        drives=tuple(drives),
+        drives=_GeneratedDrives(counts, bc_times, positions, stream, threshold, factor),
     )
 
 
 def validate_pool(pool: SsdPool) -> PoolValidationReport:
     """Summary statistics used to check a pool against its targets."""
-    counts = np.array([len(d.mission_bb_times) for d in pool.drives], dtype=np.int64)
+    counts, bc_counts = [], []
+    for d in pool.drives:  # a generated pool rebuilds each drive as it is read
+        counts.append(len(d.mission_bb_times))
+        if d.bad_chip_time is not None:
+            bc_counts.append(counts[-1])
+    counts = np.array(counts, dtype=np.int64)
     bb_counts = counts[counts > 0]
-    bc = [d for d in pool.drives if d.bad_chip_time is not None]
     threshold = GT5_FRACTION * pool.blocks_per_device
-    gt5 = sum(1 for d in bc if len(d.mission_bb_times) > threshold)
+    gt5 = sum(1 for count in bc_counts if count > threshold)
     cond = {}
     for k in (2, 3, 4, 5):
         sub = bb_counts[bb_counts >= k]
@@ -425,9 +496,9 @@ def validate_pool(pool: SsdPool) -> PoolValidationReport:
     return PoolValidationReport(
         pool_size=len(pool.drives),
         drives_with_bb=int(bb_counts.size),
-        drives_with_bc=len(bc),
+        drives_with_bc=len(bc_counts),
         drives_bc_gt5=gt5,
-        bc_gt5_ratio=gt5 / len(bc) if bc else float("nan"),
+        bc_gt5_ratio=gt5 / len(bc_counts) if bc_counts else float("nan"),
         median_bb=float(np.median(bb_counts)) if bb_counts.size else float("nan"),
         mean_bb=float(np.mean(bb_counts)) if bb_counts.size else float("nan"),
         cond_medians=cond,

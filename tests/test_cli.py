@@ -38,6 +38,17 @@ class TestSynthLogCommand:
         logs = parse_usage_log(out)
         assert len(logs) == 3
 
+    def test_rejects_no_devices_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "logs.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-log", "--devices", "0", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ssdfi synth-log")
+        assert "--devices must be at least 1, got 0" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCostCommand:
     def test_prints_costs(self, capsys):
@@ -45,6 +56,15 @@ class TestCostCommand:
         out = capsys.readouterr().out
         assert "erf=1.161290" in out
         assert "encode_xors_per_stripe=59" in out
+
+    def test_reports_rejected_input_as_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--devices", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ssdfi cost")
+        assert "ssdfi cost: error: need at least 3 devices" in captured.err
+        assert captured.out == ""
 
     def test_runs_as_module(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -247,3 +267,21 @@ class TestValidatePoolCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.strip().endswith("PASS")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--pool-blocks", "10"], "blocks_per_device must be >= 64"),
+            (["--pool-size", "0"], "pool_size must be >= 1"),
+        ],
+        ids=["pool-blocks", "pool-size"],
+    )
+    def test_reports_rejected_input_as_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-pool", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ssdfi validate-pool")
+        assert f"ssdfi validate-pool: error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -5,8 +5,11 @@ universe, the SHA-256 of its `SimResult`, its `uncorrectable` call count
 and its record count.  This test replays stock-mission log variant 0,
 seeds 0-7, and stress-maintenance seeds 0-19, each under all three codes,
 and checks all three values, so a change that alters any output or the
-judge-call count fails the ordinary test run.  The workloads, the stored
-table, the digest and the call tracer all come from `bench/bench.py`.
+judge-call count fails the ordinary test run.  It also runs the grid-run
+workload's grid for workload seed 0 through `run_experiment`, pool
+generation to written reports, and checks each cell's report against its
+stored SHA-256.  The workloads, the stored table, the digest and the call
+tracer all come from `bench/bench.py`.
 """
 import importlib.util
 import sys
@@ -52,3 +55,11 @@ def test_stored_missions_replay(name):
         for code, entry in stored[str(seed)].items()
     }
     assert got == want
+
+
+def test_grid_run_reports_replay(tmp_path):
+    bench = _load_bench()
+    ssdfi = bench.import_ssdfi()
+    reports, _ = bench.run_grid(ssdfi, bench.WORKLOADS["grid-run"], 0, 1, tmp_path / "grid")
+    assert len(reports) == 7  # six cells and the manifest
+    assert bench.grid_mismatches(bench.load_expected()["grid-run"], 0, reports) == []

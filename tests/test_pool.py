@@ -11,7 +11,15 @@ from ssdfi.pool import (
     generate_pool,
     validate_pool,
 )
-from ssdfi.profiles import MISSION_HOURS, RberCurve, SsdModelProfile, profile_by_name
+from ssdfi.profiles import (
+    MISSION_HOURS,
+    RberCurve,
+    SsdModelProfile,
+    default_profiles,
+    profile_by_name,
+)
+
+import reference_pool
 
 BLOCKS = 2048
 
@@ -89,24 +97,30 @@ class TestGeneratePool:
         b = generate_pool(p, 300, BLOCKS, seed=8)
         assert snapshot(a) != snapshot(b)
 
-    def test_schedules_share_one_read_only_buffer(self):
-        pool = generate_pool(synthetic_profile(), 300, BLOCKS, seed=7)
-        flat = pool.drives[0].mission_bb_times.base
-        assert flat is not None and not flat.flags.writeable
-        assert all(d.mission_bb_times.base is flat for d in pool.drives)
-        assert all(not d.mission_bb_times.flags.writeable for d in pool.drives)
-        # The drives' slices tile the buffer in drive order.
-        assert np.array_equal(np.concatenate([d.mission_bb_times for d in pool.drives]), flat)
-
     @pytest.mark.parametrize("protocol", [2, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
-    def test_pickled_pool_keeps_one_read_only_buffer(self, protocol):
+    def test_pickled_pool_rebuilds_the_same_read_only_drives(self, protocol):
         pool = generate_pool(synthetic_profile(), 300, BLOCKS, seed=7)
         copy = pickle.loads(pickle.dumps(pool, protocol=protocol))
         assert snapshot(copy) == snapshot(pool)
-        flat = copy.drives[0].mission_bb_times.base
-        assert flat is not None and not flat.flags.writeable
-        assert all(d.mission_bb_times.base is flat for d in copy.drives)
-        assert all(not d.mission_bb_times.flags.writeable for d in copy.drives)
+        for drives in (pool.drives, copy.drives):
+            assert all(not d.mission_bb_times.flags.writeable for d in drives)
+
+    def test_a_full_size_pool_pickles_without_its_times(self):
+        # 10,000 MLC-B drives hold about 4.6M bad block times (37 MB as
+        # float64); the pickle holds three small arrays instead.
+        pool = generate_pool(profile_by_name("MLC-B"), 10_000, 16_384, seed=2021)
+        assert len(pickle.dumps(pool, protocol=pickle.HIGHEST_PROTOCOL)) < 1_000_000
+
+    def test_drives_read_as_a_sequence(self):
+        pool = generate_pool(synthetic_profile(), 300, BLOCKS, seed=7)
+        drives = pool.drives
+        assert len(drives) == 300
+        assert [d.drive_id for d in drives] == list(range(300))
+        assert drives[-1].drive_id == 299
+        with pytest.raises(IndexError):
+            drives[300]
+        with pytest.raises(TypeError):
+            drives[1.0]
 
     def test_exact_quotas(self):
         p = synthetic_profile()
@@ -205,6 +219,33 @@ class TestGeneratePool:
         p = synthetic_profile(pct_bad_chip=0.9, pct_bad_block=0.1)
         with pytest.raises(PoolError):
             generate_pool(p, 100, BLOCKS, seed=0)
+
+
+class TestMatchesEagerReference:
+    """Every drive, rebuilt on reading, equals the eagerly drawn reference."""
+
+    @pytest.mark.parametrize("seed", [11, 2021])
+    @pytest.mark.parametrize("name", [p.name for p in default_profiles()])
+    def test_calibrated_profiles(self, name, seed):
+        profile = profile_by_name(name)
+        pool = generate_pool(profile, 2_000, 16_384, seed)
+        assert snapshot(pool) == snapshot(reference_pool.generate_pool(profile, 2_000, 16_384, seed))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},  # the synthetic profile as is; every variant uses the fallback count model
+            {"bb_escalation_threshold": 1, "bb_escalation_factor": 1.0},
+            {"bb_escalation_threshold": 7, "bb_escalation_factor": 3.5},
+            {"bb_escalation_threshold": 10**6},
+        ],
+        ids=["fallback", "factor-1", "threshold-7", "never-escalates"],
+    )
+    def test_synthetic_profiles(self, overrides):
+        profile = synthetic_profile(**overrides)
+        for seed in (3, 4):
+            pool = generate_pool(profile, 1_000, BLOCKS, seed)
+            assert snapshot(pool) == snapshot(reference_pool.generate_pool(profile, 1_000, BLOCKS, seed))
 
 
 class TestValidatePool:
