@@ -272,10 +272,13 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 def _cmd_synth_log(args: argparse.Namespace) -> int:
     if args.devices < 1:
         args.parser.error(f"--devices must be at least 1, got {args.devices}")
-    logs = [
-        synthesize_usage_log(SynthWorkloadParams(), f"dev{i}", args.seed + i)
-        for i in range(args.devices)
-    ]
+    try:
+        logs = [
+            synthesize_usage_log(SynthWorkloadParams(), f"dev{i}", args.seed + i)
+            for i in range(args.devices)
+        ]
+    except ValueError as exc:  # a rejected input: report it as a usage error
+        args.parser.error(str(exc))
     write_usage_log(logs, Path(args.out))
     print(f"wrote {args.devices} device log(s) to {args.out}")
     return 0

@@ -13,6 +13,12 @@ a mission pays only for the drives it installs, and a pool pickles (to
 a `spawn` or `forkserver` worker, say) as three small arrays.  A
 hand-built pool holds the `PooledSsd` drives it is given.
 
+Generating a pool costs about what its random draws cost.  The counts
+are computed as arrays, and one walk of the stream then visits the
+drives in order: for each drive with bad blocks it reads the stream
+state once and draws the drive's gaps in one call, into a buffer that
+every drive reuses.
+
 Counts of mission bad blocks are heavily skewed in the field: the
 median among affected drives is 2-3 while the mean is in the hundreds,
 and drives that have already seen a few bad blocks tend to collect
@@ -255,39 +261,46 @@ def _build_segments(profile: SsdModelProfile, f_marked: float, blocks_per_device
     return segments, marked_mean
 
 
-def _quantile(segments: list[_Segment], q: float) -> float:
-    total = sum(s.mass for s in segments)
-    target = q * total
-    acc = 0.0
-    for s in segments:
-        if target <= acc + s.mass or s is segments[-1]:
-            if s.lo == s.hi:
-                return s.lo
-            f = min(1.0, max(0.0, (target - acc) / s.mass))
-            return s.lo + f * (s.hi - s.lo)
-        acc += s.mass
-    return segments[-1].hi
-
-
 def _unmarked_counts(segments: list[_Segment], n: int, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic mid-quantile counts, randomly assigned to drives."""
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    qs = (np.arange(n) + 0.5) / n
-    counts = np.array([max(1, round(_quantile(segments, q))) for q in qs], dtype=np.int64)
+    """Deterministic mid-quantile counts, randomly assigned to drives.
+
+    The count at quantile q is the value where the cumulative mass
+    reaches q times the total: an atom's value, or the point of a band
+    (lo, hi] that far into its mass.  Every quantile is found at once; a
+    quantile on a segment's upper cumulative mass stays in that segment.
+    """
+    masses, lo, hi = np.array([(s.mass, s.lo, s.hi) for s in segments], dtype=np.float64).T
+    ends = np.cumsum(masses)  # added left to right, as a running sum would
+    starts = np.concatenate(([0.0], ends[:-1]))
+    total = sum(s.mass for s in segments)  # not ends[-1]: Python 3.12's `sum` compensates
+    targets = (np.arange(n) + 0.5) / n * total
+    seg = np.minimum(np.searchsorted(ends, targets, side="left"), len(segments) - 1)
+    f = np.minimum(1.0, np.maximum(0.0, (targets - starts[seg]) / masses[seg]))
+    values = lo[seg] + f * (hi[seg] - lo[seg])  # an atom's value when lo == hi
+    counts = np.maximum(1, np.rint(values)).astype(np.int64)
     rng.shuffle(counts)
     return counts
+
+
+def _unit_gaps(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with unit-rate exponential gaps drawn from `rng`.
+
+    The one routine through which a drive's gaps leave the stream:
+    `generate_pool` steps past each drive with it, and `_gaps` redraws the
+    drive with it when the drive is read.
+    """
+    return rng.standard_exponential(out=out)
 
 
 def _gaps(rng: np.random.Generator, count: int, threshold: int, factor: float) -> np.ndarray:
     """The `count + 1` exponential inter-arrival gaps of `count` bad blocks.
 
     Unit-rate gaps up to the escalation threshold, gaps shrunk by the
-    escalation factor afterwards.  `generate_pool` draws them here to step
-    past a drive, and `_bb_times` draws them here again when the drive is
-    read, so both take the same draws from the stream.
+    escalation factor afterwards.  The draws go through `_unit_gaps`, which
+    `generate_pool` also uses to step past the drive, so both take the
+    same draws from the stream.
     """
-    gaps = rng.standard_exponential(count + 1)
+    gaps = _unit_gaps(rng, np.empty(count + 1))
     gaps[min(count, threshold) :] /= factor
     return gaps
 
@@ -420,6 +433,8 @@ def generate_pool(
         raise PoolError("pool_size must be >= 1")
     if blocks_per_device < 64:
         raise PoolError("blocks_per_device must be >= 64")
+    if seed < 0:
+        raise PoolError(f"seed must be >= 0, got {seed}")
 
     n_bc = round(pool_size * profile.pct_bad_chip)
     n_bb = round(pool_size * profile.pct_bad_block)
@@ -455,7 +470,8 @@ def generate_pool(
     threshold, factor = profile.bb_escalation_threshold, profile.bb_escalation_factor
     bit_generator = rng.bit_generator
     _, stream = _stream_state(bit_generator)
-    positions = np.zeros((pool_size, 2), dtype=np.uint64)
+    buffer = np.empty(int(counts.max()) + 1)  # takes every drive's gaps in turn
+    positions = []
     bc_times = np.full(pool_size, np.nan)
     for drive_id, count in enumerate(counts.tolist()):
         if count:
@@ -464,10 +480,15 @@ def generate_pool(
             # so that position alone restarts the drive's draws.
             if rest != stream:
                 raise RuntimeError(f"drawing moved the PCG64 state beyond its position: {rest}")
-            positions[drive_id] = divmod(position, 1 << 64)
-            _gaps(rng, count, threshold, factor)
+            positions.append(position.to_bytes(16, "big"))
+            _unit_gaps(rng, buffer[: count + 1])
+        else:
+            positions.append(bytes(16))
         if drive_id in bc_ids:
             bc_times[drive_id] = _truncated_exp_time(rng, profile.pct_bad_chip)
+    # One row of (high, low) 64-bit words per drive.
+    positions = np.frombuffer(b"".join(positions), dtype=">u8").reshape(pool_size, 2)
+    positions = positions.astype(np.uint64)
     for column in (counts, bc_times, positions):
         column.flags.writeable = False
     return SsdPool(

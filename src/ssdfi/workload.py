@@ -120,6 +120,8 @@ class SynthWorkloadParams:
 
 def synthesize_usage_log(params: SynthWorkloadParams, device_id: str, seed: int) -> UsageLog:
     """Deterministic synthetic log with jittered hourly rates."""
+    if seed < 0:
+        raise WorkloadError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10 + 7]))
     n = params.duration_hours
     jr = 1.0 + params.jitter * (2 * rng.random(n) - 1.0)

@@ -4,8 +4,9 @@ This is `generate_pool` as it stood when a generated pool drew, tie-broke
 and stored every drive's bad block times up front, in one flat read-only
 buffer.  It is kept only so that `test_pool.py` can check, drive by
 drive, that the production pool in `ssdfi.pool` rebuilds the same bytes;
-nothing in `src/` imports it.  Do not change its behaviour: it defines
-what the production pool must reproduce.
+nothing in `src/` imports it.  Its counts come from the per-quantile loop
+that the production pool's array-built counts must reproduce.  Do not
+change its behaviour: it defines what the production pool must reproduce.
 """
 from __future__ import annotations
 
@@ -20,10 +21,34 @@ from ssdfi.pool import (
     PooledSsd,
     SsdPool,
     _build_segments,
+    _Segment,
     _truncated_exp_time,
-    _unmarked_counts,
 )
 from ssdfi.profiles import MISSION_HOURS, SsdModelProfile
+
+
+def _quantile(segments: list[_Segment], q: float) -> float:
+    total = sum(s.mass for s in segments)
+    target = q * total
+    acc = 0.0
+    for s in segments:
+        if target <= acc + s.mass or s is segments[-1]:
+            if s.lo == s.hi:
+                return s.lo
+            f = min(1.0, max(0.0, (target - acc) / s.mass))
+            return s.lo + f * (s.hi - s.lo)
+        acc += s.mass
+    return segments[-1].hi
+
+
+def _unmarked_counts(segments: list[_Segment], n: int, rng: np.random.Generator) -> np.ndarray:
+    """Deterministic mid-quantile counts, randomly assigned to drives."""
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    qs = (np.arange(n) + 0.5) / n
+    counts = np.array([max(1, round(_quantile(segments, q))) for q in qs], dtype=np.int64)
+    rng.shuffle(counts)
+    return counts
 
 
 def _bb_times(rng: np.random.Generator, count: int, threshold: int, factor: float) -> np.ndarray:

@@ -49,6 +49,18 @@ class TestSynthLogCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_rejects_negative_seed_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "logs.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-log", "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ssdfi synth-log")
+        assert "ssdfi synth-log: error: seed must be >= 0, got -1" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCostCommand:
     def test_prints_costs(self, capsys):
@@ -220,10 +232,11 @@ class TestRunExperiment:
             (["--models", "MLC-A", "QLC-Z"], "no profile named 'QLC-Z'"),
             (["--tts", "10000", "1e4"], "repeat the report key"),
             (["--tts", "nan"], "tts and ttr must be finite and positive"),
+            (["--seed", "-3"], "seed must be >= 0, got -3"),
         ],
         ids=[
             "workers", "sims", "mission", "fractional-mission", "pool-size", "pool-blocks",
-            "usage-log", "models", "repeated-tts", "tts-nan",
+            "usage-log", "models", "repeated-tts", "tts-nan", "seed",
         ],
     )
     def test_command_reports_rejected_input_as_usage_error(self, tmp_path, capsys, argv, message):
@@ -273,8 +286,9 @@ class TestValidatePoolCommand:
         [
             (["--pool-blocks", "10"], "blocks_per_device must be >= 64"),
             (["--pool-size", "0"], "pool_size must be >= 1"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
-        ids=["pool-blocks", "pool-size"],
+        ids=["pool-blocks", "pool-size", "seed"],
     )
     def test_reports_rejected_input_as_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

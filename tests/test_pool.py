@@ -8,6 +8,9 @@ from ssdfi.pool import (
     GT5_FRACTION,
     PoolError,
     PooledSsd,
+    _build_segments,
+    _Segment,
+    _unmarked_counts,
     generate_pool,
     validate_pool,
 )
@@ -215,14 +218,74 @@ class TestGeneratePool:
         with pytest.raises(PoolError):
             generate_pool(p, 100, 32, seed=0)
 
+    def test_rejects_negative_seed_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(PoolError, match="seed must be >= 0, got -1"):
+            generate_pool(synthetic_profile(), 100, BLOCKS, seed=-1)
+
     def test_marked_quota_must_fit(self):
         p = synthetic_profile(pct_bad_chip=0.9, pct_bad_block=0.1)
         with pytest.raises(PoolError):
             generate_pool(p, 100, BLOCKS, seed=0)
 
 
+def marked_fraction(profile, pool_size):
+    """The marked share of bad block drives that `generate_pool` computes."""
+    n_marked = round(round(pool_size * profile.pct_bad_chip) * BC_GT5_SHARE)
+    return n_marked / round(pool_size * profile.pct_bad_block)
+
+
+def assert_counts_match_loop(segments, n, seed=5):
+    """Array-built counts equal the frozen per-quantile loop's, draw for draw."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts = _unmarked_counts(segments, n, rng)
+    expected = reference_pool._unmarked_counts(segments, n, ref_rng)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == expected.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return counts
+
+
+class TestUnmarkedCounts:
+    """The array-built mid-quantile counts against the frozen loop."""
+
+    @pytest.mark.parametrize("name", [p.name for p in default_profiles()])
+    def test_calibrated_segments(self, name):
+        profile = profile_by_name(name)
+        for blocks in (2_048, 16_384, 131_072):
+            segments, _ = _build_segments(profile, marked_fraction(profile, 10_000), blocks)
+            assert len(segments) > 1
+            for n in (0, 1, 2, 3, 7, 7_497):
+                assert len(assert_counts_match_loop(segments, n)) == n
+
+    def test_fallback_segment(self):
+        profile = synthetic_profile()
+        segments, _ = _build_segments(profile, marked_fraction(profile, 1_000), BLOCKS)
+        assert len(segments) == 1
+        for n in (0, 1, 2, 3, 7, 7_497):
+            assert_counts_match_loop(segments, n)
+
+    def test_target_on_a_cumulative_mass_stays_in_the_lower_segment(self):
+        # Targets 1/6, 1/2 and 5/6 of the mass: 1/2 is exactly where the
+        # atom ends, so it is the atom's count, not the band's lower edge.
+        segments = [_Segment(0.5, 1.0, 1.0), _Segment(0.5, 10.0, 20.0)]
+        counts = assert_counts_match_loop(segments, 3)
+        assert sorted(counts.tolist()) == [1, 1, 17]
+
+
 class TestMatchesEagerReference:
     """Every drive, rebuilt on reading, equals the eagerly drawn reference."""
+
+    @pytest.mark.parametrize("name, seed", [("MLC-A", 20_240_811), ("MLC-B", 2021)])
+    def test_benchmark_pools(self, name, seed):
+        # The full-size pools the benchmark replays: a walk that drifts
+        # late in a long stream shows only here.
+        profile = profile_by_name(name)
+        pool = generate_pool(profile, 10_000, 16_384, seed)
+        assert snapshot(pool) == snapshot(reference_pool.generate_pool(profile, 10_000, 16_384, seed))
 
     @pytest.mark.parametrize("seed", [11, 2021])
     @pytest.mark.parametrize("name", [p.name for p in default_profiles()])

@@ -114,6 +114,14 @@ class TestSynthesis:
         assert (np.diff(pe) >= 0).all()
         assert pe[-1] == pytest.approx(2.0 * 24, rel=0.15)
 
+    def test_rejects_negative_seed_before_any_draw(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(WorkloadError, match="seed must be >= 0, got -1"):
+            synthesize_usage_log(SynthWorkloadParams(), "d0", seed=-1)
+
     def test_param_validation(self):
         with pytest.raises(WorkloadError):
             SynthWorkloadParams(duration_hours=0)
