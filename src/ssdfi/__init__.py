@@ -1,11 +1,7 @@
 """Monte Carlo fault injection for SSD arrays under parity based codes."""
 from .codes import (
-    ChunkFault,
     ErasureCode,
-    StripeFaultState,
     UpdatePenalty,
-    brute_force_correctable,
-    check_stripe_dl,
     encode_xor_count,
     erf,
     uncorrectable,
@@ -45,7 +41,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AggregateReport",
     "ArrayGeometry",
-    "ChunkFault",
     "DataLossRecord",
     "ErasureCode",
     "MISSION_HOURS",
@@ -54,13 +49,10 @@ __all__ = [
     "SimResult",
     "SsdModelProfile",
     "SsdPool",
-    "StripeFaultState",
     "SynthWorkloadParams",
     "UpdatePenalty",
     "UsageLog",
     "aggregate_results",
-    "brute_force_correctable",
-    "check_stripe_dl",
     "default_profiles",
     "dense_arrays",
     "emit_report",

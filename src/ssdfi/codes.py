@@ -17,7 +17,6 @@ update strategies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -30,35 +29,6 @@ class ErasureCode(Enum):
 
 class CodesError(ValueError):
     """Invalid stripe state or cost model arguments."""
-
-
-@dataclass(frozen=True)
-class ChunkFault:
-    """Fault state of one chunk within a stripe."""
-
-    device_failed: bool = False
-    bad_block: bool = False
-    bad_symbols: frozenset[int] = frozenset()
-
-
-@dataclass(frozen=True)
-class StripeFaultState:
-    """Sparse per-chunk fault map for one stripe."""
-
-    n_devices: int
-    chunk_pages: int
-    chunks: dict[int, ChunkFault] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n_devices < 3:
-            raise CodesError("need at least 3 devices")
-        if self.chunk_pages < 1:
-            raise CodesError("chunk_pages must be >= 1")
-        for idx, fault in self.chunks.items():
-            if not 0 <= idx < self.n_devices:
-                raise CodesError(f"chunk index {idx} outside device range")
-            if any(not 0 <= s < self.chunk_pages for s in fault.bad_symbols):
-                raise CodesError(f"bad symbol index outside chunk in chunk {idx}")
 
 
 def stripe_counts(n_failed: int, bb_devs, bs_map) -> tuple[int, int, int, int]:
@@ -106,17 +76,6 @@ def uncorrectable(code: ErasureCode, faulty: int, multi: int) -> bool:
     if code is _PMDS11:
         return faulty > 2 or multi > 1
     raise CodesError(f"unknown code {code!r}")
-
-
-def check_stripe_dl(code: ErasureCode, state: StripeFaultState) -> bool:
-    """True when the stripe's data is lost under the given code."""
-    failed = {i for i, f in state.chunks.items() if f.device_failed}
-    bb_devs = {i for i, f in state.chunks.items() if f.bad_block} - failed
-    bs_map = {
-        i: f.bad_symbols for i, f in state.chunks.items() if f.bad_symbols and i not in failed
-    }
-    faulty, multi, _, _ = stripe_counts(len(failed), bb_devs, bs_map)
-    return uncorrectable(code, faulty, multi)
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +145,3 @@ def update_penalty(
     except KeyError:
         raise CodesError(f"unknown strategy {strategy!r} or code {code!r}") from None
     return UpdatePenalty(writes=w, reads=rd)
-
-
-def brute_force_correctable(code: ErasureCode, state: StripeFaultState) -> bool:
-    """Erasure-decoding argument, independent of the counting judge.
-
-    RAID5 regenerates one erased chunk, RAID6 two.  PMDS(1,1) can
-    regenerate one erased chunk row by row and has one extra global
-    parity symbol, so a stripe decodes whenever some chunk choice leaves
-    at most one erased symbol outside it.
-    """
-    erased = []
-    for f in state.chunks.values():
-        if f.device_failed or f.bad_block:
-            erased.append(state.chunk_pages)
-        elif f.bad_symbols:
-            erased.append(len(f.bad_symbols))
-    if code is ErasureCode.RAID5:
-        return len(erased) <= 1
-    if code is ErasureCode.RAID6:
-        return len(erased) <= 2
-    if code is ErasureCode.PMDS11:
-        if not erased:
-            return True
-        return any(sum(erased) - e <= 1 for e in erased)
-    raise CodesError(f"unknown code {code!r}")

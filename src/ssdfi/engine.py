@@ -51,7 +51,8 @@ stripes moves them all to `recorded`, and a pass that loses a fresh lone
 arrival records it; neither gets a `bs_stripe` entry, as a recorded
 stripe is never judged again in its epoch.  `touched` holds the block
 of every latent bad symbol and every loss of the epoch, and may hold
-more: a block outside it has neither, and a bad block outside it is
+more (the block of a symbol that its bay's bad chip or wear-out
+dropped): a block outside it has neither, and a bad block outside it is
 clean.
 
 Most bad symbols and bad blocks stay out of the containers.  A bad
@@ -66,14 +67,16 @@ mission that shares the timeline.  The index keys every arrival by
 (scrub interval, stripe), a bad block by its block's first stripe, and
 sorts the keys once: a symbol is isolated when its key is unique and
 its block's run of keys holds no bad block, and a bad block when its
-block's run holds only itself.  A pass with no failed device
-and at least `_BULK_PASS` arrivals makes its isolated symbols' judge
+block's run holds only itself.  The array state alone picks a pass's
+intake.  A pass with no failed device makes its isolated symbols' judge
 calls in one batch and its isolated bad blocks' in another, and keeps
 their timeline positions, which no replacement moves, as one `pending`
 and one `pending_bb` entry; only its other arrivals go through the
-containers.  A pending symbol
-counts as a lone stripe at every scan, and a pending bad block as a
-clean one; both leave with their bay's latent faults and at a scrub.
+containers.  A pass with a failed device takes every arrival row by
+row: there a lone symbol or a clean bad block may be lost, and its
+record must keep its place in arrival order.  A pending symbol counts
+as a lone stripe at every scan, and a pending bad block as a clean one;
+both leave with their bay's latent faults and at a scrub.
 Pending bad blocks are copied into `bb_block` only when a scan finds the
 clean bad blocks lost (a bad chip under RAID5 or PMDS(1,1), or two under
 RAID6).  A scan that finds the lone stripes lost (a bad chip under
@@ -94,7 +97,7 @@ when they are lost they are recorded at once, as one BDL.  A scan makes
 the calls of all pending bad blocks in one loop and gives them that one
 verdict; when it is lost, the block walk records each of them as one
 BDL, in block order, without a second call.  With no failed bay every
-code corrects a lone symbol and a clean bad block, so a bulk pass that
+code corrects a lone symbol and a clean bad block, so a healthy pass that
 gets any other verdict raises `EngineError` rather than drop the loss.
 A bad block with bad symbols or losses is judged stripe by stripe.  A
 scan (scrub or bad chip) walks the blocks of the bad blocks and of
@@ -124,7 +127,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -214,13 +217,6 @@ def _fresh_hazard(
         array.flags.writeable = False
     return arrays
 
-
-# A pass with no failed device and at least this many arrivals takes its
-# isolated bad symbols and bad blocks in bulk; a smaller pass goes arrival
-# by arrival.  The isolation index costs one sort of the timeline's
-# arrivals, which a mission of small passes does not earn back
-# (BENCH_isolated_arrivals.json, BENCH_isolated_blocks.json).
-_BULK_PASS = 64
 
 # The latent faults of a lone stripe (one bad symbol) and of a stripe of a
 # clean bad block (one bay's chunk), as `stripe_counts` takes them.
@@ -686,26 +682,29 @@ class _Simulation:
         A fresh lone symbol, on a stripe with no other latent fault and no
         loss, is judged as it arrives, with the lone counts taken once per
         pass: no failure starts or ends within a pass.  With no failed
-        device, a large pass takes its isolated bad symbols and bad blocks
-        first: for each kind, their judge calls in one batch, then one
-        pending entry of their positions.
+        device, a pass takes its isolated bad symbols and bad blocks first:
+        for each kind, their judge calls in one batch, then one pending
+        entry of their positions, if it has any.  With a failed device,
+        every arrival goes row by row.
         """
         start = self.next_event
         if end == start:
             return
         self.next_event = end
-        if self.failed or end - start < _BULK_PASS:
+        if self.failed:
             rows = _rows(self.columns, slice(start, end))
         else:
             symbols, blocks, rest, rest_rows = self.timeline.isolation
             lo, hi = np.searchsorted(symbols, (start, end)).tolist()
             if self._verdict(hi - lo, None, _ONE_SYMBOL):
                 raise EngineError(f"{self.code.value} loses a lone bad symbol on a healthy array")
-            self.pending.append(symbols[lo:hi])
+            if hi > lo:
+                self.pending.append(symbols[lo:hi])
             lo, hi = np.searchsorted(blocks, (start, end)).tolist()
             if self._verdict(self.cpb * (hi - lo), _ONE_BAY, None):
                 raise EngineError(f"{self.code.value} loses a lone bad block on a healthy array")
-            self.pending_bb.append(blocks[lo:hi])
+            if hi > lo:
+                self.pending_bb.append(blocks[lo:hi])
             rows = rest_rows[bisect_left(rest, start) : bisect_left(rest, end)]
         code = self.code
         failed = self.failed
@@ -805,28 +804,18 @@ class _Simulation:
     def _drop_latent(self, i: int) -> None:
         """Forget device i's bad blocks and bad symbols (rare: a bad chip or wear-out).
 
-        A dropped symbol's block leaves `touched` when no stripe of it is
-        left in `bs_lone`, `bs_stripe` or `recorded`: a later bad block
-        there is clean again.
+        `touched` keeps a dropped symbol's block: a later bad block there is
+        judged stripe by stripe, with the calls and records of a clean one.
         """
         for block, devs in list(self.bb_block.items()):
             devs.discard(i)
             if not devs:
                 del self.bb_block[block]
-        cpb = self.cpb
-        freed = set()
         for stripe, per in list(self.bs_stripe.items()):
-            if per.pop(i, None) is not None:
-                freed.add(stripe // cpb)
-                if not per:
-                    del self.bs_stripe[stripe]
+            if per.pop(i, None) is not None and not per:
+                del self.bs_stripe[stripe]
         for stripe in [s for s, (bay, _) in self.bs_lone.items() if bay == i]:
             del self.bs_lone[stripe]
-            freed.add(stripe // cpb)
-        if freed:
-            for stripe in chain(self.bs_lone, self.bs_stripe, self.recorded):
-                freed.discard(stripe // cpb)
-            self.touched -= freed
         bays = self.columns[2]
         self.pending = [k[bays[k] != i] for k in self.pending]
         self.pending_bb = [k[bays[k] != i] for k in self.pending_bb]

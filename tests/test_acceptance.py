@@ -15,22 +15,14 @@ import numpy as np
 import pytest
 
 from ssdfi.cli import run_experiment
-from ssdfi.codes import (
-    ChunkFault,
-    ErasureCode,
-    StripeFaultState,
-    brute_force_correctable,
-    check_stripe_dl,
-    encode_xor_count,
-    erf,
-    update_penalty,
-)
+from ssdfi.codes import ErasureCode, encode_xor_count, erf, update_penalty
 from ssdfi.engine import EventKind, _Draw, _Simulation, run_simulation
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import COND_MEDIAN_TARGETS, PooledSsd, SsdPool, generate_pool, validate_pool
 from ssdfi.profiles import MISSION_HOURS, RberCurve, SsdModelProfile, default_profiles
 from ssdfi.reporting import aggregate_results
 from ssdfi.workload import SynthWorkloadParams, UsageLog, synthesize_usage_log
+from stripe_oracle import ChunkFault, StripeFaultState, brute_force_correctable, check_stripe_dl
 from test_engine import scheduled
 
 R5, R6, PMDS = ErasureCode.RAID5, ErasureCode.RAID6, ErasureCode.PMDS11

@@ -4,18 +4,15 @@ from hypothesis import strategies as st
 
 from ssdfi.codes import (
     DEVICE_TOLERANCE,
-    ChunkFault,
     CodesError,
     ErasureCode,
-    StripeFaultState,
-    brute_force_correctable,
-    check_stripe_dl,
     encode_xor_count,
     erf,
     stripe_counts,
     uncorrectable,
     update_penalty,
 )
+from stripe_oracle import ChunkFault, StripeFaultState, brute_force_correctable, check_stripe_dl
 
 R5, R6, PMDS = ErasureCode.RAID5, ErasureCode.RAID6, ErasureCode.PMDS11
 

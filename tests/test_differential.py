@@ -10,10 +10,11 @@ its rebuild or wear-out in place of the old drive's.  `ssdfi.engine._Simulation`
 judges that timeline, consuming bad blocks and bad symbols in one pass
 between boundary events.  Both engines must judge the same stripes in the
 same order at the same times, so the results (records and their order
-included) and the number of `uncorrectable` calls must be equal, also when
-one drawn timeline is judged under every code.  The reference engine still takes
-the `mirror_copy_hours` argument that the production engine dropped; it
-gets the value that production results still echo.
+included) and the number of `uncorrectable` calls must be equal.  Each
+test draws a seed's timeline once and judges it under every code, as a
+code sweep does.  The reference engine still takes the `mirror_copy_hours`
+argument that the production engine dropped; it gets the value that
+production results still echo.
 
 The configurations are small and dense so that every path runs within a
 short mission: a 4-device array of 32 stripes whose stripes collect
@@ -23,7 +24,11 @@ rebuild times (ADL epochs and rebuilds), and a P/E ramp that wears drives
 out every 300 hours.  Half of the seeds round every bad-symbol arrival
 and every pool bad-block time up to a whole hour, so bad blocks and bad
 symbols tie with each other, across bays, and with scrubs and wear-outs,
-which exercises the same-time order.  The bulk-intake test widens the
+which exercises the same-time order.  Every pass with no failed device
+takes its isolated arrivals in bulk, however few it holds: over the 1,000
+seeds, 35,479 of the 289,057 arrivals in such passes (12.3%) wait as
+pending, and the rest go through the engine's containers one by one.
+The bulk-intake test widens the
 array to 1,024 stripes and raises the bad-symbol rate tenfold, so that
 passes hold hundreds of isolated bad symbols (and a mission about twenty
 isolated bad blocks), which the production engine takes in bulk and keeps
@@ -145,35 +150,7 @@ def _counting(monkeypatch, module):
     return calls
 
 
-@pytest.mark.parametrize("code", list(ErasureCode), ids=lambda c: c.value)
-def test_engine_matches_reference(setups, code, monkeypatch):
-    new_calls = _counting(monkeypatch, ssdfi.engine)
-    ref_calls = _counting(monkeypatch, reference_engine)
-    totals = {"records": 0, "ADL": 0, "BDL": 0, "SDL": 0, "judged": 0, "replaced": 0}
-    for seed in range(SEEDS):
-        tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        draw, ref, seed_pool = setups[seed % 2 == 1]
-        args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
-        before = new_calls[0], ref_calls[0]
-        timeline = draw(GEOMETRY, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
-        sim = ssdfi.engine._Simulation(timeline, code)
-        got, want = sim.run(), ref(*args, 1.0).run()
-        assert got == want, f"seed {seed}"
-        judged = new_calls[0] - before[0]
-        assert judged == ref_calls[0] - before[1], f"seed {seed}"
-        totals["records"] += len(got.records)
-        totals["judged"] += judged
-        totals["replaced"] += _replacements(sim)
-        for rec in got.records:
-            totals[rec.scope] += 1
-    # The configuration must reach every path it is meant to cover.
-    assert min(totals.values()) > 0, totals
-
-
-REPLAY_SEEDS = 200
-
-
-def test_one_timeline_judged_under_each_code_matches_reference(setups, monkeypatch):
+def test_engine_matches_reference(setups, monkeypatch):
     # Seed-major, as a code sweep runs: one timeline per seed, its replacement
     # drives included, drawn once and judged under every code.
     new_calls = _counting(monkeypatch, ssdfi.engine)
@@ -185,22 +162,32 @@ def test_one_timeline_judged_under_each_code_matches_reference(setups, monkeypat
         "_install",
         lambda *a: draws.__setitem__(0, draws[0] + 1) or install(*a),
     )
-    judged = 0
-    for seed in range(REPLAY_SEEDS):
+    keys = ("records", "ADL", "BDL", "SDL", "judged", "replaced")
+    totals = {code: dict.fromkeys(keys, 0) for code in ErasureCode}
+    for seed in range(SEEDS):
         tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
         draw, ref, seed_pool = setups[seed % 2 == 1]
         timeline = draw(GEOMETRY, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
-        for n, code in enumerate(ErasureCode):
+        drawn = draws[0]
+        for code in ErasureCode:
             args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
-            before = new_calls[0], ref_calls[0], draws[0]
+            before = new_calls[0], ref_calls[0]
             sim = ssdfi.engine._Simulation(timeline, code)
             got, want = sim.run(), ref(*args, 1.0).run()
             assert got == want, f"seed {seed}, {code.value}"
-            assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
-            assert draws[0] == before[2], f"seed {seed}, {code.value}: the judge drew"
-            if n:
-                judged += _replacements(sim)
-    assert judged > REPLAY_SEEDS  # replacements judged again, not only set-ups
+            judged = new_calls[0] - before[0]
+            assert judged == ref_calls[0] - before[1], f"seed {seed}, {code.value}"
+            assert draws[0] == drawn, f"seed {seed}, {code.value}: the judge drew"
+            counts = totals[code]
+            counts["records"] += len(got.records)
+            counts["judged"] += judged
+            counts["replaced"] += _replacements(sim)
+            for rec in got.records:
+                counts[rec.scope] += 1
+    # The configuration must reach every path it is meant to cover under every
+    # code, and each code judges the drawn replacements again.
+    assert min(min(counts.values()) for counts in totals.values()) > 0, totals
+    assert min(counts["replaced"] for counts in totals.values()) > SEEDS, totals
 
 
 def _mission(**changes):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import reference_engine
 import ssdfi.engine
 from ssdfi.codes import ErasureCode
 from ssdfi.engine import (
@@ -169,9 +170,24 @@ def replaced(sim):
     return [i for _, _, kind, i in sim.timeline.boundaries if kind in kinds]
 
 
+def consume(sim, time=np.inf):
+    """Take the timeline's arrivals up to `time` in one pass, as the main loop does."""
+    sim._consume_arrivals(int(np.searchsorted(sim.columns[0], time, side="right")))
+
+
 def plant_symbol(sim, i, symbol, time):
     schedule(sim, EventKind.BAD_SYMBOL, i, [time], [symbol])
-    sim._consume_arrivals(int(np.searchsorted(sim.columns[0], time, side="right")))
+    consume(sim, time)
+
+
+def pending_stripes(sim):
+    """The stripes of the pending isolated bad symbols, in timeline order."""
+    return [s for k in sim.pending for s in sim.columns[3][k].tolist()]
+
+
+def pending_blocks(sim):
+    """The blocks of the pending isolated bad blocks, in timeline order."""
+    return [s // sim.cpb for k in sim.pending_bb for s in sim.columns[3][k].tolist()]
 
 
 class TestSamplers:
@@ -247,18 +263,24 @@ class TestAffectedStripes:
         assert sorted(sim.recorded) == list(range(3 * cpb, 4 * cpb))
 
     def test_bad_symbol_single_stripe(self):
+        # An isolated symbol waits as pending; a bad chip's scan loses its
+        # stripe and no other.
         sim = make_sim(clean_pool())
         plant_symbol(sim, 0, 9, 10.0)
         cp = GEOMETRY.chunk_pages
-        assert sim.bs_lone == {9 // cp: (0, 9 % cp)}
-        assert not sim.bs_stripe
+        assert pending_stripes(sim) == [9 // cp]
+        assert not sim.bs_lone and not sim.bs_stripe
+        sim.handle_bad_chip(1, 20.0)
+        assert sim.recorded == {9 // cp}
+        assert sim.records == [DataLossRecord(20.0, "SDL", "BC+BS", 1)]
 
     def test_out_of_range_location(self, monkeypatch):
         # Faults at the very end of a device stay inside the array.
         calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
-        plant_block(sim, 0, GEOMETRY.blocks_per_device - 1, 10.0)
-        plant_symbol(sim, 1, GEOMETRY.symbols_per_device - 1, 20.0)
+        schedule(sim, EventKind.BAD_BLOCK, 0, [10.0], [GEOMETRY.blocks_per_device - 1])
+        schedule(sim, EventKind.BAD_SYMBOL, 1, [20.0], [GEOMETRY.symbols_per_device - 1])
+        consume(sim)
         last = GEOMETRY.array_stripes - 1
         cpb = GEOMETRY.chunks_per_block
         assert list(sim.bb_block) == [GEOMETRY.blocks_per_device - 1]
@@ -319,8 +341,11 @@ class TestLoneSymbols:
 
     def test_second_symbol_from_another_bay(self):
         sim = make_sim(clean_pool())
-        plant_symbol(sim, 0, 9, 10.0)
-        plant_symbol(sim, 1, 10, 20.0)
+        schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [9])
+        schedule(sim, EventKind.BAD_SYMBOL, 1, [20.0], [10])
+        consume(sim, 10.0)
+        assert sim.bs_lone == {9 // self.CP: (0, 9 % self.CP)} and not sim.pending
+        consume(sim)
         assert sim.records == [DataLossRecord(20.0, "SDL", "BS+BS", 1)]
         assert not sim.bs_lone
         assert sim.bs_stripe == {9 // self.CP: {0: {9 % self.CP}, 1: {10 % self.CP}}}
@@ -347,8 +372,9 @@ class TestLoneSymbols:
         # stripe of the block once.
         calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
-        plant_symbol(sim, 0, 5 * self.CPB * self.CP + 2, 10.0)
-        plant_block(sim, block_bay, 5, 20.0)
+        schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [5 * self.CPB * self.CP + 2])
+        schedule(sim, EventKind.BAD_BLOCK, block_bay, [20.0], [5])
+        consume(sim)
         assert not sim.bs_lone
         assert [r.cause for r in sim.records] == causes
         del calls[:]
@@ -455,18 +481,25 @@ class TestBadBlocks:
     def plant_touched_block(self, sim):
         """Block 5 on bay 2 over a lost stripe (bays 0 and 1) and bay 0's lone symbol.
 
-        Also lone symbols on stripes before and after block 5 (bay 1, then
-        bay 2) and a clean bad block 9 on bay 0 that arrives first.
+        Also isolated symbols on stripes before and after block 5 (bay 1,
+        then bay 2) and an isolated bad block 9 on bay 0 that arrives first:
+        these three wait as pending.  The whole timeline is planted, then
+        taken in one pass.
         """
         cp, cpb = self.CP, self.CPB
         lost, lone = 5 * cpb + 2, 5 * cpb + 7
-        plant_symbol(sim, 0, lost * cp, 10.0)
-        plant_symbol(sim, 1, lost * cp + 1, 11.0)
-        plant_symbol(sim, 0, lone * cp + 3, 12.0)
-        plant_symbol(sim, 1, (2 * cpb + 1) * cp, 13.0)
-        plant_symbol(sim, 2, 8 * cpb * cp, 14.0)
-        plant_block(sim, 0, 9, 19.0)
-        plant_block(sim, 2, 5, 20.0)
+        symbols = [  # (hour, bay, device symbol)
+            (10.0, 0, lost * cp),
+            (11.0, 1, lost * cp + 1),
+            (12.0, 0, lone * cp + 3),
+            (13.0, 1, (2 * cpb + 1) * cp),
+            (14.0, 2, 8 * cpb * cp),
+        ]
+        for time, i, symbol in symbols:
+            schedule(sim, EventKind.BAD_SYMBOL, i, [time], [symbol])
+        schedule(sim, EventKind.BAD_BLOCK, 0, [19.0], [9])
+        schedule(sim, EventKind.BAD_BLOCK, 2, [20.0], [5])
+        consume(sim)
         return lost, lone
 
     def test_touched_block_on_arrival_then_scrub(self, monkeypatch):
@@ -483,13 +516,15 @@ class TestBadBlocks:
             [(R5, 1, 1)] * 6 + [(R5, 2, 1)] + [(R5, 1, 1)] * (self.CPB - 8)
         )
         assert sim.recorded == {lost, lone}
-        assert sim.bs_lone == {2 * self.CPB + 1: (1, 0), 8 * self.CPB: (2, 0)}
+        assert pending_stripes(sim) == [2 * self.CPB + 1, 8 * self.CPB] and not sim.bs_lone
+        assert pending_blocks(sim) == [9] and list(sim.bb_block) == [5]
         del calls[:]
         sim.apply_scrub(30.0)
         assert sim.records == expected
-        # Two lone symbols, block 5 but its two lost stripes, block 9.
-        assert calls == [(R5, 1, 0)] * 2 + [(R5, 1, 1)] * (self.CPB - 2 + self.CPB)
+        # Two lone symbols, block 9, block 5 but its two lost stripes.
+        assert calls == [(R5, 1, 0)] * 2 + [(R5, 1, 1)] * (self.CPB + self.CPB - 2)
         assert not (sim.recorded or sim.touched or sim.bb_block or sim.bs_stripe)
+        assert not (sim.pending or sim.pending_bb)
 
     def test_touched_block_at_a_bad_chip_scan(self):
         # Bay 1 fails: its symbols go, bay 2's lone symbol is lost, and both
@@ -674,6 +709,23 @@ class TestIsolation:
         kinds = timeline.columns[1]
         assert (kinds[blocks] == EventKind.BAD_BLOCK).all()
 
+    def test_a_one_arrival_pass_takes_its_isolated_arrival_in_bulk(self, monkeypatch):
+        # On a healthy array the intake does not depend on the pass's size:
+        # an isolated symbol alone in its pass waits as pending with one judge
+        # call, and an isolated bad block alone in its pass with cpb calls.
+        calls = count_judge_calls(monkeypatch)
+        sim = make_sim(clean_pool())
+        schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [9])
+        schedule(sim, EventKind.BAD_BLOCK, 1, [20.0], [5])
+        consume(sim, 10.0)
+        assert pending_stripes(sim) == [9 // GEOMETRY.chunk_pages] and not sim.bs_lone
+        assert calls == [(R5, 1, 0)]
+        del calls[:]
+        consume(sim, 20.0)
+        assert pending_blocks(sim) == [5] and not sim.bb_block
+        assert calls == [(R5, 1, 1)] * self.CPB
+        assert not (sim.touched or sim.records)
+
     def test_bulk_path_raises_on_a_lost_lone_verdict(self, monkeypatch):
         # A healthy array's lone bad symbol is never lost (tests/test_codes.py);
         # a judge that says otherwise stops the bulk path instead of being ignored.
@@ -702,18 +754,13 @@ class TestIsolation:
         # Every bay's drive wears out at 75 h, inside the mission's one scrub
         # interval.  The mission timeline's one index lists isolated symbols
         # and bad blocks on both sides of the wear-outs, the new drives'
-        # included; the bulk path takes those after the wear-outs, with the
-        # results of a run that takes every arrival one by one.
+        # included; the judge takes those after the wear-outs in bulk, with
+        # the results and judge calls of the reference engine, which takes
+        # every arrival one by one.
         profile = dataclasses.replace(flat_profile(1e-6), wol=75)
         log = quiet_log(pe_per_hour=1.0, bits=1e6)
-
-        def mission(bulk_pass):
-            monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
-            draw = _Draw(WIDE, profile, self.bad_block_pool(), [log], 1e6, 1e6, 150, 0)
-            sim = _Simulation(draw.timeline(), R5)
-            return sim, sim.run()
-
-        sim, bulk = mission(64)
+        draw = (WIDE, profile, self.bad_block_pool(), [log], 1e6, 1e6, 150, 0)
+        sim, result = judge_like_reference(monkeypatch, draw)
         assert replaced(sim) == [0, 1, 2]
         assert {row[1] for row in sim.timeline.boundaries} == {75.0}
         times = sim.columns[0]
@@ -724,51 +771,78 @@ class TestIsolation:
         for pending in (sim.pending, sim.pending_bb):
             after = times[np.concatenate(pending)]
             assert len(after) and after.min() > 75
-        assert bulk.records and bulk == mission(10**9)[1]
+        assert result.records
+
+    def drops(self, monkeypatch, pool, geometry):
+        """Judge a mission whose bay 1 wears out at 100 h and whose bay 0's chip fails at 149 h.
+
+        Bay 1's wear-out drops its pending arrivals; bay 0's chip drops bay
+        0's, and its scan (RAID5, one bay down) loses every lone stripe and
+        clean bad block, pending ones included.  Returns the result and, per
+        drop, how many arrivals of each kind were pending before and after.
+        """
+        profile = dataclasses.replace(flat_profile(1e-6), wol=100)
+        logs = [quiet_log(bits=1e6), quiet_log(pe_per_hour=1.0, bits=1e6)]
+        drops = []
+
+        class Judge(_Simulation):
+            def counts(self):
+                return sum(map(len, self.pending)), sum(map(len, self.pending_bb))
+
+            def _drop_latent(self, i):
+                before = self.counts()
+                super()._drop_latent(i)
+                drops.append((before, self.counts()))
+
+        draw = (geometry, profile, pool, logs, 1e6, 1e6, 150, 0)
+        sim, result = judge_like_reference(monkeypatch, draw, Judge)
+        boundaries = [(time, kind, i) for _, time, kind, i in sim.timeline.boundaries]
+        assert boundaries[:2] == [(100.0, EventKind.WEAR_OUT, 1), (149.0, EventKind.BAD_CHIP, 0)]
+        assert not (sim.pending or sim.pending_bb)
+        assert {s // sim.cpb for s in [*sim.bs_lone, *sim.bs_stripe, *sim.recorded]} <= sim.touched
+        return result, drops
 
     def test_pending_symbols_drop_and_materialise_like_taken_ones(self, monkeypatch):
-        # One pass over every arrival, bay 1's latent faults dropped, then bay
-        # 0's chip, whose scan loses every lone stripe and clean bad block: in
-        # bulk or arrival by arrival, the same state and records.
-        def latent(bulk_pass):
-            monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
-            sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)
-            sim._consume_arrivals(len(sim.columns[0]))
-            pending = sum(map(len, sim.pending))
-            sim._drop_latent(1)
-            dropped = pending - sum(map(len, sim.pending))
-            sim.handle_bad_chip(0, 149.0)
-            assert not sim.pending
-            state = (sim.bs_lone, sim.bs_stripe, sim.bb_block, sim.recorded, sim.touched)
-            return pending, dropped, state, sim.records
-
-        pending, dropped, *bulk = latent(64)
-        assert pending > 100 and 0 < dropped < pending
-        assert latent(10**9)[2:] == tuple(bulk)
+        # Pending symbols leave with their bay's drop, and the chip's scan
+        # records the rest, as the reference engine does with every symbol
+        # taken one by one.
+        pool = scripted_pool([drive(0, bc_time=149.0), drive(1), drive(2)])
+        result, drops = self.drops(monkeypatch, pool, GEOMETRY)
+        (pending, _), (left, _) = drops[0]
+        assert pending > 100 and 0 < pending - left < pending
+        assert [r.cause for r in result.records].count("BC+BS") > 100
 
     def test_pending_bad_blocks_drop_and_materialise_like_taken_ones(self, monkeypatch):
         # As above, on an array wide enough that most bad blocks are isolated.
-        # `touched` is equal too: the drop takes a dropped symbol's block out
-        # of it, and the bulk path never adds that block.
-        def latent(bulk_pass):
-            monkeypatch.setattr(ssdfi.engine, "_BULK_PASS", bulk_pass)
-            sim = make_sim(self.bad_block_pool(), rber=1e-6, bits=1e6, geometry=WIDE)
-            sim._consume_arrivals(len(sim.columns[0]))
-            pending = sum(map(len, sim.pending_bb))
-            sim._drop_latent(1)
-            dropped = pending - sum(map(len, sim.pending_bb))
-            sim.handle_bad_chip(0, 149.0)
-            assert not sim.pending_bb
-            assert {s // sim.cpb for s in [*sim.bs_lone, *sim.bs_stripe, *sim.recorded]} <= (
-                sim.touched
-            )
-            state = (sim.bs_lone, sim.bs_stripe, sim.bb_block, sim.recorded)
-            return pending, dropped, state, sim.records, sim.touched
+        # `touched` keeps the blocks of dropped symbols, which adds no call.
+        bb_times = range(1, 150, 2)
+        pool = scripted_pool(
+            [drive(0, bb_times, bc_time=149.0), drive(1, bb_times), drive(2, bb_times)]
+        )
+        result, drops = self.drops(monkeypatch, pool, WIDE)
+        (_, pending), (_, left) = drops[0]
+        assert pending > 100 and 0 < pending - left < pending
+        assert [r.cause for r in result.records].count("BC+BB") > 50
 
-        pending, dropped, *bulk, touched = latent(64)
-        assert pending > 100 and 0 < dropped < pending
-        *taken, taken_touched = latent(10**9)[2:]
-        assert taken == bulk and touched == taken_touched
+
+def judge_like_reference(monkeypatch, draw, judge=_Simulation):
+    """Judge the timeline of these `_Draw` arguments under RAID5, as the reference engine does.
+
+    The result and the number of judge calls must be the reference
+    engine's.  Returns the judge and its result.
+    """
+    calls = count_judge_calls(monkeypatch)
+    sim = judge(_Draw(*draw).timeline(), R5)
+    result = sim.run()
+    ref_calls = []
+    ref_judge = reference_engine.uncorrectable
+    monkeypatch.setattr(
+        reference_engine, "uncorrectable", lambda *a: ref_calls.append(a) or ref_judge(*a)
+    )
+    geometry, *rest = draw
+    assert result == reference_engine._Simulation(geometry, R5, *rest, 1.0).run()
+    assert len(calls) == len(ref_calls)
+    return sim, result
 
 
 class TestScriptedScenarios:
