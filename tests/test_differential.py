@@ -10,9 +10,10 @@ its rebuild or wear-out in place of the old drive's.  `ssdfi.engine._Simulation`
 judges that timeline, consuming bad blocks and bad symbols in one pass
 between boundary events.  Both engines must judge the same stripes in the
 same order at the same times, so the results (records and their order
-included) and the number of `uncorrectable` calls must be equal.  Each
-test draws a seed's timeline once and judges it under every code, as a
-code sweep does.  The reference engine still takes the `mirror_copy_hours`
+included) and the number of `uncorrectable` calls must be equal.  The
+comparison draws each seed's timeline once and judges it under every code,
+as a code sweep does; one test per code and one for the shared timeline
+read its outcome.  The reference engine still takes the `mirror_copy_hours`
 argument that the production engine dropped; it gets the value that
 production results still echo.
 
@@ -150,44 +151,72 @@ def _counting(monkeypatch, module):
     return calls
 
 
-def test_engine_matches_reference(setups, monkeypatch):
-    # Seed-major, as a code sweep runs: one timeline per seed, its replacement
-    # drives included, drawn once and judged under every code.
-    new_calls = _counting(monkeypatch, ssdfi.engine)
-    ref_calls = _counting(monkeypatch, reference_engine)
-    draws = [0]  # drive installs, initial and replacement
-    install = ssdfi.engine._Draw._install
-    monkeypatch.setattr(
-        ssdfi.engine._Draw,
-        "_install",
-        lambda *a: draws.__setitem__(0, draws[0] + 1) or install(*a),
-    )
+@pytest.fixture(scope="module")
+def sweep(setups):
+    """Each seed's timeline drawn once and judged under every code, by both engines.
+
+    Seed-major, as a code sweep runs: one timeline per seed, its replacement
+    drives included.  Returns, per code, the first seed whose result or
+    judge-call count differs from the reference (None if none) and the path
+    totals, plus the first (seed, code) at which the judge drew a drive.
+    """
     keys = ("records", "ADL", "BDL", "SDL", "judged", "replaced")
     totals = {code: dict.fromkeys(keys, 0) for code in ErasureCode}
-    for seed in range(SEEDS):
-        tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        draw, ref, seed_pool = setups[seed % 2 == 1]
-        timeline = draw(GEOMETRY, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
-        drawn = draws[0]
-        for code in ErasureCode:
-            args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
-            before = new_calls[0], ref_calls[0]
-            sim = ssdfi.engine._Simulation(timeline, code)
-            got, want = sim.run(), ref(*args, 1.0).run()
-            assert got == want, f"seed {seed}, {code.value}"
-            judged = new_calls[0] - before[0]
-            assert judged == ref_calls[0] - before[1], f"seed {seed}, {code.value}"
-            assert draws[0] == drawn, f"seed {seed}, {code.value}: the judge drew"
-            counts = totals[code]
-            counts["records"] += len(got.records)
-            counts["judged"] += judged
-            counts["replaced"] += _replacements(sim)
-            for rec in got.records:
-                counts[rec.scope] += 1
-    # The configuration must reach every path it is meant to cover under every
-    # code, and each code judges the drawn replacements again.
-    assert min(min(counts.values()) for counts in totals.values()) > 0, totals
-    assert min(counts["replaced"] for counts in totals.values()) > SEEDS, totals
+    result_diff = dict.fromkeys(ErasureCode)
+    calls_diff = dict.fromkeys(ErasureCode)
+    judge_drew = None
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        new_calls = _counting(monkeypatch, ssdfi.engine)
+        ref_calls = _counting(monkeypatch, reference_engine)
+        draws = [0]  # drive installs, initial and replacement
+        install = ssdfi.engine._Draw._install
+        monkeypatch.setattr(
+            ssdfi.engine._Draw,
+            "_install",
+            lambda *a: draws.__setitem__(0, draws[0] + 1) or install(*a),
+        )
+        for seed in range(SEEDS):
+            tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
+            draw, ref, seed_pool = setups[seed % 2 == 1]
+            timeline = draw(GEOMETRY, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
+            drawn = draws[0]
+            for code in ErasureCode:
+                args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
+                before = new_calls[0], ref_calls[0]
+                sim = ssdfi.engine._Simulation(timeline, code)
+                got, want = sim.run(), ref(*args, 1.0).run()
+                judged = new_calls[0] - before[0]
+                if got != want and result_diff[code] is None:
+                    result_diff[code] = seed
+                if judged != ref_calls[0] - before[1] and calls_diff[code] is None:
+                    calls_diff[code] = seed
+                if draws[0] != drawn and judge_drew is None:
+                    judge_drew = seed, code.value
+                counts = totals[code]
+                counts["records"] += len(got.records)
+                counts["judged"] += judged
+                counts["replaced"] += _replacements(sim)
+                for rec in got.records:
+                    counts[rec.scope] += 1
+    return {"totals": totals, "result": result_diff, "calls": calls_diff, "drew": judge_drew}
+
+
+@pytest.mark.parametrize("code", list(ErasureCode), ids=lambda c: c.value)
+def test_engine_matches_reference(sweep, code):
+    assert sweep["result"][code] is None, f"seed {sweep['result'][code]}: results differ"
+    assert sweep["calls"][code] is None, f"seed {sweep['calls'][code]}: judge calls differ"
+    # The configuration must reach every path it is meant to cover.
+    assert min(sweep["totals"][code].values()) > 0, sweep["totals"][code]
+
+
+def test_one_timeline_judged_under_each_code_matches_reference(sweep):
+    # One drawn timeline serves every code: judging never draws, each code
+    # judges the drawn replacements again, and every code matches the reference.
+    assert sweep["drew"] is None, f"seed {sweep['drew'][0]}, {sweep['drew'][1]}: the judge drew"
+    for code, counts in sweep["totals"].items():
+        assert counts["replaced"] > SEEDS, (code.value, counts)
+        assert sweep["result"][code] is None, (code.value, sweep["result"][code])
+        assert sweep["calls"][code] is None, (code.value, sweep["calls"][code])
 
 
 def _mission(**changes):
