@@ -90,21 +90,22 @@ the reference engine.  A lone symbol's counts depend only on the number
 of failed bays, which no arrival changes: a pass takes them once and
 judges each fresh lone arrival as it comes, and a scrub or bad chip
 makes one call per lone stripe, pending ones included, and gives them
-all that one verdict.  A bad block is judged as a unit, on arrival and
-at every scan: the stripes of a clean bad block all count as the block
-does, so they share one count and make their calls in a tight loop, and
-when they are lost they are recorded at once, as one BDL.  A scan makes
-the calls of all pending bad blocks in one loop and gives them that one
-verdict; when it is lost, the block walk records each of them as one
-BDL, in block order, without a second call.  With no failed bay every
-code corrects a lone symbol and a clean bad block, so a healthy pass that
-gets any other verdict raises `EngineError` rather than drop the loss.
-A bad block with bad symbols or losses is judged stripe by stripe.  A
-scan (scrub or bad chip) walks the blocks of the bad blocks and of
-`bs_stripe` in ascending order, and splices the SDL records of lost lone
-stripes into the walk by stripe.  Losses keep their record order:
-arrival order in a pass, stripe order among the SDL records of a scan,
-and first-lost-stripe order among its BDL records.
+all that one verdict.  A bad block is judged one way, on arrival and at
+every scan: its marked stripes, those with bad symbols or a loss of the
+epoch (only a block in `touched` has any), one by one, and its other
+stripes, which all count as the block does, as one unit at the first of
+them: they share one count and make their calls in a tight loop, and
+when they are lost they are recorded at once and join one BDL count.  A
+scan makes the calls of all pending bad blocks in one loop and gives
+them that one verdict; when it is lost, the block walk records each of
+them as one BDL, in block order, without a second call.  With no failed
+bay every code corrects a lone symbol and a clean bad block, so a
+healthy pass that gets any other verdict raises `EngineError` rather
+than drop the loss.  A scan (scrub or bad chip) walks the blocks of the
+bad blocks and of `bs_stripe` in ascending order, and splices the SDL
+records of lost lone stripes into the walk by stripe.  Losses keep their
+record order: arrival order in a pass, stripe order among the SDL
+records of a scan, and first-lost-stripe order among its BDL records.
 
 A drive installed at P/E offset 0 (every drive at the mission start)
 has a hazard that depends only on its usage log, the RBER curve and the
@@ -515,7 +516,8 @@ class _Simulation:
     def _judge_stripes(self, stripes, time: float, bdl_groups: dict, lone_lost=()) -> None:
         """Judge stripes one by one: record their SDL losses, count their BDL losses.
 
-        BDL losses are counted in `bdl_groups` by (block, label); the caller
+        Every stripe is recorded or has bad symbols (`bs_stripe`).  BDL
+        losses are counted in `bdl_groups` by (block, label); the caller
         records them with `_record_bdl`.  `lone_lost` holds lone stripes
         that their batch has just judged lost (and recorded); their SDL
         records take their stripe's place.
@@ -527,22 +529,13 @@ class _Simulation:
         bs_stripe = self.bs_stripe
         recorded = self.recorded
         judge = uncorrectable  # read per call: wrappers patch the module global
-        block = -1
-        block_counts = None
         for stripe in stripes:
             if stripe in recorded:
                 if stripe in lone_lost:
                     self.records.append(DataLossRecord(time, "SDL", _cause_label(nf, 0, 1), 1))
                 continue
-            bs = bs_stripe.get(stripe)
-            if bs is None:
-                # No bad symbols: the stripe counts as its block does.
-                if stripe // cpb != block:
-                    block = stripe // cpb
-                    block_counts = stripe_counts(nf, bb_block.get(block), None)
-                faulty, multi, n_bb, n_bs = block_counts
-            else:
-                faulty, multi, n_bb, n_bs = stripe_counts(nf, bb_block.get(stripe // cpb), bs)
+            bs = bs_stripe[stripe]
+            faulty, multi, n_bb, n_bs = stripe_counts(nf, bb_block.get(stripe // cpb), bs)
             if not judge(code, faulty, multi):
                 continue
             recorded.add(stripe)
@@ -554,26 +547,36 @@ class _Simulation:
                 self.records.append(DataLossRecord(time, "SDL", label, 1))
 
     def _judge_block(self, block: int, time: float, bdl_groups: dict, lost: bool = False) -> None:
-        """Judge the stripes of bad block `block` as `_judge_stripes` does.
+        """Judge bad block `block`: its marked stripes one by one, the rest as one unit.
 
-        A block outside `touched` is clean: none of its stripes holds a bad
-        symbol or a loss of this epoch, so they all count as the block does.
-        Its `cpb` judge calls share one count, and a lost clean stripe is a
-        BDL: every code loses a stripe only to two whole-chunk faults, and
-        one of them is the bad block.  `lost` says that the caller has made
-        a clean block's calls already and they found it lost.
+        A marked stripe is recorded or has bad symbols; only a block in
+        `touched` has any.  The unmarked stripes count as the block does:
+        their calls share one count, and when they are lost they are
+        recorded at once and join one BDL count, as every code loses a
+        stripe only to two whole-chunk faults, one of them the bad block.
+        The unit goes at its first stripe, after the marked stripes below
+        it, so the BDL groups keep their first-lost-stripe order.  `lost`
+        says that the caller has made the calls of a block with no marked
+        stripe already and they found it lost.
         """
-        cpb = self.cpb
-        lo = block * cpb
+        lo = block * self.cpb
+        marked, plain = (), range(lo, lo + self.cpb)
         if block in self.touched:
-            self._judge_stripes(range(lo, lo + cpb), time, bdl_groups)
-            return
+            recorded, bs_stripe = self.recorded, self.bs_stripe
+            marked = [s for s in plain if s in recorded or s in bs_stripe]
+            plain = [s for s in plain if s not in recorded and s not in bs_stripe]
+            below = plain[0] - lo if plain else len(marked)
+            self._judge_stripes(marked[:below], time, bdl_groups)
+            marked = marked[below:]
         nf = len(self.failed)
         faulty, multi, n_bb, _ = stripe_counts(nf, self.bb_block[block], None)
-        if lost or _judge_many(self.code, faulty, multi, cpb):
-            self.recorded.update(range(lo, lo + cpb))
+        if plain and (lost or _judge_many(self.code, faulty, multi, len(plain))):
+            self.recorded.update(plain)
             self.touched.add(block)
-            bdl_groups[block, _cause_label(nf, n_bb, 0)] = cpb
+            key = (block, _cause_label(nf, n_bb, 0))
+            bdl_groups[key] = bdl_groups.get(key, 0) + len(plain)
+        if marked:
+            self._judge_stripes(marked, time, bdl_groups)
 
     def _record_bdl(self, bdl_groups: dict, time: float) -> None:
         """Record one BDL per (block, label) group, in the order the groups were first lost."""
@@ -620,9 +623,9 @@ class _Simulation:
         lost, every one of them is recorded at once.  Pending bad blocks share
         another; when it is lost, they join `bb_block` and the walk records
         each without judging it again.  Blocks go in ascending order: a bad
-        block as a unit, any other block's `bs_stripe` stripes one by one.
-        The lost lone stripes' SDL records are spliced into the walk by
-        stripe: those below a block of `bs_stripe` stripes come before it,
+        block through `_judge_block`, any other block's `bs_stripe` stripes
+        one by one.  The lost lone stripes' SDL records are spliced into the
+        walk by stripe: those below a block of `bs_stripe` stripes come before it,
         and those in it are judged with its stripes as `lone_lost`.  No lone
         stripe lies in a bad block, and a bad block adds no SDL record to a
         scan that loses lone stripes: there a bay has failed, so each lost
@@ -804,8 +807,8 @@ class _Simulation:
     def _drop_latent(self, i: int) -> None:
         """Forget device i's bad blocks and bad symbols (rare: a bad chip or wear-out).
 
-        `touched` keeps a dropped symbol's block: a later bad block there is
-        judged stripe by stripe, with the calls and records of a clean one.
+        `touched` keeps a dropped symbol's block: a later bad block there has
+        no marked stripe, so it makes the calls and records of a clean one.
         """
         for block, devs in list(self.bb_block.items()):
             devs.discard(i)

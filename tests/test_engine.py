@@ -104,13 +104,13 @@ def make_draw(pool, rber=1e-12, bits=0.0, geometry=GEOMETRY, ttr=1_000_000.0):
     return _Draw(geometry, flat_profile(rber), pool, [quiet_log(bits=bits)], 1e6, ttr, 150, 0)
 
 
-def make_sim(pool, **kw):
-    """A RAID5 judge set up like `run`, for driving its handlers directly.
+def make_sim(pool, code=R5, **kw):
+    """A judge set up like `run`, for driving its handlers directly.
 
     It keeps its draw, through which `schedule` walks planted events.
     """
     draw = make_draw(pool, **kw)
-    sim = _Simulation(draw.timeline(), R5)
+    sim = _Simulation(draw.timeline(), code)
     sim.draw = draw
     return sim
 
@@ -460,7 +460,7 @@ class TestLoneSymbols:
 
 
 class TestBadBlocks:
-    """A bad block is judged as one unit unless a bad symbol or a loss touches it."""
+    """A bad block's marked stripes are judged one by one, its other stripes as one unit."""
 
     CP = GEOMETRY.chunk_pages
     CPB = GEOMETRY.chunks_per_block
@@ -511,10 +511,10 @@ class TestBadBlocks:
             DataLossRecord(20.0, "SDL", "BB+BS", 1),  # the lone symbol's stripe
         ]
         assert sim.records == expected
-        # Block 5 stripe by stripe in order, skipping the lost stripe.
-        assert calls[-(self.CPB - 1):] == (
-            [(R5, 1, 1)] * 6 + [(R5, 2, 1)] + [(R5, 1, 1)] * (self.CPB - 8)
-        )
+        # Block 5: its unmarked stripes as one unit at the first of them,
+        # then its marked ones: the lost stripe is skipped and the lone
+        # symbol's stripe is judged.
+        assert calls[-(self.CPB - 1):] == [(R5, 1, 1)] * (self.CPB - 2) + [(R5, 2, 1)]
         assert sim.recorded == {lost, lone}
         assert pending_stripes(sim) == [2 * self.CPB + 1, 8 * self.CPB] and not sim.bs_lone
         assert pending_blocks(sim) == [9] and list(sim.bb_block) == [5]
@@ -542,6 +542,77 @@ class TestBadBlocks:
         assert sim.recorded == (
             set(range(5 * cpb, 6 * cpb)) | set(range(9 * cpb, 10 * cpb)) | {8 * cpb}
         )
+
+    def test_marked_stripes_below_and_between_the_unit(self, monkeypatch):
+        # Under PMDS(1,1), block 5 on bay 1 keeps two marked stripes below
+        # its first unmarked stripe, one with a bay-2 symbol and one with
+        # bay 1's, which counts as the block does; one with a bay-2 symbol
+        # between its unmarked stripes; and a stripe that two bay-2 symbols
+        # on one chunk lose when the block arrives.  Bay 0's chip then loses
+        # the block at its scan: the bay-1 stripe joins the unit's BDL
+        # count, and the bay-2 stripes make one count that comes first, as
+        # its first stripe lies below the unit.
+        calls = count_judge_calls(monkeypatch)
+        sim = make_sim(clean_pool(), code=PMDS)
+        cp, cpb = self.CP, self.CPB
+        lo = 5 * cpb
+        symbols = [  # (hour, bay, device symbol)
+            (10.0, 2, lo * cp),
+            (11.0, 1, (lo + 1) * cp),
+            (12.0, 2, (lo + 3) * cp),
+            (14.0, 2, (lo + 5) * cp),
+            (15.0, 2, (lo + 5) * cp + 1),
+        ]
+        for time, i, symbol in symbols:
+            schedule(sim, EventKind.BAD_SYMBOL, i, [time], [symbol])
+        schedule(sim, EventKind.BAD_BLOCK, 1, [20.0], [5])
+        consume(sim)
+        assert sim.records == [DataLossRecord(20.0, "SDL", "BB+BS", 1)]
+        # Four fresh lone symbols, the fifth's stripe, then block 5: its two
+        # stripes below the unit, the unit, and its other marked stripes.
+        assert calls == (
+            [(PMDS, 1, 0)] * 4 + [(PMDS, 1, 1)]
+            + [(PMDS, 2, 1)] + [(PMDS, 1, 1)] * (cpb - 3) + [(PMDS, 2, 1), (PMDS, 2, 2)]
+        )
+        assert sim.recorded == {lo + 5}
+        del calls[:]
+        sim.handle_bad_chip(0, 30.0)
+        assert sim.records[1:] == [
+            DataLossRecord(30.0, "BDL", "BC+BB+BS", 2),
+            DataLossRecord(30.0, "BDL", "BC+BB", cpb - 3),
+        ]
+        # The lost stripe is skipped.
+        assert calls == [(PMDS, 3, 2)] + [(PMDS, 2, 2)] * (cpb - 3) + [(PMDS, 3, 2)]
+        assert sim.recorded == set(range(lo, lo + cpb))
+
+    def test_a_mission_of_blocks_lost_around_marked_stripes_matches_the_reference(
+        self, monkeypatch
+    ):
+        # Bay 1's drive takes a bad block every 4 hours and bay 0's chip
+        # fails at 100 h, on 64 blocks that collect about one bad symbol per
+        # bay-hour: under PMDS(1,1) the chip's scan loses bad blocks around
+        # marked stripes, with the results and judge-call count of the
+        # reference engine, which judges every stripe in turn.
+        layouts = []
+
+        class Judge(_Simulation):
+            def _judge_block(self, block, time, bdl_groups, lost=False):
+                stripes = range(block * self.cpb, (block + 1) * self.cpb)
+                marked = [s for s in stripes if s in self.recorded or s in self.bs_stripe]
+                plain = [s for s in stripes if s not in marked]
+                own = any(
+                    s not in self.recorded and self.bs_stripe[s].keys() <= self.bb_block[block]
+                    for s in marked
+                )
+                super()._judge_block(block, time, bdl_groups, lost)
+                if self.failed and plain and self.recorded.issuperset(plain):
+                    between = any(plain[0] < s < plain[-1] for s in marked)
+                    layouts.append((bool(marked) and marked[0] < plain[0], between, own))
+
+        pool = scripted_pool([drive(0, bc_time=100.0), drive(1, range(1, 100, 4)), drive(2)])
+        draw = (GEOMETRY, flat_profile(1e-6), pool, [quiet_log(bits=1e6)], 1e6, 1e6, 150, 0)
+        judge_like_reference(monkeypatch, draw, Judge, PMDS)
+        assert (True, True, True) in layouts
 
 
 class TestTimeline:
@@ -825,14 +896,14 @@ class TestIsolation:
         assert [r.cause for r in result.records].count("BC+BB") > 50
 
 
-def judge_like_reference(monkeypatch, draw, judge=_Simulation):
-    """Judge the timeline of these `_Draw` arguments under RAID5, as the reference engine does.
+def judge_like_reference(monkeypatch, draw, judge=_Simulation, code=R5):
+    """Judge the timeline of these `_Draw` arguments under `code`, as the reference engine does.
 
     The result and the number of judge calls must be the reference
     engine's.  Returns the judge and its result.
     """
     calls = count_judge_calls(monkeypatch)
-    sim = judge(_Draw(*draw).timeline(), R5)
+    sim = judge(_Draw(*draw).timeline(), code)
     result = sim.run()
     ref_calls = []
     ref_judge = reference_engine.uncorrectable
@@ -840,7 +911,7 @@ def judge_like_reference(monkeypatch, draw, judge=_Simulation):
         reference_engine, "uncorrectable", lambda *a: ref_calls.append(a) or ref_judge(*a)
     )
     geometry, *rest = draw
-    assert result == reference_engine._Simulation(geometry, R5, *rest, 1.0).run()
+    assert result == reference_engine._Simulation(geometry, code, *rest, 1.0).run()
     assert len(calls) == len(ref_calls)
     return sim, result
 
