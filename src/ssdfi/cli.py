@@ -89,10 +89,11 @@ def run_experiment(
     finite and positive, for a stripe size the array geometry rejects,
     for a model with no profile, for grid lists whose cells repeat a
     report key (such as tts 10000 and 1e4, or one code twice), for a
-    report format other than json or csv, and for a usage-log file that
-    does not hold exactly one log per device; all before any pool is
-    generated.  `out_dir` is made after the pools, so a pool input that
-    `generate_pool` rejects leaves no directory behind.
+    report format other than json or csv, for a usage-log file that
+    cannot be read or does not hold exactly one log per device, and for
+    an `out_dir` that is, or lies under, an existing file; all before any
+    pool is generated.  `out_dir` is made after the pools, so a pool input
+    that `generate_pool` rejects leaves no directory behind.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -109,6 +110,9 @@ def run_experiment(
     for tts in tts_values:
         for ttr in ttr_values:
             check_tts_ttr(tts, ttr)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"cannot make report directory {out_dir}: {existing} is not a directory")
     geometries = [
         ArrayGeometry(
             n_devices=n_devices, blocks_per_device=geometry_blocks, stripe_size=stripe_kb * 1024
@@ -129,7 +133,10 @@ def run_experiment(
     if repeated:
         raise ValueError(f"grid cells repeat the report key(s) {', '.join(repeated)}")
     if usage_log_path is not None:
-        logs = parse_usage_log(usage_log_path)
+        try:
+            logs = parse_usage_log(usage_log_path)
+        except OSError as exc:
+            raise ValueError(f"cannot read usage log {usage_log_path}: {exc.strerror}") from exc
         if len(logs) != n_devices:
             raise ValueError(
                 f"{usage_log_path} holds {len(logs)} device log(s); the array has {n_devices}"
@@ -279,7 +286,10 @@ def _cmd_synth_log(args: argparse.Namespace) -> int:
         ]
     except ValueError as exc:  # a rejected input: report it as a usage error
         args.parser.error(str(exc))
-    write_usage_log(logs, Path(args.out))
+    try:
+        write_usage_log(logs, Path(args.out))
+    except OSError as exc:
+        args.parser.error(f"cannot write {args.out}: {exc.strerror}")
     print(f"wrote {args.devices} device log(s) to {args.out}")
     return 0
 

@@ -39,17 +39,15 @@ the chip.  The loop consumes the bad blocks and bad symbols up to the
 next boundary event (scrub, rebuild, wear-out, bad chip) in one pass,
 then handles that event.  Arrivals on a failed bay are dropped.
 
-Latent faults live in four containers: `bb_block` maps a block to the
+Latent faults live in three containers: `bb_block` maps a block to the
 bays whose chunk of it is bad, `bs_stripe` maps a stripe to its bays'
-bad symbol sets, `recorded` holds the stripes lost in this fault epoch,
-and `bs_lone` maps a stripe to the (bay, symbol) of its one bad symbol
-when that symbol is the stripe's only latent fault, the stripe is not
-recorded and its block is not bad.  Most arrivals land on clean stripes
-and stay lone.  A lone stripe moves to `bs_stripe` when another arrival
-or a bad block on its block touches it.  A scan that loses the lone
-stripes moves them all to `recorded`, and a pass that loses a fresh lone
-arrival records it; neither gets a `bs_stripe` entry, as a recorded
-stripe is never judged again in its epoch.  `touched` holds the block
+bad symbol sets, and `recorded` holds the stripes lost in this fault
+epoch.  Isolated symbols are pending (below); every other symbol is in
+`bs_stripe`, which a symbol on a clean stripe enters as {bay: {symbol}}.
+A scan that loses the pending symbols moves their stripes to
+`recorded`, and a pass that loses a fresh arrival on a clean stripe
+records it; neither gets a `bs_stripe` entry, as a recorded stripe is
+never judged again in its epoch.  `touched` holds the block
 of every latent bad symbol and every loss of the epoch, and may hold
 more (the block of a symbol that its bay's bad chip or wear-out
 dropped): a block outside it has neither, and a bad block outside it is
@@ -79,18 +77,19 @@ as a lone stripe at every scan, and a pending bad block as a clean one;
 both leave with their bay's latent faults and at a scrub.
 Pending bad blocks are copied into `bb_block` only when a scan finds the
 clean bad blocks lost (a bad chip under RAID5 or PMDS(1,1), or two under
-RAID6).  A scan that finds the lone stripes lost (a bad chip under
-RAID5, or two under RAID6) records the pending symbols' stripes straight
-from their positions and adds their blocks to `touched`.
+RAID6).  A scan that finds the pending symbols lost (a bad chip under
+RAID5, or two under RAID6) records their stripes straight from their
+positions and adds their blocks to `touched`.
 
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
 count (`codes.judge_calls`) and the differential test compares it with
 the reference engine.  A lone symbol's counts depend only on the number
 of failed bays, which no arrival changes: a pass takes them once and
-judges each fresh lone arrival as it comes, and a scrub or bad chip
-makes one call per lone stripe, pending ones included, and gives them
-all that one verdict.  A bad block is judged one way, on arrival and at
+judges each fresh arrival on a clean stripe as it comes, and a scrub or
+bad chip makes one call per pending symbol and gives them all that one
+verdict.  Every stripe of `bs_stripe`, one bad symbol or more, is judged
+on its own.  A bad block is judged one way, on arrival and at
 every scan: its marked stripes, those with bad symbols or a loss of the
 epoch (only a block in `touched` has any), one by one, and its other
 stripes, which all count as the block does, as one unit at the first of
@@ -103,7 +102,7 @@ bay every code corrects a lone symbol and a clean bad block, so a
 healthy pass that gets any other verdict raises `EngineError` rather
 than drop the loss.  A scan (scrub or bad chip) walks the blocks of the
 bad blocks and of `bs_stripe` in ascending order, and splices the SDL
-records of lost lone stripes into the walk by stripe.  Losses keep their
+records of lost pending stripes into the walk by stripe.  Losses keep their
 record order: arrival order in a pass, stripe order among the SDL
 records of a scan, and first-lost-stripe order among its BDL records.
 
@@ -500,7 +499,6 @@ class _Simulation:
         self.failed: set[int] = set()
         self.bb_block: dict[int, set[int]] = {}
         self.bs_stripe: dict[int, dict[int, set[int]]] = {}
-        self.bs_lone: dict[int, tuple[int, int]] = {}
         self.recorded: set[int] = set()
         self.touched: set[int] = set()
         self.pending: list[np.ndarray] = []
@@ -518,9 +516,9 @@ class _Simulation:
 
         Every stripe is recorded or has bad symbols (`bs_stripe`).  BDL
         losses are counted in `bdl_groups` by (block, label); the caller
-        records them with `_record_bdl`.  `lone_lost` holds lone stripes
-        that their batch has just judged lost (and recorded); their SDL
-        records take their stripe's place.
+        records them with `_record_bdl`.  `lone_lost` holds pending
+        stripes that their batch has just judged lost (and recorded); their
+        SDL records take their stripe's place.
         """
         code = self.code
         nf = len(self.failed)
@@ -557,12 +555,15 @@ class _Simulation:
         The unit goes at its first stripe, after the marked stripes below
         it, so the BDL groups keep their first-lost-stripe order.  `lost`
         says that the caller has made the calls of a block with no marked
-        stripe already and they found it lost.
+        stripe already and they found it lost.  A block whose stripes are
+        all recorded has nothing left to judge.
         """
         lo = block * self.cpb
         marked, plain = (), range(lo, lo + self.cpb)
         if block in self.touched:
             recorded, bs_stripe = self.recorded, self.bs_stripe
+            if recorded.issuperset(plain):
+                return  # every stripe is lost already: no call and no record
             marked = [s for s in plain if s in recorded or s in bs_stripe]
             plain = [s for s in plain if s not in recorded and s not in bs_stripe]
             below = plain[0] - lo if plain else len(marked)
@@ -592,50 +593,40 @@ class _Simulation:
         faulty, multi, _, _ = stripe_counts(len(self.failed), bb_devs, bs_map)
         return _judge_many(self.code, faulty, multi, calls)
 
-    def _promote(self, stripe: int) -> None:
-        """Move a lone stripe's symbol to `bs_stripe`."""
-        i, sym = self.bs_lone.pop(stripe)
-        self.bs_stripe[stripe] = {i: {sym}}
+    def _lose_pending(self) -> list[int]:
+        """Record the stripes of the pending symbols; return them in stripe order.
 
-    def _lose_lone(self) -> list[int]:
-        """Record every lone stripe, pending ones included; return them in stripe order.
-
-        They leave `bs_lone` and `pending`, and the pending ones' blocks join
-        `touched`.  A recorded stripe is never judged again in its epoch, so
-        no later decision reads their symbols, and they get no `bs_stripe`
-        entry.
+        They leave `pending`, and their blocks join `touched`.  A recorded
+        stripe is never judged again in its epoch, so no later decision
+        reads their symbols, and they get no `bs_stripe` entry.
         """
-        lone = list(self.bs_lone)
-        self.bs_lone.clear()
-        if self.pending:
-            stripes = self.columns[3][np.concatenate(self.pending)]
-            self.pending = []
-            self.touched.update((stripes // self.cpb).tolist())
-            lone += stripes.tolist()
+        stripes = self.columns[3][np.concatenate(self.pending)]
+        self.pending = []
+        self.touched.update((stripes // self.cpb).tolist())
+        lone = sorted(stripes.tolist())
         self.recorded.update(lone)
-        lone.sort()
         return lone
 
     def _judge_latent(self, time: float) -> None:
-        """Judge every latent stripe: the lone ones in one batch, the rest block by block.
+        """Judge every latent stripe: the pending ones in one batch, the rest block by block.
 
-        Lone stripes, pending ones included, share one verdict; when it is
-        lost, every one of them is recorded at once.  Pending bad blocks share
+        Pending symbols share one verdict; when it is lost, every one of
+        their stripes is recorded at once.  Pending bad blocks share
         another; when it is lost, they join `bb_block` and the walk records
         each without judging it again.  Blocks go in ascending order: a bad
         block through `_judge_block`, any other block's `bs_stripe` stripes
-        one by one.  The lost lone stripes' SDL records are spliced into the
-        walk by stripe: those below a block of `bs_stripe` stripes come before it,
-        and those in it are judged with its stripes as `lone_lost`.  No lone
-        stripe lies in a bad block, and a bad block adds no SDL record to a
-        scan that loses lone stripes: there a bay has failed, so each lost
-        stripe of the block is a BDL.  The scan shares one set of BDL
-        groups, so the records come out as a judge of all latent stripes in
-        stripe order would make them.
+        one by one.  The lost pending stripes' SDL records are spliced into
+        the walk by stripe: those below a block of `bs_stripe` stripes come
+        before it, and those in it are judged with its stripes as
+        `lone_lost`.  No pending stripe lies in a bad block, and a bad block
+        adds no SDL record to a scan that loses pending stripes: there a bay
+        has failed, so each lost stripe of the block is a BDL.  The scan
+        shares one set of BDL groups, so the records come out as a judge of
+        all latent stripes in stripe order would make them.
         """
         lone = []
-        if self._verdict(len(self.bs_lone) + sum(map(len, self.pending)), None, _ONE_SYMBOL):
-            lone = self._lose_lone()
+        if self._verdict(sum(map(len, self.pending)), None, _ONE_SYMBOL):
+            lone = self._lose_pending()
             sdl = DataLossRecord(time, "SDL", _cause_label(len(self.failed), 0, 1), 1)
         cpb = self.cpb
         lost_blocks = ()
@@ -682,8 +673,8 @@ class _Simulation:
     def _consume_arrivals(self, end: int) -> None:
         """Mark and judge, in timeline order, the bad blocks and symbols left before `end`.
 
-        A fresh lone symbol, on a stripe with no other latent fault and no
-        loss, is judged as it arrives, with the lone counts taken once per
+        A fresh symbol, on a stripe with no other latent fault and no loss,
+        is judged as it arrives, with the lone counts taken once per
         pass: no failure starts or ends within a pass.  With no failed
         device, a pass takes its isolated bad symbols and bad blocks first:
         for each kind, their judge calls in one batch, then one pending
@@ -698,12 +689,12 @@ class _Simulation:
             rows = _rows(self.columns, slice(start, end))
         else:
             symbols, blocks, rest, rest_rows = self.timeline.isolation
-            lo, hi = np.searchsorted(symbols, (start, end)).tolist()
+            lo, hi = symbols.searchsorted((start, end)).tolist()
             if self._verdict(hi - lo, None, _ONE_SYMBOL):
                 raise EngineError(f"{self.code.value} loses a lone bad symbol on a healthy array")
             if hi > lo:
                 self.pending.append(symbols[lo:hi])
-            lo, hi = np.searchsorted(blocks, (start, end)).tolist()
+            lo, hi = blocks.searchsorted((start, end)).tolist()
             if self._verdict(self.cpb * (hi - lo), _ONE_BAY, None):
                 raise EngineError(f"{self.code.value} loses a lone bad block on a healthy array")
             if hi > lo:
@@ -711,7 +702,6 @@ class _Simulation:
             rows = rest_rows[bisect_left(rest, start) : bisect_left(rest, end)]
         code = self.code
         failed = self.failed
-        bs_lone = self.bs_lone
         bs_stripe = self.bs_stripe
         bb_block = self.bb_block
         recorded = self.recorded
@@ -727,22 +717,16 @@ class _Simulation:
             if sym < 0:  # a bad block
                 self.handle_bad_block(i, block, time)
                 continue
-            # A block outside `touched` holds no bad symbol and no loss.
-            if block not in touched:
-                touched.add(block)
-                fresh = True
-            else:
-                fresh = stripe not in bs_lone and stripe not in bs_stripe and stripe not in recorded
-            if fresh and block not in bb_block:
+            # A block that joins `touched` here held no bad symbol and no loss.
+            touched.add(block)
+            if stripe not in bs_stripe and stripe not in recorded and block not in bb_block:
                 if judging and judge(code, faulty, multi):
                     recorded.add(stripe)  # never judged again: no `bs_stripe` entry
                     label = _cause_label(len(failed), 0, 1)
                     self.records.append(DataLossRecord(time, "SDL", label, 1))
                 else:
-                    bs_lone[stripe] = (i, sym)
+                    bs_stripe[stripe] = {i: {sym}}
                 continue
-            if stripe in bs_lone:
-                self._promote(stripe)
             bs_stripe.setdefault(stripe, {}).setdefault(i, set()).add(sym)
             if judging:
                 bdl_groups: dict[tuple[int, str], int] = {}
@@ -775,9 +759,6 @@ class _Simulation:
 
     def handle_bad_block(self, i: int, block: int, time: float) -> None:
         self.bb_block.setdefault(block, set()).add(i)
-        if block in self.touched:
-            for stripe in self.bs_lone.keys() & range(block * self.cpb, (block + 1) * self.cpb):
-                self._promote(stripe)
         if not self.adl_epoch:
             bdl_groups: dict[tuple[int, str], int] = {}
             self._judge_block(block, time, bdl_groups)
@@ -788,7 +769,6 @@ class _Simulation:
             self._judge_latent(time)
         self.bb_block.clear()
         self.bs_stripe.clear()
-        self.bs_lone.clear()
         self.recorded.clear()
         self.touched.clear()
         self.pending.clear()
@@ -817,8 +797,6 @@ class _Simulation:
         for stripe, per in list(self.bs_stripe.items()):
             if per.pop(i, None) is not None and not per:
                 del self.bs_stripe[stripe]
-        for stripe in [s for s, (bay, _) in self.bs_lone.items() if bay == i]:
-            del self.bs_lone[stripe]
         bays = self.columns[2]
         self.pending = [k[bays[k] != i] for k in self.pending]
         self.pending_bb = [k[bays[k] != i] for k in self.pending_bb]

@@ -61,6 +61,18 @@ class TestSynthLogCommand:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_reports_unwritable_path_as_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "dir" / "logs.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-log", "--devices", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ssdfi synth-log")
+        assert f"ssdfi synth-log: error: cannot write {out}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCostCommand:
     def test_prints_costs(self, capsys):
@@ -252,6 +264,41 @@ class TestRunExperiment:
         assert "ssdfi run: error: " in err and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--usage-log", "{missing}"], "cannot read usage log {missing}: "),
+            (["--usage-log", "{dir}"], "cannot read usage log {dir}: "),
+            (["--out", "{file}"], "cannot make report directory {file}: {file} is not a dir"),
+            (["--out", "{file}/out"], "cannot make report directory {file}/out: {file} is not a"),
+        ],
+        ids=["missing-log", "log-is-a-directory", "out-is-a-file", "out-under-a-file"],
+    )
+    def test_command_reports_bad_path_as_usage_error_before_any_pool(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool generated before the check")
+
+        monkeypatch.setattr(cli, "generate_pool", no_pool)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("kept\n")
+        paths = {name: tmp_path / name for name in ("missing", "dir", "file")}
+        argv = [a.format(**paths) for a in argv]
+        message = message.format(**paths)
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--sims", "1", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ssdfi run")
+        assert f"ssdfi run: error: {message}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert list((tmp_path / "dir").iterdir()) == []
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_csv_format(self, tmp_path, small_kwargs):
         kwargs = dict(small_kwargs, codes=[ErasureCode.RAID5], n_sims=2, fmt="csv")

@@ -375,12 +375,12 @@ SPLICE_SEEDS = 40
 
 
 class _Splice(ssdfi.engine._Simulation):
-    """The production judge, counting the scans whose lost lone stripes meet other faults."""
+    """The production judge, counting the scans whose lost pending stripes meet other faults."""
 
     counts: Counter = Counter()
 
-    def _lose_lone(self):
-        lone = super()._lose_lone()
+    def _lose_pending(self):
+        lone = super()._lose_pending()
         cpb = self.cpb
         multi = {s // cpb for s, per in self.bs_stripe.items() if sum(map(len, per.values())) > 1}
         shared = not multi.isdisjoint(s // cpb for s in lone)
@@ -393,7 +393,7 @@ class _Splice(ssdfi.engine._Simulation):
 
 
 def test_lost_lone_stripes_splice_into_the_scan(setups, monkeypatch):
-    # A scan records lost lone stripes without a `bs_stripe` entry and splices
+    # A scan records lost pending stripes without a `bs_stripe` entry and splices
     # their records into its block walk: the records and their order must
     # still be the reference engine's.
     new_calls = _counting(monkeypatch, ssdfi.engine)

@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
@@ -269,7 +270,7 @@ class TestAffectedStripes:
         plant_symbol(sim, 0, 9, 10.0)
         cp = GEOMETRY.chunk_pages
         assert pending_stripes(sim) == [9 // cp]
-        assert not sim.bs_lone and not sim.bs_stripe
+        assert not sim.bs_stripe
         sim.handle_bad_chip(1, 20.0)
         assert sim.recorded == {9 // cp}
         assert sim.records == [DataLossRecord(20.0, "SDL", "BC+BS", 1)]
@@ -325,15 +326,18 @@ class TestAffectedStripes:
         schedule(sim, EventKind.BAD_CHIP, 1, [100.0])
         result = sim.run()
         assert replaced(sim) == [0]  # rebuilt
-        assert not sim.bs_stripe and not sim.bs_lone
+        assert not sim.bs_stripe
         assert result.records == ()
 
 
 class TestLoneSymbols:
-    """A stripe's only bad symbol waits in `bs_lone` and is judged in a batch.
+    """A stripe's only bad symbol: pending when isolated, else in `bs_stripe`.
 
-    Each test covers one way a stripe leaves `bs_lone` or one batch, and
-    checks the records and the judge calls the engine makes.
+    An isolated symbol waits as pending and is judged in a scan's batch;
+    any other symbol on a clean stripe enters `bs_stripe` as {bay:
+    {symbol}} and is judged on its own.  Each test covers one way such a
+    stripe is judged or leaves, and checks the records and the judge calls
+    the engine makes.
     """
 
     CP = GEOMETRY.chunk_pages
@@ -344,10 +348,9 @@ class TestLoneSymbols:
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [9])
         schedule(sim, EventKind.BAD_SYMBOL, 1, [20.0], [10])
         consume(sim, 10.0)
-        assert sim.bs_lone == {9 // self.CP: (0, 9 % self.CP)} and not sim.pending
+        assert sim.bs_stripe == {9 // self.CP: {0: {9 % self.CP}}} and not sim.pending
         consume(sim)
         assert sim.records == [DataLossRecord(20.0, "SDL", "BS+BS", 1)]
-        assert not sim.bs_lone
         assert sim.bs_stripe == {9 // self.CP: {0: {9 % self.CP}, 1: {10 % self.CP}}}
 
     def test_same_symbol_again_is_judged_again(self, monkeypatch):
@@ -358,12 +361,13 @@ class TestLoneSymbols:
         sim.handle_bad_chip(0, 10.0)
         sim.handle_bad_chip(1, 11.0)
         plant_symbol(sim, 2, 9, 20.0)
-        assert sim.bs_lone == {9 // self.CP: (2, 9 % self.CP)} and calls == []
+        assert sim.bs_stripe == {9 // self.CP: {2: {9 % self.CP}}} and calls == []
         sim.apply_reconstruct(0, 30.0)
         plant_symbol(sim, 2, 9, 40.0)
         assert sim.records[1:] == [DataLossRecord(40.0, "SDL", "BC+BS", 1)]
         assert calls == [(R5, 2, 1)]
-        assert not sim.bs_lone and sim.recorded == {9 // self.CP}
+        assert sim.bs_stripe == {9 // self.CP: {2: {9 % self.CP}}}
+        assert sim.recorded == {9 // self.CP}
 
     @pytest.mark.parametrize("block_bay, causes", [(0, []), (1, ["BB+BS"])])
     def test_bad_block_on_a_lone_stripe_then_scrub(self, monkeypatch, block_bay, causes):
@@ -375,7 +379,7 @@ class TestLoneSymbols:
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [5 * self.CPB * self.CP + 2])
         schedule(sim, EventKind.BAD_BLOCK, block_bay, [20.0], [5])
         consume(sim)
-        assert not sim.bs_lone
+        assert sim.bs_stripe == {5 * self.CPB: {0: {2}}}
         assert [r.cause for r in sim.records] == causes
         del calls[:]
         sim.apply_scrub(30.0)
@@ -383,8 +387,8 @@ class TestLoneSymbols:
         assert len(calls) == self.CPB - len(causes)
 
     def test_bad_chip_on_the_lone_symbols_bay(self, monkeypatch):
-        # Bay 0's chip drops bay 0's symbol; bay 2's lone symbol is lost: it
-        # goes from `bs_lone` to `recorded`, with no `bs_stripe` entry.
+        # Bay 0's chip drops bay 0's symbol; bay 2's pending symbol is lost:
+        # its stripe goes to `recorded`, with no `bs_stripe` entry.
         calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
         plant_symbol(sim, 0, 9, 10.0)
@@ -394,7 +398,7 @@ class TestLoneSymbols:
         assert sim.records == [DataLossRecord(30.0, "SDL", "BC+BS", 1)]
         assert calls == [(R5, 2, 1)]
         stripe, sym = divmod(70, self.CP)
-        assert not sim.bs_lone and not sim.bs_stripe
+        assert not sim.bs_stripe
         assert sim.recorded == {stripe} and stripe // self.CPB in sim.touched
 
     def test_a_lost_lone_stripe_is_not_judged_again(self, monkeypatch):
@@ -458,6 +462,86 @@ class TestLoneSymbols:
         )
         assert len(calls) == 2 + self.CPB
 
+    def test_scan_after_an_adl_epoch_splices_pending_losses_by_stripe(self, monkeypatch):
+        # Five bays.  Drives 0 and 1 fail at 25 h and 26 h, an ADL epoch that
+        # drive 0's rebuild ends at 35 h; drive 1's rebuild at 36 h leaves a
+        # healthy array.  Drive 4's chip at 45 h then loses three stripes of
+        # block 5.  The epoch took its symbols row by row and unjudged: a
+        # lone symbol (lo + 1) and one symbol from each of drives 2 and 3
+        # (lo + 9), both in `bs_stripe`.  Drive 2's symbol at 40 h came in a
+        # healthy pass and waits as pending (lo + 4).  Its record goes
+        # between the other two, as the reference engine puts it.
+        geometry = ArrayGeometry(
+            n_devices=5, page_size=4096, pages_per_block=64, blocks_per_device=64,
+            stripe_size=5 * 4096 * 4,
+        )
+        cp, lo = geometry.chunk_pages, 5 * geometry.chunks_per_block
+        planted = {  # drive id -> (hours, device symbols) of its initial install
+            2: ([27.0, 28.0, 40.0], [(lo + 1) * cp + 2, (lo + 9) * cp, (lo + 4) * cp]),
+            3: ([29.0], [(lo + 9) * cp + 1]),
+        }
+        plant_initial_symbols(monkeypatch, planted)
+        # A replacement drive's chip comes 25 h or more after its install,
+        # after the mission end.
+        chips = (25.0, 26.0, None, None, 45.0)
+        pool = scripted_pool([drive(i, bc_time=t) for i, t in enumerate(chips)])
+        scans = []
+
+        class Judge(_Simulation):
+            def _judge_latent(self, time):
+                scans.append((time, pending_stripes(self), sorted(self.bs_stripe)))
+                super()._judge_latent(time)
+
+        draw = (geometry, flat_profile(), pool, [quiet_log()], 1e6, 10.0, 60, 0)
+        sim, result = judge_like_reference(monkeypatch, draw, Judge)
+        assert [(time, kind) for _, time, kind, _ in sim.timeline.boundaries] == [
+            (25.0, EventKind.BAD_CHIP), (26.0, EventKind.BAD_CHIP),
+            (35.0, EventKind.RECONSTRUCT), (36.0, EventKind.RECONSTRUCT),
+            (45.0, EventKind.BAD_CHIP), (55.0, EventKind.RECONSTRUCT),
+        ]
+        assert scans == [(25.0, [], []), (45.0, [lo + 4], [lo + 1, lo + 9])]
+        assert result.records == (
+            DataLossRecord(26.0, "ADL", "BC+BC", geometry.array_stripes),
+            DataLossRecord(45.0, "SDL", "BC+BS", 1),  # lo + 1
+            DataLossRecord(45.0, "SDL", "BC+BS", 1),  # lo + 4, pending
+            DataLossRecord(45.0, "SDL", "BC+BS+BS", 1),  # lo + 9
+        )
+
+
+def plant_initial_symbols(monkeypatch, planted):
+    """Give each drive's initial install these bad symbols, in both engines.
+
+    `planted` maps a drive id to the (hours, device symbols) of its bad
+    symbols; the drives must draw none of their own (a zero hazard).
+    Planted in `_install`, where both engines draw them, so the walk and
+    the reference engine's heap take them as drawn ones.
+    """
+    install = _Draw._install
+
+    def planted_install(self, i, drive, now, n):
+        columns = install(self, i, drive, now, n)
+        if now or drive.drive_id not in planted:
+            return columns
+        hours, symbols = planted[drive.drive_id]
+        stripes, syms = np.divmod(symbols, self.geometry.chunk_pages)
+        more = _columns(i, hours, EventKind.BAD_SYMBOL, stripes, syms)
+        return tuple(np.concatenate(c) for c in zip(columns, more))
+
+    ref_install = reference_engine._Simulation._install
+
+    def ref_planted_install(self, i, drive_idx, now):
+        ref_install(self, i, drive_idx, now)
+        drive_id = self.pool.drives[drive_idx].drive_id
+        if now or drive_id not in planted:
+            return
+        slot = self.slots[i]
+        assert not len(slot.bs_times)
+        slot.bs_times, slot.bs_locs = (np.asarray(c) for c in planted[drive_id])
+        heapq.heappush(self.heap, (slot.bs_times[0], EventKind.BAD_SYMBOL, i, slot.gen))
+
+    monkeypatch.setattr(_Draw, "_install", planted_install)
+    monkeypatch.setattr(reference_engine._Simulation, "_install", ref_planted_install)
+
 
 class TestBadBlocks:
     """A bad block's marked stripes are judged one by one, its other stripes as one unit."""
@@ -516,7 +600,8 @@ class TestBadBlocks:
         # symbol's stripe is judged.
         assert calls[-(self.CPB - 1):] == [(R5, 1, 1)] * (self.CPB - 2) + [(R5, 2, 1)]
         assert sim.recorded == {lost, lone}
-        assert pending_stripes(sim) == [2 * self.CPB + 1, 8 * self.CPB] and not sim.bs_lone
+        assert pending_stripes(sim) == [2 * self.CPB + 1, 8 * self.CPB]
+        assert sim.bs_stripe == {lost: {0: {0}, 1: {1}}, lone: {0: {3}}}
         assert pending_blocks(sim) == [9] and list(sim.bb_block) == [5]
         del calls[:]
         sim.apply_scrub(30.0)
@@ -789,7 +874,7 @@ class TestIsolation:
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [9])
         schedule(sim, EventKind.BAD_BLOCK, 1, [20.0], [5])
         consume(sim, 10.0)
-        assert pending_stripes(sim) == [9 // GEOMETRY.chunk_pages] and not sim.bs_lone
+        assert pending_stripes(sim) == [9 // GEOMETRY.chunk_pages] and not sim.bs_stripe
         assert calls == [(R5, 1, 0)]
         del calls[:]
         consume(sim, 20.0)
@@ -870,7 +955,7 @@ class TestIsolation:
         boundaries = [(time, kind, i) for _, time, kind, i in sim.timeline.boundaries]
         assert boundaries[:2] == [(100.0, EventKind.WEAR_OUT, 1), (149.0, EventKind.BAD_CHIP, 0)]
         assert not (sim.pending or sim.pending_bb)
-        assert {s // sim.cpb for s in [*sim.bs_lone, *sim.bs_stripe, *sim.recorded]} <= sim.touched
+        assert {s // sim.cpb for s in [*sim.bs_stripe, *sim.recorded]} <= sim.touched
         return result, drops
 
     def test_pending_symbols_drop_and_materialise_like_taken_ones(self, monkeypatch):
