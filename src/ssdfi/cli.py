@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 from .codes import UPDATE_STRATEGIES, ErasureCode, encode_xor_count, erf, update_penalty
-from .engine import MISSION_HOURS, check_tts_ttr, run_simulation
+from .engine import MISSION_HOURS, check_mission, check_tts_ttr, run_simulation
 from .geometry import ArrayGeometry
 from .pool import (
     BC_GT5_SHARE,
@@ -99,10 +99,7 @@ def run_experiment(
         raise ValueError(f"workers must be at least 1, got {workers}")
     if n_sims < 1:
         raise ValueError(f"n_sims must be at least 1, got {n_sims}")
-    if not 1 <= mission <= MISSION_HOURS or mission != int(mission):
-        raise ValueError(
-            f"mission must be between 1 and {MISSION_HOURS} whole hours, got {mission:g}"
-        )
+    check_mission(mission)
     if pool_size < n_devices:
         raise ValueError(f"pool_size {pool_size} is smaller than the array's {n_devices} devices")
     if fmt not in ("json", "csv"):

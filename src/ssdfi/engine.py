@@ -26,13 +26,17 @@ share an hour) the stable `np.lexsort((bays, kinds, times))` does.
 Events at or after the mission end are dropped.  `_Draw` draws the whole
 timeline, and the judge (`_Simulation`) is handed it.  Each drive adds
 its whole schedule when it is installed: bad blocks, bad symbols,
-wear-out, and its bad chip together with the rebuild `ttr` hours later.  After the initial
-drives and the scrubs, the walk takes the boundary events (rebuild,
-wear-out, bad chip) in order and tracks which bays have failed.  A
+wear-out, and its bad chip together with the rebuild `ttr` hours later.
+The walk pops the boundary events (rebuild, wear-out, bad chip) of the
+installed drives from a heap in timeline order and tracks which bays
+have failed; scrubs, bad blocks and bad symbols never change it.  A
 rebuild, and a wear-out of a bay that has not failed, replace the bay's
-drive: the timeline is cut after that event, the bay's later events leave
-it and the new drive's join it.  A wear-out of a failed bay is dropped, so
-every boundary event on the timeline happens.  A bay fails only through
+drive: the old drive's events that sort after that event leave, and the
+new drive's events, which all sort after it, join, their boundary events
+on the heap.  A wear-out of a failed bay is dropped, so every boundary
+event on the timeline happens.  Each install's events stay in its own
+columns under a keep mask, and the kept events of all installs are
+sorted once, at the end of the walk.  A bay fails only through
 its own drive's chip, and a failed bay does not wear out, so a chip and
 its rebuild both stay, or both belong to a drive that was replaced before
 the chip.  The loop consumes the bad blocks and bad symbols up to the
@@ -122,6 +126,7 @@ tuples, shared by every mission that judges it; it holds no pool.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import weakref
 from bisect import bisect_left
@@ -185,6 +190,18 @@ def check_tts_ttr(tts: float, ttr: float) -> None:
     if not (math.isfinite(tts) and math.isfinite(ttr) and tts > 0 and ttr > 0):
         raise EngineError(
             f"tts and ttr must be finite and positive, got tts={tts:g} and ttr={ttr:g}"
+        )
+
+
+def check_mission(mission: float) -> None:
+    """Reject a mission that is not a whole number of hours in 1..`MISSION_HOURS`.
+
+    Pool schedules end at `MISSION_HOURS`; a longer mission would silently
+    see no bad blocks or bad chips after that hour.
+    """
+    if not 1 <= mission <= MISSION_HOURS or mission != int(mission):
+        raise EngineError(
+            f"mission must be between 1 and {MISSION_HOURS} whole hours, got {mission:g}"
         )
 
 
@@ -331,14 +348,14 @@ class _Draw:
         mission: int,
         seed: int,
     ):
-        if not usage_logs:
-            raise EngineError("need at least one usage log")
+        n = geometry.n_devices
+        if not 1 <= len(usage_logs) <= n:
+            raise EngineError(f"need 1 to {n} usage logs, one per bay, got {len(usage_logs)}")
+        if seed < 0:
+            raise EngineError(f"seed must be >= 0, got {seed}")
         check_tts_ttr(tts, ttr)
-        if not 1 <= mission <= MISSION_HOURS or mission != int(mission):
-            # Pool schedules end at MISSION_HOURS; a longer mission would
-            # silently see no bad blocks or bad chips after that hour.
-            raise EngineError(f"mission must be between 1 and {MISSION_HOURS} whole hours")
-        if len(pool.drives) < geometry.n_devices:
+        check_mission(mission)
+        if len(pool.drives) < n:
             raise EngineError("pool smaller than the array")
         self.geometry = geometry
         self.profile = profile
@@ -348,10 +365,9 @@ class _Draw:
         self.mission = int(mission)
         self.seed = seed
 
-        n = geometry.n_devices
         # Hazard ingredients per bay.  Logs are cycled over the bays, and
         # bays on one log share its read-only arrays.
-        fresh = [_fresh_hazard(log, profile.rber_curve, self.mission) for log in usage_logs[:n]]
+        fresh = [_fresh_hazard(log, profile.rber_curve, self.mission) for log in usage_logs]
         self.log_bits, self.log_pe, self.fresh_hazard = map(list, zip(*(fresh * n)[:n]))
         self.hour_grid = np.arange(self.mission + 1, dtype=float)
         self.config = (
@@ -388,43 +404,51 @@ class _Draw:
     def _walk(self, columns) -> _Timeline:
         """The mission timeline of these set-up columns: every event that happens, in order.
 
-        Takes the boundary events in order and tracks the failed bays.  A
-        rebuild, and a wear-out of a bay that has not failed, cut the
-        timeline after the event, take the bay's later events out of the
-        rest and put a new pool drive's in (drawn from `rng_repl` in walk
-        order; the bay's install count is part of its seed).  A wear-out of
-        a failed bay is dropped.
+        Each install's columns are one part with a keep mask; the set-up
+        columns are the first.  A heap walks the boundary rows (rebuild,
+        wear-out, bad chip) of every part before the mission end in timeline
+        order and tracks the failed bays.  A rebuild, and a wear-out of a bay
+        that has not failed, replace the bay's drive: its events that sort
+        after the row (at the row's hour, those of a later kind) leave their
+        part, and a new pool drive's columns, all of which sort after the
+        row, join as a part (drawn from `rng_repl` in walk order; the bay's
+        install count is part of its seed).  A wear-out of a failed bay
+        leaves, and a row that has left is skipped.  The kept events of all
+        parts are sorted once.
         """
         rng_repl = np.random.default_rng(np.random.SeedSequence([self.seed, 2]))
         installs = [0] * self.geometry.n_devices
         failed: set[int] = set()
-        segments = []
-        rest = _sorted(columns, self.mission)
-        while True:
-            times, kinds, bays, _, _ = rest
-            at = np.flatnonzero((kinds > EventKind.SCRUB) & (kinds < EventKind.BAD_BLOCK))
-            keep = np.ones(len(times), bool)
-            for k, kind, i in zip(at.tolist(), kinds[at].tolist(), bays[at].tolist()):
-                if kind == EventKind.BAD_CHIP:
-                    failed.add(i)
-                elif kind == EventKind.WEAR_OUT and i in failed:
-                    keep[k] = False
-                else:
-                    failed.discard(i)
-                    break
+        parts: list[tuple[tuple[np.ndarray, ...], np.ndarray]] = []
+        heap: list[tuple] = []
+
+        def add(columns):
+            times, kinds, bays, _, _ = columns
+            boundary = (kinds > EventKind.SCRUB) & (kinds < EventKind.BAD_BLOCK)
+            at = np.flatnonzero(boundary & (times < self.mission))
+            for row in zip(times[at].tolist(), kinds[at].tolist(), bays[at].tolist(), at.tolist()):
+                heapq.heappush(heap, (*row, len(parts)))
+            parts.append((columns, np.ones(len(times), bool)))
+
+        add(tuple(columns))
+        while heap:
+            t, kind, i, k, p = heapq.heappop(heap)
+            (times, kinds, bays, _, _), keep = parts[p]
+            if not keep[k]:
+                continue
+            if kind == EventKind.BAD_CHIP:
+                failed.add(i)
+            elif kind == EventKind.WEAR_OUT and i in failed:
+                keep[k] = False
             else:
-                segments.append(tuple(c[keep] for c in rest))
-                columns = tuple(np.concatenate(c) for c in zip(*segments))
-                return _Timeline(columns, self.geometry, self.seed, self.config)
-            cut = k + 1
-            segments.append(tuple(c[:cut][keep[:cut]] for c in rest))
-            installs[i] += 1
-            drive = self.pool.drives[int(rng_repl.integers(len(self.pool.drives)))]
-            new = self._install(i, drive, float(times[k]), installs[i])
-            later = bays[cut:] != i
-            rest = _sorted(
-                (np.concatenate((c[cut:][later], n)) for c, n in zip(rest, new)), self.mission
-            )
+                failed.discard(i)
+                keep &= (bays != i) | (times < t) | ((times == t) & (kinds <= kind))
+                installs[i] += 1
+                drive = self.pool.drives[int(rng_repl.integers(len(self.pool.drives)))]
+                add(self._install(i, drive, t, installs[i]))
+        kept = (tuple(c[keep] for c in columns) for columns, keep in parts)
+        columns = _sorted((np.concatenate(c) for c in zip(*kept)), self.mission)
+        return _Timeline(columns, self.geometry, self.seed, self.config)
 
     def _install(self, i: int, drive: PooledSsd, now: float, n: int) -> tuple[np.ndarray, ...]:
         """Draw the columns of `drive` installed in bay i at `now`, the bay's n-th replacement."""
@@ -630,9 +654,7 @@ class _Simulation:
             sdl = DataLossRecord(time, "SDL", _cause_label(len(self.failed), 0, 1), 1)
         cpb = self.cpb
         lost_blocks = ()
-        if self.pending_bb and self._verdict(
-            cpb * sum(map(len, self.pending_bb)), _ONE_BAY, None
-        ):
+        if self._verdict(cpb * sum(map(len, self.pending_bb)), _ONE_BAY, None):
             lost_blocks = self._materialise_blocks()
         bb_block = self.bb_block
         bs_blocks: dict[int, list[int]] = {}
@@ -661,8 +683,6 @@ class _Simulation:
 
     def _materialise_blocks(self) -> set[int]:
         """Put the pending isolated bad blocks in `bb_block`; return their blocks."""
-        if not self.pending_bb:
-            return set()
         _, _, bays, stripes, _ = self.columns
         k = np.concatenate(self.pending_bb)
         self.pending_bb = []

@@ -756,6 +756,27 @@ class TestTimeline:
         schedule(sim, EventKind.WEAR_OUT, 0, [149.0])
         assert list(scheduled(sim, 0, EventKind.BAD_BLOCK)[0]) == [0.5, 149.5]
 
+    def test_arrivals_at_a_replacement_hour(self):
+        # Every drive takes a bad block at its install hour.  Bay 0 wears out
+        # at 50 h: its old drive's bad block and bad symbol at 50 h sort after
+        # the wear-out and leave with the drive, while bay 1's symbol at 50 h
+        # stays, and so does the new drive's bad block, after the wear-out.
+        sim = make_sim(scripted_pool([drive(i, bb_times=(0.0,)) for i in range(3)]))
+        schedule(sim, EventKind.BAD_SYMBOL, 0, [50.0], [9])
+        schedule(sim, EventKind.BAD_BLOCK, 0, [50.0], [5])
+        schedule(sim, EventKind.BAD_SYMBOL, 1, [50.0], [70])
+        schedule(sim, EventKind.WEAR_OUT, 0, [50.0])
+        # The replacement's own draw puts its bad block in block 12.
+        _, kinds, _, stripes, _ = sim.draw._install(0, drive(0, bb_times=(0.0,)), 50.0, 1)
+        assert stripes[kinds == EventKind.BAD_BLOCK].tolist() == [12 * sim.cpb]
+        rows = [row for row in zip(*(c.tolist() for c in sim.columns)) if row[0] == 50.0]
+        assert rows == [
+            (50.0, EventKind.WEAR_OUT, 0, -1, -1),
+            (50.0, EventKind.BAD_BLOCK, 0, 12 * sim.cpb, -1),
+            (50.0, EventKind.BAD_SYMBOL, 1, *divmod(70, GEOMETRY.chunk_pages)),
+        ]
+        assert replaced(sim) == [0]
+
     def test_wear_out_before_bad_chip(self):
         # Bay 1's wear-out copy at 50 h drops its bad block before bay 0's
         # chip fails; a chip of the worn-out drive itself never fires.
@@ -1137,6 +1158,20 @@ class TestSetUp:
     def test_rejects_non_finite_tts_and_ttr(self, tts, ttr):
         with pytest.raises(EngineError, match="tts and ttr must be finite and positive"):
             run(clean_pool(), tts=tts, ttr=ttr)
+
+    @pytest.mark.parametrize("n_logs, seed, message", [
+        (4, 0, "need 1 to 3 usage logs, one per bay, got 4"),
+        (1, -1, "seed must be >= 0, got -1"),
+    ], ids=["more-logs-than-bays", "negative-seed"])
+    def test_rejects_inputs_before_any_hazard(self, monkeypatch, n_logs, seed, message):
+        # A fourth log on three bays would be ignored, and a negative seed
+        # would fail inside numpy after the hazards are computed.
+        monkeypatch.setattr(ssdfi.engine, "_fresh_hazard", lambda *a: pytest.fail("hazard"))
+        with pytest.raises(EngineError, match=message):
+            run_simulation(
+                GEOMETRY, R5, flat_profile(), clean_pool(), [quiet_log()] * n_logs,
+                1e6, 1e6, 150, seed,
+            )
 
     def test_bays_on_one_log_share_its_arrays(self, monkeypatch):
         calls = []
