@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 from .codes import UPDATE_STRATEGIES, ErasureCode, encode_xor_count, erf, update_penalty
-from .engine import MISSION_HOURS, check_mission, check_tts_ttr, run_simulation
+from .engine import MISSION_HOURS, check_code, check_mission, check_tts_ttr, run_simulation
 from .geometry import ArrayGeometry
 from .pool import (
     BC_GT5_SHARE,
@@ -85,6 +85,7 @@ def run_experiment(
 
     Raises `ValueError` for fewer than one worker or mission, for a
     mission that is not a whole number of hours in 1..`MISSION_HOURS`,
+    for a code that is not an `ErasureCode` (such as the string "RAID5"),
     for a pool smaller than the array, for a `tts` or `ttr` that is not
     finite and positive, for a stripe size the array geometry rejects,
     for a model with no profile, for grid lists whose cells repeat a
@@ -100,6 +101,8 @@ def run_experiment(
     if n_sims < 1:
         raise ValueError(f"n_sims must be at least 1, got {n_sims}")
     check_mission(mission)
+    for code in codes:
+        check_code(code)
     if pool_size < n_devices:
         raise ValueError(f"pool_size {pool_size} is smaller than the array's {n_devices} devices")
     if fmt not in ("json", "csv"):

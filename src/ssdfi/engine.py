@@ -88,8 +88,11 @@ positions and adds their blocks to `touched`.
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
 count (`codes.judge_calls`) and the differential test compares it with
-the reference engine.  A lone symbol's counts depend only on the number
-of failed bays, which no arrival changes: a pass takes them once and
+the reference engine.  A call that sees fewer than two faulty chunks
+(96-98% of them) returns at its first comparison, before the code is
+looked at, so such a call costs little more than the Python call itself.
+A lone symbol's counts depend only on the number of failed bays, which
+no arrival changes: a pass takes them once and
 judges each fresh arrival on a clean stripe as it comes, and a scrub or
 bad chip makes one call per pending symbol and gives them all that one
 verdict.  Every stripe of `bs_stripe`, one bad symbol or more, is judged
@@ -205,11 +208,18 @@ def check_mission(mission: float) -> None:
         )
 
 
+def check_code(code) -> None:
+    """Reject a code that is not an `ErasureCode` member, such as its name as a string."""
+    if not isinstance(code, ErasureCode):
+        raise EngineError(f"code must be an ErasureCode, got {code!r}")
+
+
 def _columns(bay: int, times, kinds, stripes=-1, syms=-1) -> tuple[np.ndarray, ...]:
     """Timeline columns (times, kinds, bays, stripes, symbols) of one bay's events.
 
     A bad block's stripe is its block's first; events other than bad
-    symbols have symbol -1.
+    symbols have symbol -1.  The scrubs use it; `_Draw._install` builds a
+    drive's columns in one go.
     """
     times = np.asarray(times, dtype=float)
     return (times, *(np.full(times.shape, c, np.int64) for c in (kinds, bay, stripes, syms)))
@@ -466,19 +476,28 @@ class _Draw:
         symbols = (rng.random(len(bs)) * geometry.symbols_per_device).astype(np.int64)
         stripes, syms = np.divmod(symbols, geometry.chunk_pages)
 
-        events = [
-            _columns(i, bb, EventKind.BAD_BLOCK, blocks * geometry.chunks_per_block),
-            _columns(i, bs, EventKind.BAD_SYMBOL, stripes, syms),
-        ]
+        # One array per column, in draw order (bad blocks, bad symbols, bad
+        # chip and rebuild, wear-out): the timeline's stable sort breaks
+        # ties by it.
+        times = [bb, bs]
+        kinds = [EventKind.BAD_BLOCK, EventKind.BAD_SYMBOL]
         if drive.bad_chip_time is not None:
             t_bc = now + drive.bad_chip_time
-            events.append(
-                _columns(i, [t_bc, t_bc + self.ttr], [EventKind.BAD_CHIP, EventKind.RECONSTRUCT])
-            )
+            times += [[t_bc], [t_bc + self.ttr]]
+            kinds += [EventKind.BAD_CHIP, EventKind.RECONSTRUCT]
         wear = np.searchsorted(self.log_pe[i], self.profile.wol + pe_offset)
         if wear > now:
-            events.append(_columns(i, [float(wear)], EventKind.WEAR_OUT))
-        return tuple(np.concatenate(column) for column in zip(*events))
+            times.append([float(wear)])
+            kinds.append(EventKind.WEAR_OUT)
+        sizes = [len(t) for t in times]
+        rest = np.full(sum(sizes[2:]), -1, np.int64)
+        return (
+            np.concatenate(times, dtype=float),
+            np.repeat(np.array(kinds, np.int64), sizes),
+            np.full(sum(sizes), i, np.int64),
+            np.concatenate((blocks * geometry.chunks_per_block, stripes, rest)),
+            np.concatenate((np.full(len(bb), -1, np.int64), syms, rest)),
+        )
 
     def _hazard(self, i: int, pe_offset: float) -> np.ndarray:
         """Bay i's cumulative bad-symbol hazard by hour, `pe_offset` P/E cycles below its log."""
@@ -877,6 +896,7 @@ def run_simulation(
 
     Judges the pool's stored timeline when its draw inputs are these; draws and stores one if not.
     """
+    check_code(code)
     # Every input of the mission's draws but the pool, which keys `_SCHEDULES`.
     key = (geometry, profile, tuple(usage_logs), tts, ttr, mission, seed)
     memo = _SCHEDULES.get(pool)

@@ -222,6 +222,18 @@ class TestRunExperiment:
             run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
         assert not (tmp_path / "out").exists()
 
+    def test_rejects_a_code_that_is_not_a_member_before_any_pool(
+        self, tmp_path, small_kwargs, monkeypatch
+    ):
+        # A code name must fail here, not with an AttributeError from the report key.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool generated before the check")
+
+        monkeypatch.setattr(cli, "generate_pool", no_pool)
+        with pytest.raises(ValueError, match="code must be an ErasureCode, got 'raid5'"):
+            run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, "codes": ["raid5"]})
+        assert not (tmp_path / "out").exists()
+
     def test_rejects_usage_log_of_other_device_count(self, tmp_path, small_kwargs):
         logs = tmp_path / "logs.csv"
         assert main(["synth-log", "--devices", "3", "--out", str(logs)]) == 0

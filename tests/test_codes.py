@@ -75,6 +75,29 @@ class TestJudge:
         assert not uncorrectable(PMDS, 2, 1)
         assert uncorrectable(PMDS, 3, 0)
 
+    # The correctability rules, written out apart from the kernel.
+    RULES = {
+        R5: lambda faulty, multi: faulty > 1,
+        R6: lambda faulty, multi: faulty > 2,
+        PMDS: lambda faulty, multi: faulty > 2 or multi > 1,
+    }
+
+    @pytest.mark.parametrize("code", list(ErasureCode))
+    def test_kernel_matches_rule_table(self, code):
+        # Every count pair `stripe_counts` can give (multi <= faulty) up to 8 chunks.
+        for faulty in range(9):
+            for multi in range(faulty + 1):
+                assert uncorrectable(code, faulty, multi) == self.RULES[code](faulty, multi), (
+                    faulty, multi,
+                )
+
+    @pytest.mark.parametrize("code", ["RAID5", None, 5])
+    def test_unknown_code_from_two_faulty_chunks(self, code):
+        for faulty in range(2, 9):
+            for multi in range(faulty + 1):
+                with pytest.raises(CodesError, match="unknown code"):
+                    uncorrectable(code, faulty, multi)
+
     @pytest.mark.parametrize("code", list(ErasureCode))
     def test_device_tolerance(self, code):
         t = DEVICE_TOLERANCE[code]
@@ -122,6 +145,27 @@ state_strategy = st.builds(
 
 
 class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=8),
+        st.one_of(st.none(), st.sets(st.integers(min_value=0, max_value=7), max_size=8)),
+        st.one_of(
+            st.none(),
+            st.dictionaries(
+                st.integers(min_value=0, max_value=7),
+                st.sets(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+                max_size=8,
+            ),
+        ),
+    )
+    def test_counts_bound_multi_by_faulty(self, n_failed, bb_devs, bs_map):
+        # `uncorrectable` answers faulty < 2 without the code on this bound.
+        faulty, multi, n_bb, n_bs = stripe_counts(n_failed, bb_devs, bs_map)
+        assert multi <= faulty
+        assert faulty == n_failed + n_bb + n_bs
+        assert n_bb == len(bb_devs or ())
+        assert n_bs == len(set(bs_map or ()) - set(bb_devs or ()))
+
     @settings(max_examples=300, deadline=None)
     @given(state_strategy)
     def test_strength_ordering(self, s):

@@ -1173,6 +1173,15 @@ class TestSetUp:
                 1e6, 1e6, 150, seed,
             )
 
+    @pytest.mark.parametrize("code", ["RAID5", None], ids=["name", "none"])
+    def test_rejects_a_code_that_is_not_a_member_before_any_draw(self, monkeypatch, code):
+        # A code name must fail here, not with a KeyError once the mission is drawn.
+        monkeypatch.setattr(ssdfi.engine, "_fresh_hazard", lambda *a: pytest.fail("hazard"))
+        with pytest.raises(EngineError, match=f"code must be an ErasureCode, got {code!r}"):
+            run_simulation(
+                GEOMETRY, code, flat_profile(), clean_pool(), [quiet_log()], 1e6, 1e6, 150, 0
+            )
+
     def test_bays_on_one_log_share_its_arrays(self, monkeypatch):
         calls = []
 
