@@ -47,15 +47,13 @@ Latent faults live in three containers: `bb_block` maps a block to the
 bays whose chunk of it is bad, `bs_stripe` maps a stripe to its bays'
 bad symbol sets, and `recorded` holds the stripes lost in this fault
 epoch.  Isolated symbols are pending (below); every other symbol is in
-`bs_stripe`, which a symbol on a clean stripe enters as {bay: {symbol}}.
-A scan that loses the pending symbols moves their stripes to
-`recorded`, and a pass that loses a fresh arrival on a clean stripe
-records it; neither gets a `bs_stripe` entry, as a recorded stripe is
-never judged again in its epoch.  `touched` holds the block
-of every latent bad symbol and every loss of the epoch, and may hold
-more (the block of a symbol that its bay's bad chip or wear-out
-dropped): a block outside it has neither, and a bad block outside it is
-clean.
+`bs_stripe`, whether or not its stripe is lost.  A scan that loses the
+pending symbols moves their stripes to `recorded` and gives them no
+`bs_stripe` entry, as a recorded stripe is never judged again in its
+epoch.  `touched` holds the block of every latent bad symbol and every
+loss of the epoch, and may hold more (the block of a symbol that its
+bay's bad chip or wear-out dropped): a block outside it has neither, and
+a bad block outside it is clean.
 
 Most bad symbols and bad blocks stay out of the containers.  A bad
 symbol is isolated when, within its scrub interval, no other bad symbol
@@ -92,19 +90,19 @@ the reference engine.  A call that sees fewer than two faulty chunks
 (96-98% of them) returns at its first comparison, before the code is
 looked at, so such a call costs little more than the Python call itself.
 A lone symbol's counts depend only on the number of failed bays, which
-no arrival changes: a pass takes them once and
-judges each fresh arrival on a clean stripe as it comes, and a scrub or
-bad chip makes one call per pending symbol and gives them all that one
-verdict.  Every stripe of `bs_stripe`, one bad symbol or more, is judged
-on its own.  A bad block is judged one way, on arrival and at
-every scan: its marked stripes, those with bad symbols or a loss of the
-epoch (only a block in `touched` has any), one by one, and its other
-stripes, which all count as the block does, as one unit at the first of
-them: they share one count and make their calls in a tight loop, and
-when they are lost they are recorded at once and join one BDL count.  A
-scan makes the calls of all pending bad blocks in one loop and gives
-them that one verdict; when it is lost, the block walk records each of
-them as one BDL, in block order, without a second call.  With no failed
+no arrival changes: a pass makes one call per isolated symbol, and a
+scrub or bad chip one per pending symbol, and each gives them all that
+one verdict.  Every stripe of `bs_stripe`, one bad symbol or more, is
+judged on its own, on arrival (`handle_bad_symbol`) and at every scan.
+A bad block is judged one way, on arrival and at every scan: its marked
+stripes, those with bad symbols or a loss of the epoch (only a block in
+`touched` has any), one by one, and its other stripes, which all count
+as the block does, as one unit at the first of them: they share one
+count and make their calls in a tight loop, and when they are lost they
+are recorded at once and join one BDL count.  A scan makes the calls
+of all pending bad blocks in one loop and gives them that one verdict;
+when it is lost, the block walk records each of them as one BDL, in
+block order, without a second call.  With no failed
 bay every code corrects a lone symbol and a clean bad block, so a
 healthy pass that gets any other verdict raises `EngineError` rather
 than drop the loss.  A scan (scrub or bad chip) walks the blocks of the
@@ -131,6 +129,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -212,6 +211,19 @@ def check_code(code) -> None:
     """Reject a code that is not an `ErasureCode` member, such as its name as a string."""
     if not isinstance(code, ErasureCode):
         raise EngineError(f"code must be an ErasureCode, got {code!r}")
+
+
+def check_seed(seed) -> int:
+    """The seed as an `int`; reject a bool, a non-integer and a negative seed.
+
+    A bool would share its memo key with 0 or 1, and a numpy integer would
+    be echoed into results that `json` cannot write.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise EngineError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise EngineError(f"seed must be >= 0, got {seed}")
+    return int(seed)
 
 
 def _columns(bay: int, times, kinds, stripes=-1, syms=-1) -> tuple[np.ndarray, ...]:
@@ -361,8 +373,7 @@ class _Draw:
         n = geometry.n_devices
         if not 1 <= len(usage_logs) <= n:
             raise EngineError(f"need 1 to {n} usage logs, one per bay, got {len(usage_logs)}")
-        if seed < 0:
-            raise EngineError(f"seed must be >= 0, got {seed}")
+        seed = check_seed(seed)
         check_tts_ttr(tts, ttr)
         check_mission(mission)
         if len(pool.drives) < n:
@@ -712,13 +723,12 @@ class _Simulation:
     def _consume_arrivals(self, end: int) -> None:
         """Mark and judge, in timeline order, the bad blocks and symbols left before `end`.
 
-        A fresh symbol, on a stripe with no other latent fault and no loss,
-        is judged as it arrives, with the lone counts taken once per
-        pass: no failure starts or ends within a pass.  With no failed
-        device, a pass takes its isolated bad symbols and bad blocks first:
-        for each kind, their judge calls in one batch, then one pending
-        entry of their positions, if it has any.  With a failed device,
-        every arrival goes row by row.
+        With no failed device, a pass takes its isolated bad symbols and
+        bad blocks first: for each kind, their judge calls in one batch,
+        then one pending entry of their positions, if it has any.  Every
+        other arrival (with a failed device, every arrival) goes row by
+        row to `handle_bad_block` or `handle_bad_symbol`, unless its bay
+        has failed.
         """
         start = self.next_event
         if end == start:
@@ -739,38 +749,14 @@ class _Simulation:
             if hi > lo:
                 self.pending_bb.append(blocks[lo:hi])
             rows = rest_rows[bisect_left(rest, start) : bisect_left(rest, end)]
-        code = self.code
         failed = self.failed
-        bs_stripe = self.bs_stripe
-        bb_block = self.bb_block
-        recorded = self.recorded
-        touched = self.touched
-        cpb = self.cpb
-        judging = not self.adl_epoch
-        judge = uncorrectable  # read per pass: wrappers patch the module global
-        faulty, multi, _, _ = stripe_counts(len(failed), None, _ONE_SYMBOL)
         for time, i, stripe, sym in rows:
             if i in failed:
                 continue  # arrivals on a failed device are subsumed
-            block = stripe // cpb
             if sym < 0:  # a bad block
-                self.handle_bad_block(i, block, time)
-                continue
-            # A block that joins `touched` here held no bad symbol and no loss.
-            touched.add(block)
-            if stripe not in bs_stripe and stripe not in recorded and block not in bb_block:
-                if judging and judge(code, faulty, multi):
-                    recorded.add(stripe)  # never judged again: no `bs_stripe` entry
-                    label = _cause_label(len(failed), 0, 1)
-                    self.records.append(DataLossRecord(time, "SDL", label, 1))
-                else:
-                    bs_stripe[stripe] = {i: {sym}}
-                continue
-            bs_stripe.setdefault(stripe, {}).setdefault(i, set()).add(sym)
-            if judging:
-                bdl_groups: dict[tuple[int, str], int] = {}
-                self._judge_stripes((stripe,), time, bdl_groups)
-                self._record_bdl(bdl_groups, time)
+                self.handle_bad_block(i, stripe // self.cpb, time)
+            else:
+                self.handle_bad_symbol(i, stripe, sym, time)
 
     # -- handlers ----------------------------------------------------------
 
@@ -801,6 +787,15 @@ class _Simulation:
         if not self.adl_epoch:
             bdl_groups: dict[tuple[int, str], int] = {}
             self._judge_block(block, time, bdl_groups)
+            self._record_bdl(bdl_groups, time)
+
+    def handle_bad_symbol(self, i: int, stripe: int, sym: int, time: float) -> None:
+        # A block that joins `touched` here held no bad symbol and no loss.
+        self.touched.add(stripe // self.cpb)
+        self.bs_stripe.setdefault(stripe, {}).setdefault(i, set()).add(sym)
+        if not self.adl_epoch:
+            bdl_groups: dict[tuple[int, str], int] = {}
+            self._judge_stripes((stripe,), time, bdl_groups)
             self._record_bdl(bdl_groups, time)
 
     def apply_scrub(self, time: float) -> None:
@@ -897,6 +892,7 @@ def run_simulation(
     Judges the pool's stored timeline when its draw inputs are these; draws and stores one if not.
     """
     check_code(code)
+    seed = check_seed(seed)
     # Every input of the mission's draws but the pool, which keys `_SCHEDULES`.
     key = (geometry, profile, tuple(usage_logs), tts, ttr, mission, seed)
     memo = _SCHEDULES.get(pool)

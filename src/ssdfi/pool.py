@@ -41,6 +41,7 @@ the calibration targets tightly at any realistic pool size.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import threading
 from collections.abc import Sequence
@@ -433,8 +434,12 @@ def generate_pool(
         raise PoolError("pool_size must be >= 1")
     if blocks_per_device < 64:
         raise PoolError("blocks_per_device must be >= 64")
+    # The seed is echoed as every result's `pool_seed`: a plain int only.
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise PoolError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise PoolError(f"seed must be >= 0, got {seed}")
+    seed = int(seed)
 
     n_bc = round(pool_size * profile.pct_bad_chip)
     n_bb = round(pool_size * profile.pct_bad_block)

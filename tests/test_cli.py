@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -119,6 +120,29 @@ def small_kwargs():
     )
 
 
+# Criterion 13's grid (tests/test_acceptance.py).
+CRITERION_13_GRID = dict(
+    codes=[ErasureCode.RAID5, ErasureCode.PMDS11],
+    models=["MLC-A"],
+    tts_values=[10_000.0],
+    ttr_values=[10.0],
+    stripe_kbs=[128],
+    n_sims=6,
+    master_seed=41,
+    geometry_blocks=4_096,
+    pool_size=300,
+    pool_blocks=2_048,
+)
+
+
+@pytest.fixture(scope="module")
+def one_worker_grid(tmp_path_factory):
+    """The files, by name, of criterion 13's grid run at one worker."""
+    out = tmp_path_factory.mktemp("grid") / "w1"
+    run_experiment(out_dir=out, workers=1, **CRITERION_13_GRID)
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 class TestRunExperiment:
     def test_reports_and_manifest(self, tmp_path, small_kwargs):
         out = tmp_path / "rep"
@@ -154,6 +178,17 @@ class TestRunExperiment:
         manifest = run_experiment(out_dir=tmp_path / "w2", workers=2, **small_kwargs)
         assert len(manifest["reports"]) == 2
         assert len(created) == 1
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_start_methods_byte_identical(self, tmp_path, monkeypatch, one_worker_grid, method):
+        # Workers that import the package afresh, as macOS does and as Linux
+        # will by default from Python 3.14, write the same bytes as one worker.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        monkeypatch.setattr(cli, "multiprocessing", multiprocessing.get_context(method))
+        out = tmp_path / method
+        run_experiment(out_dir=out, workers=2, **CRITERION_13_GRID)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == one_worker_grid
 
     @pytest.mark.parametrize(
         "name, value",

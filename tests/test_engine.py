@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import json
 
 import numpy as np
 import pytest
@@ -1162,10 +1163,14 @@ class TestSetUp:
     @pytest.mark.parametrize("n_logs, seed, message", [
         (4, 0, "need 1 to 3 usage logs, one per bay, got 4"),
         (1, -1, "seed must be >= 0, got -1"),
-    ], ids=["more-logs-than-bays", "negative-seed"])
+        (1, True, "seed must be an integer, got True"),
+        (1, np.True_, "seed must be an integer, got "),  # its repr varies with numpy
+        (1, 2.0, "seed must be an integer, got 2.0"),
+        (1, "1", "seed must be an integer, got '1'"),
+    ], ids=["more-logs-than-bays", "negative-seed", "bool", "numpy-bool", "float", "str"])
     def test_rejects_inputs_before_any_hazard(self, monkeypatch, n_logs, seed, message):
-        # A fourth log on three bays would be ignored, and a negative seed
-        # would fail inside numpy after the hazards are computed.
+        # A fourth log on three bays would be ignored, and a negative or a
+        # float seed would fail inside numpy after the hazards are computed.
         monkeypatch.setattr(ssdfi.engine, "_fresh_hazard", lambda *a: pytest.fail("hazard"))
         with pytest.raises(EngineError, match=message):
             run_simulation(
@@ -1181,6 +1186,21 @@ class TestSetUp:
             run_simulation(
                 GEOMETRY, code, flat_profile(), clean_pool(), [quiet_log()], 1e6, 1e6, 150, 0
             )
+
+    def test_rejects_a_bool_seed_after_its_integer_was_drawn(self):
+        # True == 1 with the same hash: the memo alone would judge seed 1's timeline.
+        pool = clean_pool()
+        assert run(pool, seed=1).seed == 1
+        with pytest.raises(EngineError, match="seed must be an integer, got True"):
+            run(pool, seed=True)
+
+    def test_numpy_integer_seed_is_echoed_as_an_int(self):
+        seed = np.int64(3)
+        draw = _Draw(GEOMETRY, flat_profile(), clean_pool(), [quiet_log()], 1e6, 1e6, 150, seed)
+        assert type(draw.seed) is int
+        result = run(clean_pool(), seed=seed)
+        assert type(result.seed) is int and result == run(clean_pool(), seed=3)
+        json.dumps(dataclasses.asdict(result))
 
     def test_bays_on_one_log_share_its_arrays(self, monkeypatch):
         calls = []

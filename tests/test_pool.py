@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,21 @@ class TestGeneratePool:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(PoolError, match="seed must be >= 0, got -1"):
             generate_pool(synthetic_profile(), 100, BLOCKS, seed=-1)
+
+    @pytest.mark.parametrize("seed", [True, 7.0, "7"], ids=["bool", "float", "str"])
+    def test_rejects_a_seed_that_is_not_an_integer_before_any_draw(self, monkeypatch, seed):
+        # Every result echoes the pool's seed as `pool_seed`.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(PoolError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            generate_pool(synthetic_profile(), 100, BLOCKS, seed=seed)
+
+    def test_numpy_integer_seed_is_kept_as_an_int(self):
+        pool = generate_pool(synthetic_profile(), 100, BLOCKS, seed=np.int64(7))
+        assert type(pool.seed) is int
+        assert snapshot(pool) == snapshot(generate_pool(synthetic_profile(), 100, BLOCKS, seed=7))
 
     def test_marked_quota_must_fit(self):
         p = synthetic_profile(pct_bad_chip=0.9, pct_bad_block=0.1)
