@@ -14,8 +14,9 @@ erasure code; uncorrectable stripes produce data loss records:
     fault; the lost stripes are confined to one block's range.
   * SDL: everything else; a single stripe.
 
-A stripe is recorded at most once per fault epoch (until its latent
-faults are cleared), so repeated scans never double count.
+A stripe is lost at most once per fault epoch (until its latent faults
+are cleared): it then joins `lost` and is not judged again, so repeated
+scans never double count.
 
 Every event of a mission sits on one timeline of columns (times, kinds,
 bays, stripes, symbols), sorted by time, then `EventKind` (scrub,
@@ -43,17 +44,15 @@ the chip.  The loop consumes the bad blocks and bad symbols up to the
 next boundary event (scrub, rebuild, wear-out, bad chip) in one pass,
 then handles that event.  Arrivals on a failed bay are dropped.
 
-Latent faults live in three containers: `bb_block` maps a block to the
-bays whose chunk of it is bad, `bs_stripe` maps a stripe to its bays'
-bad symbol sets, and `recorded` holds the stripes lost in this fault
-epoch.  Isolated symbols are pending (below); every other symbol is in
-`bs_stripe`, whether or not its stripe is lost.  A scan that loses the
-pending symbols moves their stripes to `recorded` and gives them no
-`bs_stripe` entry, as a recorded stripe is never judged again in its
-epoch.  `touched` holds the block of every latent bad symbol and every
-loss of the epoch, and may hold more (the block of a symbol that its
-bay's bad chip or wear-out dropped): a block outside it has neither, and
-a bad block outside it is clean.
+Latent faults live in three containers, each keyed by block, as the
+judge walks them: `bb_block` maps a block to the bays whose chunk of it
+is bad, `bs_block` maps a block to its stripes with bad symbols, each to
+its bays' bad symbol sets, and `lost` maps a block to its stripes lost
+in this fault epoch.  A block with no such fault has no entry.  Isolated symbols are pending
+(below); every other symbol is in `bs_block`, whether or not its stripe
+is lost.  A scan that loses the pending symbols adds their stripes to
+`lost` and gives them no `bs_block` entry, as a lost stripe is never
+judged again in its epoch.
 
 Most bad symbols and bad blocks stay out of the containers.  A bad
 symbol is isolated when, within its scrub interval, no other bad symbol
@@ -81,7 +80,7 @@ Pending bad blocks are copied into `bb_block` only when a scan finds the
 clean bad blocks lost (a bad chip under RAID5 or PMDS(1,1), or two under
 RAID6).  A scan that finds the pending symbols lost (a bad chip under
 RAID5, or two under RAID6) records their stripes straight from their
-positions and adds their blocks to `touched`.
+positions and adds them to `lost`.
 
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
@@ -92,24 +91,24 @@ looked at, so such a call costs little more than the Python call itself.
 A lone symbol's counts depend only on the number of failed bays, which
 no arrival changes: a pass makes one call per isolated symbol, and a
 scrub or bad chip one per pending symbol, and each gives them all that
-one verdict.  Every stripe of `bs_stripe`, one bad symbol or more, is
+one verdict.  Every stripe of `bs_block`, one bad symbol or more, is
 judged on its own, on arrival (`handle_bad_symbol`) and at every scan.
 A bad block is judged one way, on arrival and at every scan: its marked
-stripes, those with bad symbols or a loss of the epoch (only a block in
-`touched` has any), one by one, and its other stripes, which all count
-as the block does, as one unit at the first of them: they share one
-count and make their calls in a tight loop, and when they are lost they
-are recorded at once and join one BDL count.  A scan makes the calls
-of all pending bad blocks in one loop and gives them that one verdict;
-when it is lost, the block walk records each of them as one BDL, in
-block order, without a second call.  With no failed
-bay every code corrects a lone symbol and a clean bad block, so a
-healthy pass that gets any other verdict raises `EngineError` rather
-than drop the loss.  A scan (scrub or bad chip) walks the blocks of the
-bad blocks and of `bs_stripe` in ascending order, and splices the SDL
-records of lost pending stripes into the walk by stripe.  Losses keep their
-record order: arrival order in a pass, stripe order among the SDL
-records of a scan, and first-lost-stripe order among its BDL records.
+stripes, those with bad symbols or a loss of the epoch (the block's own
+entries in `bs_block` and `lost`), one by one, and its other stripes,
+which all count as the block does, as one unit at the first of them:
+they share one count and make their calls in a tight loop, and when they
+are lost they join `lost` at once and one BDL count.  A scan makes the
+calls of all pending bad blocks in one loop and gives them that one
+verdict; when it is lost, the block walk records each of them as one
+BDL, in block order, without a second call.  With no failed bay every
+code corrects a lone symbol and a clean bad block, so a healthy pass
+that gets any other verdict raises `EngineError` rather than drop the
+loss.  A scan (scrub or bad chip) walks the blocks of `bb_block` and
+`bs_block` in ascending order, and splices the SDL records of lost
+pending stripes into the walk by stripe.  Losses keep their record order:
+arrival order in a pass, stripe order among the SDL records of a scan,
+and first-lost-stripe order among its BDL records.
 
 A drive installed at P/E offset 0 (every drive at the mission start)
 has a hazard that depends only on its usage log, the RBER curve and the
@@ -129,7 +128,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import numbers
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -142,6 +140,7 @@ from .codes import DEVICE_TOLERANCE, ErasureCode, stripe_counts, uncorrectable
 from .geometry import ArrayGeometry
 from .pool import PooledSsd, SsdPool
 from .profiles import MISSION_HOURS, RberCurve, SsdModelProfile
+from .seeds import check_seed
 from .workload import UsageLog, dense_arrays
 
 ENGINE_VERSION = 1
@@ -211,19 +210,6 @@ def check_code(code) -> None:
     """Reject a code that is not an `ErasureCode` member, such as its name as a string."""
     if not isinstance(code, ErasureCode):
         raise EngineError(f"code must be an ErasureCode, got {code!r}")
-
-
-def check_seed(seed) -> int:
-    """The seed as an `int`; reject a bool, a non-integer and a negative seed.
-
-    A bool would share its memo key with 0 or 1, and a numpy integer would
-    be echoed into results that `json` cannot write.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise EngineError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise EngineError(f"seed must be >= 0, got {seed}")
-    return int(seed)
 
 
 def _columns(bay: int, times, kinds, stripes=-1, syms=-1) -> tuple[np.ndarray, ...]:
@@ -373,7 +359,7 @@ class _Draw:
         n = geometry.n_devices
         if not 1 <= len(usage_logs) <= n:
             raise EngineError(f"need 1 to {n} usage logs, one per bay, got {len(usage_logs)}")
-        seed = check_seed(seed)
+        seed = check_seed(seed, EngineError)
         check_tts_ttr(tts, ttr)
         check_mission(mission)
         if len(pool.drives) < n:
@@ -552,9 +538,8 @@ class _Simulation:
 
         self.failed: set[int] = set()
         self.bb_block: dict[int, set[int]] = {}
-        self.bs_stripe: dict[int, dict[int, set[int]]] = {}
-        self.recorded: set[int] = set()
-        self.touched: set[int] = set()
+        self.bs_block: dict[int, dict[int, dict[int, set[int]]]] = {}
+        self.lost: dict[int, set[int]] = {}
         self.pending: list[np.ndarray] = []
         self.pending_bb: list[np.ndarray] = []
         self.records: list[DataLossRecord] = []
@@ -565,73 +550,72 @@ class _Simulation:
 
     # -- judging ----------------------------------------------------------
 
-    def _judge_stripes(self, stripes, time: float, bdl_groups: dict, lone_lost=()) -> None:
-        """Judge stripes one by one: record their SDL losses, count their BDL losses.
+    def _judge_stripes(self, block, stripes, time: float, bdl_groups: dict, lone_lost=()) -> None:
+        """Judge these stripes of `block` one by one: record SDL losses, count BDL losses.
 
-        Every stripe is recorded or has bad symbols (`bs_stripe`).  BDL
-        losses are counted in `bdl_groups` by (block, label); the caller
-        records them with `_record_bdl`.  `lone_lost` holds pending
-        stripes that their batch has just judged lost (and recorded); their
-        SDL records take their stripe's place.
+        Every stripe is lost or has bad symbols (`bs_block`).  A stripe that
+        is lost joins `lost`.  BDL losses are counted in `bdl_groups` by
+        (block, label); the caller records them with `_record_bdl`.
+        `lone_lost` holds pending stripes that their batch has just judged
+        lost (and added to `lost`); their SDL records take their stripe's
+        place.
         """
         code = self.code
         nf = len(self.failed)
-        cpb = self.cpb
-        bb_block = self.bb_block
-        bs_stripe = self.bs_stripe
-        recorded = self.recorded
+        bb_devs = self.bb_block.get(block)
+        symbols = self.bs_block.get(block)
+        lost = self.lost.get(block, ())
         judge = uncorrectable  # read per call: wrappers patch the module global
         for stripe in stripes:
-            if stripe in recorded:
+            if stripe in lost:
                 if stripe in lone_lost:
                     self.records.append(DataLossRecord(time, "SDL", _cause_label(nf, 0, 1), 1))
                 continue
-            bs = bs_stripe[stripe]
-            faulty, multi, n_bb, n_bs = stripe_counts(nf, bb_block.get(stripe // cpb), bs)
+            faulty, multi, n_bb, n_bs = stripe_counts(nf, bb_devs, symbols[stripe])
             if not judge(code, faulty, multi):
                 continue
-            recorded.add(stripe)
+            # The local `lost` may stay `()`: no stripe comes twice.
+            self.lost.setdefault(block, set()).add(stripe)
             label = _cause_label(nf, n_bb, n_bs)
             if n_bb >= 1 and nf + n_bb >= 2:
-                key = (stripe // cpb, label)
+                key = (block, label)
                 bdl_groups[key] = bdl_groups.get(key, 0) + 1
             else:
                 self.records.append(DataLossRecord(time, "SDL", label, 1))
 
-    def _judge_block(self, block: int, time: float, bdl_groups: dict, lost: bool = False) -> None:
+    def _judge_block(self, block: int, time: float, bdl_groups: dict, unit_lost=False) -> None:
         """Judge bad block `block`: its marked stripes one by one, the rest as one unit.
 
-        A marked stripe is recorded or has bad symbols; only a block in
-        `touched` has any.  The unmarked stripes count as the block does:
-        their calls share one count, and when they are lost they are
-        recorded at once and join one BDL count, as every code loses a
-        stripe only to two whole-chunk faults, one of them the bad block.
-        The unit goes at its first stripe, after the marked stripes below
-        it, so the BDL groups keep their first-lost-stripe order.  `lost`
-        says that the caller has made the calls of a block with no marked
-        stripe already and they found it lost.  A block whose stripes are
-        all recorded has nothing left to judge.
+        A marked stripe is lost or has bad symbols: the block's entries in
+        `lost` and `bs_block`.  The unmarked stripes count as the block does:
+        their calls share one count, and when they are lost they join `lost`
+        at once and one BDL count, as every code loses a stripe only to two
+        whole-chunk faults, one of them the bad block.  The unit goes at its
+        first stripe, after the marked stripes below it, so the BDL groups
+        keep their first-lost-stripe order.  `unit_lost` says that the
+        caller has made the calls of a block with no marked stripe already
+        and they found it lost.  A block whose stripes are all lost has
+        nothing left to judge.
         """
+        lost = self.lost.get(block, ())
+        if len(lost) == self.cpb:
+            return  # every stripe is lost already: no call and no record
         lo = block * self.cpb
-        marked, plain = (), range(lo, lo + self.cpb)
-        if block in self.touched:
-            recorded, bs_stripe = self.recorded, self.bs_stripe
-            if recorded.issuperset(plain):
-                return  # every stripe is lost already: no call and no record
-            marked = [s for s in plain if s in recorded or s in bs_stripe]
-            plain = [s for s in plain if s not in recorded and s not in bs_stripe]
+        marked, plain = self.bs_block.get(block, {}).keys() | lost, range(lo, lo + self.cpb)
+        if marked:
+            plain = [s for s in plain if s not in marked]
+            marked = sorted(marked)
             below = plain[0] - lo if plain else len(marked)
-            self._judge_stripes(marked[:below], time, bdl_groups)
+            self._judge_stripes(block, marked[:below], time, bdl_groups)
             marked = marked[below:]
         nf = len(self.failed)
         faulty, multi, n_bb, _ = stripe_counts(nf, self.bb_block[block], None)
-        if plain and (lost or _judge_many(self.code, faulty, multi, len(plain))):
-            self.recorded.update(plain)
-            self.touched.add(block)
+        if plain and (unit_lost or _judge_many(self.code, faulty, multi, len(plain))):
+            self.lost.setdefault(block, set()).update(plain)
             key = (block, _cause_label(nf, n_bb, 0))
             bdl_groups[key] = bdl_groups.get(key, 0) + len(plain)
         if marked:
-            self._judge_stripes(marked, time, bdl_groups)
+            self._judge_stripes(block, marked, time, bdl_groups)
 
     def _record_bdl(self, bdl_groups: dict, time: float) -> None:
         """Record one BDL per (block, label) group, in the order the groups were first lost."""
@@ -648,29 +632,28 @@ class _Simulation:
         return _judge_many(self.code, faulty, multi, calls)
 
     def _lose_pending(self) -> list[int]:
-        """Record the stripes of the pending symbols; return them in stripe order.
+        """Add the stripes of the pending symbols to `lost` by block; return them in stripe order.
 
-        They leave `pending`, and their blocks join `touched`.  A recorded
-        stripe is never judged again in its epoch, so no later decision
-        reads their symbols, and they get no `bs_stripe` entry.
+        They leave `pending`.  A lost stripe is never judged again in its
+        epoch, so no later decision reads their symbols, and they get no
+        `bs_block` entry.
         """
-        stripes = self.columns[3][np.concatenate(self.pending)]
+        lone = sorted(self.columns[3][np.concatenate(self.pending)].tolist())
         self.pending = []
-        self.touched.update((stripes // self.cpb).tolist())
-        lone = sorted(stripes.tolist())
-        self.recorded.update(lone)
+        for stripe in lone:
+            self.lost.setdefault(stripe // self.cpb, set()).add(stripe)
         return lone
 
     def _judge_latent(self, time: float) -> None:
         """Judge every latent stripe: the pending ones in one batch, the rest block by block.
 
         Pending symbols share one verdict; when it is lost, every one of
-        their stripes is recorded at once.  Pending bad blocks share
+        their stripes joins `lost` at once.  Pending bad blocks share
         another; when it is lost, they join `bb_block` and the walk records
         each without judging it again.  Blocks go in ascending order: a bad
-        block through `_judge_block`, any other block's `bs_stripe` stripes
+        block through `_judge_block`, any other block's `bs_block` stripes
         one by one.  The lost pending stripes' SDL records are spliced into
-        the walk by stripe: those below a block of `bs_stripe` stripes come
+        the walk by stripe: those below a block of `bs_block` stripes come
         before it, and those in it are judged with its stripes as
         `lone_lost`.  No pending stripe lies in a bad block, and a bad block
         adds no SDL record to a scan that loses pending stripes: there a bay
@@ -686,17 +669,14 @@ class _Simulation:
         lost_blocks = ()
         if self._verdict(cpb * sum(map(len, self.pending_bb)), _ONE_BAY, None):
             lost_blocks = self._materialise_blocks()
-        bb_block = self.bb_block
-        bs_blocks: dict[int, list[int]] = {}
-        for stripe in self.bs_stripe:
-            bs_blocks.setdefault(stripe // cpb, []).append(stripe)
+        bb_block, bs_block = self.bb_block, self.bs_block
         bdl_groups: dict[tuple[int, str], int] = {}
         j, n = 0, len(lone)  # lone[:j] have their records
-        for block in sorted(bb_block.keys() | bs_blocks.keys()):
+        for block in sorted(bb_block.keys() | bs_block.keys()):
             if block in bb_block:
                 self._judge_block(block, time, bdl_groups, block in lost_blocks)
                 continue
-            stripes, inside = bs_blocks[block], ()
+            stripes, inside = list(bs_block[block]), ()
             hi = (block + 1) * cpb
             if j < n and lone[j] < hi:
                 k = bisect_left(lone, hi - cpb, j)
@@ -704,7 +684,7 @@ class _Simulation:
                 j = bisect_left(lone, hi, k)
                 inside = lone[k:j]
                 stripes += inside
-            self._judge_stripes(sorted(stripes), time, bdl_groups, inside)
+            self._judge_stripes(block, sorted(stripes), time, bdl_groups, inside)
         if j < n:
             self.records.extend(repeat(sdl, n - j))
         self._record_bdl(bdl_groups, time)
@@ -790,21 +770,19 @@ class _Simulation:
             self._record_bdl(bdl_groups, time)
 
     def handle_bad_symbol(self, i: int, stripe: int, sym: int, time: float) -> None:
-        # A block that joins `touched` here held no bad symbol and no loss.
-        self.touched.add(stripe // self.cpb)
-        self.bs_stripe.setdefault(stripe, {}).setdefault(i, set()).add(sym)
+        block = stripe // self.cpb
+        self.bs_block.setdefault(block, {}).setdefault(stripe, {}).setdefault(i, set()).add(sym)
         if not self.adl_epoch:
             bdl_groups: dict[tuple[int, str], int] = {}
-            self._judge_stripes((stripe,), time, bdl_groups)
+            self._judge_stripes(block, (stripe,), time, bdl_groups)
             self._record_bdl(bdl_groups, time)
 
     def apply_scrub(self, time: float) -> None:
         if not self.adl_epoch:
             self._judge_latent(time)
         self.bb_block.clear()
-        self.bs_stripe.clear()
-        self.recorded.clear()
-        self.touched.clear()
+        self.bs_block.clear()
+        self.lost.clear()
         self.pending.clear()
         self.pending_bb.clear()
 
@@ -821,16 +799,20 @@ class _Simulation:
     def _drop_latent(self, i: int) -> None:
         """Forget device i's bad blocks and bad symbols (rare: a bad chip or wear-out).
 
-        `touched` keeps a dropped symbol's block: a later bad block there has
-        no marked stripe, so it makes the calls and records of a clean one.
+        A stripe left with no bad symbol leaves its block's entry, and a
+        block left with no stripe leaves `bs_block`, so every entry marks a
+        stripe.  Losses stay in `lost` until the scrub.
         """
         for block, devs in list(self.bb_block.items()):
             devs.discard(i)
             if not devs:
                 del self.bb_block[block]
-        for stripe, per in list(self.bs_stripe.items()):
-            if per.pop(i, None) is not None and not per:
-                del self.bs_stripe[stripe]
+        for block, symbols in list(self.bs_block.items()):
+            for stripe, per in list(symbols.items()):
+                if per.pop(i, None) is not None and not per:
+                    del symbols[stripe]
+            if not symbols:
+                del self.bs_block[block]
         bays = self.columns[2]
         self.pending = [k[bays[k] != i] for k in self.pending]
         self.pending_bb = [k[bays[k] != i] for k in self.pending_bb]
@@ -892,7 +874,7 @@ def run_simulation(
     Judges the pool's stored timeline when its draw inputs are these; draws and stores one if not.
     """
     check_code(code)
-    seed = check_seed(seed)
+    seed = check_seed(seed, EngineError)
     # Every input of the mission's draws but the pool, which keys `_SCHEDULES`.
     key = (geometry, profile, tuple(usage_logs), tts, ttr, mission, seed)
     memo = _SCHEDULES.get(pool)

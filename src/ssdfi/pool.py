@@ -41,7 +41,6 @@ the calibration targets tightly at any realistic pool size.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import threading
 from collections.abc import Sequence
@@ -50,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profiles import MISSION_HOURS, SsdModelProfile
+from .seeds import check_seed
 
 GT5_FRACTION = 0.05  # "more than 5% of blocks failed" marking threshold
 BC_GT5_SHARE = 2.0 / 3.0  # share of bad chip drives marked above the threshold
@@ -434,12 +434,7 @@ def generate_pool(
         raise PoolError("pool_size must be >= 1")
     if blocks_per_device < 64:
         raise PoolError("blocks_per_device must be >= 64")
-    # The seed is echoed as every result's `pool_seed`: a plain int only.
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise PoolError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise PoolError(f"seed must be >= 0, got {seed}")
-    seed = int(seed)
+    seed = check_seed(seed, PoolError)  # echoed as every result's `pool_seed`
 
     n_bc = round(pool_size * profile.pct_bad_chip)
     n_bb = round(pool_size * profile.pct_bad_block)

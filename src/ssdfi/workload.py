@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .seeds import check_seed
+
 
 class WorkloadError(ValueError):
     """Invalid usage log data or synthesis parameters."""
@@ -120,8 +122,7 @@ class SynthWorkloadParams:
 
 def synthesize_usage_log(params: SynthWorkloadParams, device_id: str, seed: int) -> UsageLog:
     """Deterministic synthetic log with jittered hourly rates."""
-    if seed < 0:
-        raise WorkloadError(f"seed must be >= 0, got {seed}")
+    seed = check_seed(seed, WorkloadError)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x10 + 7]))
     n = params.duration_hours
     jr = 1.0 + params.jitter * (2 * rng.random(n) - 1.0)

@@ -6,6 +6,9 @@ per arrival) and bad blocks were tracked per stripe.  It is kept only so
 that `test_differential.py` can check the production engine in
 `ssdfi.engine` against it; nothing in `src/` imports it.  Do not change
 its behaviour: it defines what the production engine must reproduce.
+It judges stripes with the frozen kernel of `stripe_oracle`, not the
+package's, and reads `uncorrectable` through this module's global, so
+that a test can count its calls.
 """
 from __future__ import annotations
 
@@ -15,12 +18,13 @@ from enum import IntEnum
 
 import numpy as np
 
-from ssdfi.codes import DEVICE_TOLERANCE, ErasureCode, stripe_counts, uncorrectable
+from ssdfi.codes import DEVICE_TOLERANCE, ErasureCode
 from ssdfi.engine import ENGINE_VERSION, DataLossRecord, EngineError, SimResult
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import SsdPool
 from ssdfi.profiles import SsdModelProfile
 from ssdfi.workload import UsageLog, dense_arrays
+from stripe_oracle import stripe_counts, uncorrectable
 
 
 class EventKind(IntEnum):

@@ -2,17 +2,68 @@
 
 A `StripeFaultState` spells out one stripe's faults chunk by chunk.
 `check_stripe_dl` judges it the way the engine judges every stripe of a
-mission, through `ssdfi.codes.stripe_counts` and `uncorrectable`, and
-`brute_force_correctable` decides it by an erasure-decoding argument
-that shares no code with them.  Acceptance criteria 4 and 5 and
-`test_codes.py` check the judge against the decoder; nothing in `src/`
-imports this module.
+mission, by chunk counts, and `brute_force_correctable` decides it by an
+erasure-decoding argument that shares no code with them.  Nothing in
+`src/` imports this module.
+
+The counting judge here, `stripe_counts` and `uncorrectable`, is a frozen
+copy of the rules of `ssdfi.codes`.  It and the reference engine judge
+with the copy, so an edit to the package's kernel moves the production
+engine alone, and the differential test sees it.  `test_codes.py` checks
+the copy and the package's kernel against one rule table, and acceptance
+criteria 4 and 5 and `test_codes.py` check both judges against the
+decoder.  Do not change the copy's behaviour.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ssdfi.codes import CodesError, ErasureCode, stripe_counts, uncorrectable
+from ssdfi.codes import CodesError, ErasureCode
+
+
+def stripe_counts(n_failed: int, bb_devs, bs_map) -> tuple[int, int, int, int]:
+    """(faulty, multi-symbol, bad-block, bad-symbol) chunk counts of one stripe.
+
+    `n_failed` chunks sit on failed devices, `bb_devs` holds the devices
+    whose chunk is on a bad block and `bs_map` maps devices to their bad
+    symbol indices; either may be empty or None.  A chunk on a bad block
+    counts once, as a bad-block chunk; failed-device and bad-block chunks
+    count as multi-symbol.
+    """
+    n_bb = len(bb_devs) if bb_devs else 0
+    n_bs = n_bs_multi = 0
+    if bs_map:
+        for dev, syms in bs_map.items():
+            if bb_devs and dev in bb_devs:
+                continue
+            n_bs += 1
+            if len(syms) > 1:
+                n_bs_multi += 1
+    return n_failed + n_bb + n_bs, n_failed + n_bb + n_bs_multi, n_bb, n_bs
+
+
+# Bound once: the reference engine calls `uncorrectable` millions of times.
+_RAID5, _RAID6, _PMDS11 = ErasureCode.RAID5, ErasureCode.RAID6, ErasureCode.PMDS11
+
+
+def uncorrectable(code: ErasureCode, faulty: int, multi: int) -> bool:
+    """True when a stripe with these chunk counts is lost under `code`.
+
+    RAID5 tolerates one faulty chunk and RAID6 two; PMDS(1,1) tolerates
+    two as long as at most one of them has more than one bad symbol.  So
+    fewer than two faulty chunks are correctable under every code (as
+    `multi <= faulty`), and such a stripe is answered before the code is
+    looked at.
+    """
+    if faulty < 2:
+        return False
+    if code is _RAID5:
+        return faulty > 1
+    if code is _RAID6:
+        return faulty > 2
+    if code is _PMDS11:
+        return faulty > 2 or multi > 1
+    raise CodesError(f"unknown code {code!r}")
 
 
 @dataclass(frozen=True)
@@ -44,14 +95,19 @@ class StripeFaultState:
                 raise CodesError(f"bad symbol index outside chunk in chunk {idx}")
 
 
-def check_stripe_dl(code: ErasureCode, state: StripeFaultState) -> bool:
-    """True when the stripe's data is lost under the given code."""
+def chunk_sets(state: StripeFaultState) -> tuple[int, set[int], dict[int, frozenset[int]]]:
+    """A stripe's (failed chunk count, bad-block devices, bad-symbol map): `stripe_counts`' input."""
     failed = {i for i, f in state.chunks.items() if f.device_failed}
     bb_devs = {i for i, f in state.chunks.items() if f.bad_block} - failed
     bs_map = {
         i: f.bad_symbols for i, f in state.chunks.items() if f.bad_symbols and i not in failed
     }
-    faulty, multi, _, _ = stripe_counts(len(failed), bb_devs, bs_map)
+    return len(failed), bb_devs, bs_map
+
+
+def check_stripe_dl(code: ErasureCode, state: StripeFaultState) -> bool:
+    """True when the stripe's data is lost under the given code, by the frozen judge."""
+    faulty, multi, _, _ = stripe_counts(*chunk_sets(state))
     return uncorrectable(code, faulty, multi)
 
 

@@ -15,14 +15,27 @@ import numpy as np
 import pytest
 
 from ssdfi.cli import run_experiment
-from ssdfi.codes import ErasureCode, encode_xor_count, erf, update_penalty
+from ssdfi.codes import (
+    ErasureCode,
+    encode_xor_count,
+    erf,
+    stripe_counts,
+    uncorrectable,
+    update_penalty,
+)
 from ssdfi.engine import EventKind, _Draw, _Simulation, run_simulation
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import COND_MEDIAN_TARGETS, PooledSsd, SsdPool, generate_pool, validate_pool
 from ssdfi.profiles import MISSION_HOURS, RberCurve, SsdModelProfile, default_profiles
 from ssdfi.reporting import aggregate_results
 from ssdfi.workload import SynthWorkloadParams, UsageLog, synthesize_usage_log
-from stripe_oracle import ChunkFault, StripeFaultState, brute_force_correctable, check_stripe_dl
+from stripe_oracle import (
+    ChunkFault,
+    StripeFaultState,
+    brute_force_correctable,
+    check_stripe_dl,
+    chunk_sets,
+)
 from test_engine import scheduled
 
 R5, R6, PMDS = ErasureCode.RAID5, ErasureCode.RAID6, ErasureCode.PMDS11
@@ -240,6 +253,12 @@ def _state(chunks):
     return StripeFaultState(n_devices=8, chunk_pages=4, chunks=chunks)
 
 
+def _package_dl(code, state):
+    """The package's judge of a stripe state; `check_stripe_dl` is the oracles' frozen copy."""
+    faulty, multi, _, _ = stripe_counts(*chunk_sets(state))
+    return uncorrectable(code, faulty, multi)
+
+
 # Each entry: stripes in the scenario and the expected per-code
 # uncorrectable flags (RAID5, RAID6, PMDS11); a multi-stripe scenario is
 # uncorrectable when any of its stripes is.
@@ -259,8 +278,8 @@ def test_criterion_04_scenario_fidelity(capfd):
     ok = True
     for num, (stripes, expected) in SCENARIOS.items():
         for code, want in zip((R5, R6, PMDS), expected):
-            got = any(check_stripe_dl(code, _state(c)) for c in stripes)
-            ok &= got == want
+            for judge in (check_stripe_dl, _package_dl):
+                ok &= any(judge(code, _state(c)) for c in stripes) == want
     announce(capfd, 4, ok, "8 scenarios x 3 codes, zero tolerance")
 
 
@@ -286,7 +305,8 @@ def test_criterion_05_judge_oracle(capfd):
         s = StripeFaultState(n_devices=4, chunk_pages=2, chunks=chunks)
         for code in (R5, R6, PMDS):
             total += 1
-            agree += check_stripe_dl(code, s) == (not brute_force_correctable(code, s))
+            lost = not brute_force_correctable(code, s)
+            agree += check_stripe_dl(code, s) == lost and _package_dl(code, s) == lost
     elapsed = time.perf_counter() - t0
     ok = agree == total and elapsed < 1.0
     announce(capfd, 5, ok, f"{agree}/{total} states agree in {elapsed:.2f}s")

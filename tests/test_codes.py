@@ -12,7 +12,14 @@ from ssdfi.codes import (
     uncorrectable,
     update_penalty,
 )
-from stripe_oracle import ChunkFault, StripeFaultState, brute_force_correctable, check_stripe_dl
+import stripe_oracle
+from stripe_oracle import (
+    ChunkFault,
+    StripeFaultState,
+    brute_force_correctable,
+    check_stripe_dl,
+    chunk_sets,
+)
 
 R5, R6, PMDS = ErasureCode.RAID5, ErasureCode.RAID6, ErasureCode.PMDS11
 
@@ -84,12 +91,14 @@ class TestJudge:
 
     @pytest.mark.parametrize("code", list(ErasureCode))
     def test_kernel_matches_rule_table(self, code):
-        # Every count pair `stripe_counts` can give (multi <= faulty) up to 8 chunks.
-        for faulty in range(9):
-            for multi in range(faulty + 1):
-                assert uncorrectable(code, faulty, multi) == self.RULES[code](faulty, multi), (
-                    faulty, multi,
-                )
+        # Every count pair `stripe_counts` can give (multi <= faulty) up to 8
+        # chunks, for the package's kernel and the oracles' frozen copy.
+        for judge in (uncorrectable, stripe_oracle.uncorrectable):
+            for faulty in range(9):
+                for multi in range(faulty + 1):
+                    assert judge(code, faulty, multi) == self.RULES[code](faulty, multi), (
+                        judge, faulty, multi,
+                    )
 
     @pytest.mark.parametrize("code", ["RAID5", None, 5])
     def test_unknown_code_from_two_faulty_chunks(self, code):
@@ -178,8 +187,12 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(state_strategy)
     def test_judge_matches_brute_force(self, s):
+        # The oracles' frozen judge and the package's both agree with the decoder.
+        faulty, multi, _, _ = stripe_counts(*chunk_sets(s))
         for code in ErasureCode:
-            assert check_stripe_dl(code, s) == (not brute_force_correctable(code, s))
+            lost = not brute_force_correctable(code, s)
+            assert check_stripe_dl(code, s) == lost
+            assert uncorrectable(code, faulty, multi) == lost
 
 
 class TestCostModel:

@@ -397,9 +397,13 @@ class _Splice(ssdfi.engine._Simulation):
     def _lose_pending(self):
         lone = super()._lose_pending()
         cpb = self.cpb
-        multi = {s // cpb for s, per in self.bs_stripe.items() if sum(map(len, per.values())) > 1}
+        multi = {
+            b
+            for b, stripes in self.bs_block.items()
+            if any(sum(map(len, per.values())) > 1 for per in stripes.values())
+        }
         shared = not multi.isdisjoint(s // cpb for s in lone)
-        walked = [b for b in self.bb_block if b in self.touched]
+        walked = [b for b in self.bb_block if b in self.bs_block or b in self.lost]
         around = any(lone[0] < b * cpb <= lone[-1] for b in walked)
         self.counts["lone in multi-symbol blocks"] += shared
         self.counts["lone around touched bad blocks"] += around
@@ -408,7 +412,7 @@ class _Splice(ssdfi.engine._Simulation):
 
 
 def test_lost_lone_stripes_splice_into_the_scan(setups, monkeypatch):
-    # A scan records lost pending stripes without a `bs_stripe` entry and splices
+    # A scan records lost pending stripes without a `bs_block` entry and splices
     # their records into its block walk: the records and their order must
     # still be the reference engine's.
     new_calls = _counting(monkeypatch, ssdfi.engine)

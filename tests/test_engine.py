@@ -192,6 +192,26 @@ def pending_blocks(sim):
     return [s // sim.cpb for k in sim.pending_bb for s in sim.columns[3][k].tolist()]
 
 
+def lost_stripes(sim):
+    """The stripes lost in this fault epoch, from every block's entry in `lost`."""
+    return {s for stripes in sim.lost.values() for s in stripes}
+
+
+def symbol_map(sim):
+    """The bad symbols in `bs_block`, flattened to {stripe: {bay: symbols}}."""
+    return {s: per for stripes in sim.bs_block.values() for s, per in stripes.items()}
+
+
+def check_layout(sim):
+    """Each block's entries in `bs_block` and `lost` hold its own stripes, and none is empty."""
+    cpb = sim.cpb
+    for block, stripes in sim.bs_block.items():
+        assert stripes
+        assert all(s // cpb == block and per and all(per.values()) for s, per in stripes.items())
+    for block, stripes in sim.lost.items():
+        assert stripes and all(s // cpb == block for s in stripes)
+
+
 class TestSamplers:
     """The bad-symbol and bad-block schedules `_install` draws."""
 
@@ -243,7 +263,7 @@ class TestAffectedStripes:
         assert sim.records == []
         sim.handle_bad_chip(0, 30.0)
         cpb = GEOMETRY.chunks_per_block
-        assert sorted(sim.recorded) == list(range(cpb)) + [GEOMETRY.array_stripes - 1]
+        assert sorted(lost_stripes(sim)) == list(range(cpb)) + [GEOMETRY.array_stripes - 1]
         assert [(r.scope, r.cause, r.stripes_lost) for r in sim.records] == [
             ("SDL", "BC+BS", 1),
             ("BDL", "BC+BB", cpb),
@@ -262,7 +282,7 @@ class TestAffectedStripes:
         assert calls == [(R5, 1, 1)] * cpb
         plant_block(sim, 0, 3, 30.0)
         sim.handle_bad_chip(1, 40.0)
-        assert sorted(sim.recorded) == list(range(3 * cpb, 4 * cpb))
+        assert sorted(lost_stripes(sim)) == list(range(3 * cpb, 4 * cpb))
 
     def test_bad_symbol_single_stripe(self):
         # An isolated symbol waits as pending; a bad chip's scan loses its
@@ -271,9 +291,9 @@ class TestAffectedStripes:
         plant_symbol(sim, 0, 9, 10.0)
         cp = GEOMETRY.chunk_pages
         assert pending_stripes(sim) == [9 // cp]
-        assert not sim.bs_stripe
+        assert not sim.bs_block
         sim.handle_bad_chip(1, 20.0)
-        assert sim.recorded == {9 // cp}
+        assert lost_stripes(sim) == {9 // cp}
         assert sim.records == [DataLossRecord(20.0, "SDL", "BC+BS", 1)]
 
     def test_out_of_range_location(self, monkeypatch):
@@ -286,12 +306,12 @@ class TestAffectedStripes:
         last = GEOMETRY.array_stripes - 1
         cpb = GEOMETRY.chunks_per_block
         assert list(sim.bb_block) == [GEOMETRY.blocks_per_device - 1]
-        assert list(sim.bs_stripe) == [last]
+        assert list(symbol_map(sim)) == [last]
         assert sim.records == [DataLossRecord(20.0, "SDL", "BB+BS", 1)]
         del calls[:]
         sim.handle_bad_chip(2, 30.0)  # the scan a scrub makes, short one bay
         assert calls == [(R5, 2, 2)] * (cpb - 1)
-        assert sorted(sim.recorded) == list(range(last + 1 - cpb, last + 1))
+        assert sorted(lost_stripes(sim)) == list(range(last + 1 - cpb, last + 1))
 
     def test_non_failure_event(self):
         # Scrubs, rebuilds and wear-out replacements mark no stripe.
@@ -301,7 +321,7 @@ class TestAffectedStripes:
         assert not sim.bb_block
         sim.replace_worn_out(1, 30.0)
         sim.apply_reconstruct(2, 40.0)
-        assert not sim.bb_block and not sim.bs_stripe
+        assert not sim.bb_block and not sim.bs_block
         assert sim.records == []
 
     def test_symbol_at_bad_chip_hour_comes_after_the_chip(self, monkeypatch):
@@ -327,16 +347,16 @@ class TestAffectedStripes:
         schedule(sim, EventKind.BAD_CHIP, 1, [100.0])
         result = sim.run()
         assert replaced(sim) == [0]  # rebuilt
-        assert not sim.bs_stripe
+        assert not sim.bs_block
         assert result.records == ()
 
 
 class TestLoneSymbols:
-    """A stripe's only bad symbol: pending when isolated, else in `bs_stripe`.
+    """A stripe's only bad symbol: pending when isolated, else in `bs_block`.
 
     An isolated symbol waits as pending and is judged in a scan's batch;
-    any other symbol on a clean stripe enters `bs_stripe` as {bay:
-    {symbol}} and is judged on its own.  Each test covers one way such a
+    any other symbol on a clean stripe enters `bs_block` as {stripe: {bay:
+    {symbol}}} under its block and is judged on its own.  Each test covers one way such a
     stripe is judged or leaves, and checks the records and the judge calls
     the engine makes.
     """
@@ -349,10 +369,10 @@ class TestLoneSymbols:
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [9])
         schedule(sim, EventKind.BAD_SYMBOL, 1, [20.0], [10])
         consume(sim, 10.0)
-        assert sim.bs_stripe == {9 // self.CP: {0: {9 % self.CP}}} and not sim.pending
+        assert symbol_map(sim) == {9 // self.CP: {0: {9 % self.CP}}} and not sim.pending
         consume(sim)
         assert sim.records == [DataLossRecord(20.0, "SDL", "BS+BS", 1)]
-        assert sim.bs_stripe == {9 // self.CP: {0: {9 % self.CP}, 1: {10 % self.CP}}}
+        assert symbol_map(sim) == {9 // self.CP: {0: {9 % self.CP}, 1: {10 % self.CP}}}
 
     def test_same_symbol_again_is_judged_again(self, monkeypatch):
         # The symbol arrives unjudged in an ADL epoch; after a rebuild the
@@ -362,13 +382,13 @@ class TestLoneSymbols:
         sim.handle_bad_chip(0, 10.0)
         sim.handle_bad_chip(1, 11.0)
         plant_symbol(sim, 2, 9, 20.0)
-        assert sim.bs_stripe == {9 // self.CP: {2: {9 % self.CP}}} and calls == []
+        assert symbol_map(sim) == {9 // self.CP: {2: {9 % self.CP}}} and calls == []
         sim.apply_reconstruct(0, 30.0)
         plant_symbol(sim, 2, 9, 40.0)
         assert sim.records[1:] == [DataLossRecord(40.0, "SDL", "BC+BS", 1)]
         assert calls == [(R5, 2, 1)]
-        assert sim.bs_stripe == {9 // self.CP: {2: {9 % self.CP}}}
-        assert sim.recorded == {9 // self.CP}
+        assert symbol_map(sim) == {9 // self.CP: {2: {9 % self.CP}}}
+        assert lost_stripes(sim) == {9 // self.CP}
 
     @pytest.mark.parametrize("block_bay, causes", [(0, []), (1, ["BB+BS"])])
     def test_bad_block_on_a_lone_stripe_then_scrub(self, monkeypatch, block_bay, causes):
@@ -380,7 +400,7 @@ class TestLoneSymbols:
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [5 * self.CPB * self.CP + 2])
         schedule(sim, EventKind.BAD_BLOCK, block_bay, [20.0], [5])
         consume(sim)
-        assert sim.bs_stripe == {5 * self.CPB: {0: {2}}}
+        assert symbol_map(sim) == {5 * self.CPB: {0: {2}}}
         assert [r.cause for r in sim.records] == causes
         del calls[:]
         sim.apply_scrub(30.0)
@@ -389,7 +409,7 @@ class TestLoneSymbols:
 
     def test_bad_chip_on_the_lone_symbols_bay(self, monkeypatch):
         # Bay 0's chip drops bay 0's symbol; bay 2's pending symbol is lost:
-        # its stripe goes to `recorded`, with no `bs_stripe` entry.
+        # its stripe joins its block's entry in `lost`, with no `bs_block` entry.
         calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
         plant_symbol(sim, 0, 9, 10.0)
@@ -399,8 +419,8 @@ class TestLoneSymbols:
         assert sim.records == [DataLossRecord(30.0, "SDL", "BC+BS", 1)]
         assert calls == [(R5, 2, 1)]
         stripe, sym = divmod(70, self.CP)
-        assert not sim.bs_stripe
-        assert sim.recorded == {stripe} and stripe // self.CPB in sim.touched
+        assert not sim.bs_block
+        assert sim.lost == {stripe // self.CPB: {stripe}}
 
     def test_a_lost_lone_stripe_is_not_judged_again(self, monkeypatch):
         # Bay 0's chip loses bay 2's lone stripe.  A second symbol on it
@@ -469,7 +489,7 @@ class TestLoneSymbols:
         # healthy array.  Drive 4's chip at 45 h then loses three stripes of
         # block 5.  The epoch took its symbols row by row and unjudged: a
         # lone symbol (lo + 1) and one symbol from each of drives 2 and 3
-        # (lo + 9), both in `bs_stripe`.  Drive 2's symbol at 40 h came in a
+        # (lo + 9), both in `bs_block`.  Drive 2's symbol at 40 h came in a
         # healthy pass and waits as pending (lo + 4).  Its record goes
         # between the other two, as the reference engine puts it.
         geometry = ArrayGeometry(
@@ -490,7 +510,7 @@ class TestLoneSymbols:
 
         class Judge(_Simulation):
             def _judge_latent(self, time):
-                scans.append((time, pending_stripes(self), sorted(self.bs_stripe)))
+                scans.append((time, pending_stripes(self), sorted(symbol_map(self))))
                 super()._judge_latent(time)
 
         draw = (geometry, flat_profile(), pool, [quiet_log()], 1e6, 10.0, 60, 0)
@@ -557,7 +577,7 @@ class TestBadBlocks:
         plant_block(sim, 1, 5, 10.0)
         assert calls == [(R5, 2, 2)] * self.CPB
         assert sim.records == [DataLossRecord(10.0, "BDL", "BC+BB", self.CPB)]
-        assert sim.recorded == set(range(5 * self.CPB, 6 * self.CPB))
+        assert lost_stripes(sim) == set(range(5 * self.CPB, 6 * self.CPB))
         # The same block from another bay: every stripe is already lost.
         del calls[:]
         plant_block(sim, 2, 5, 20.0)
@@ -600,21 +620,21 @@ class TestBadBlocks:
         # then its marked ones: the lost stripe is skipped and the lone
         # symbol's stripe is judged.
         assert calls[-(self.CPB - 1):] == [(R5, 1, 1)] * (self.CPB - 2) + [(R5, 2, 1)]
-        assert sim.recorded == {lost, lone}
+        assert lost_stripes(sim) == {lost, lone}
         assert pending_stripes(sim) == [2 * self.CPB + 1, 8 * self.CPB]
-        assert sim.bs_stripe == {lost: {0: {0}, 1: {1}}, lone: {0: {3}}}
+        assert symbol_map(sim) == {lost: {0: {0}, 1: {1}}, lone: {0: {3}}}
         assert pending_blocks(sim) == [9] and list(sim.bb_block) == [5]
         del calls[:]
         sim.apply_scrub(30.0)
         assert sim.records == expected
         # Two lone symbols, block 9, block 5 but its two lost stripes.
         assert calls == [(R5, 1, 0)] * 2 + [(R5, 1, 1)] * (self.CPB + self.CPB - 2)
-        assert not (sim.recorded or sim.touched or sim.bb_block or sim.bs_stripe)
+        assert not (sim.lost or sim.bb_block or sim.bs_block)
         assert not (sim.pending or sim.pending_bb)
 
     def test_touched_block_at_a_bad_chip_scan(self):
         # Bay 1 fails: its symbols go, bay 2's lone symbol is lost, and both
-        # bad blocks are lost but for block 5's two recorded stripes.  SDL
+        # bad blocks are lost but for the two stripes of block 5 lost before.  SDL
         # records come in stripe order, then BDL records in block order.
         sim = make_sim(clean_pool())
         self.plant_touched_block(sim)
@@ -625,7 +645,7 @@ class TestBadBlocks:
             DataLossRecord(30.0, "BDL", "BC+BB", self.CPB),
         ]
         cpb = self.CPB
-        assert sim.recorded == (
+        assert lost_stripes(sim) == (
             set(range(5 * cpb, 6 * cpb)) | set(range(9 * cpb, 10 * cpb)) | {8 * cpb}
         )
 
@@ -660,7 +680,7 @@ class TestBadBlocks:
             [(PMDS, 1, 0)] * 4 + [(PMDS, 1, 1)]
             + [(PMDS, 2, 1)] + [(PMDS, 1, 1)] * (cpb - 3) + [(PMDS, 2, 1), (PMDS, 2, 2)]
         )
-        assert sim.recorded == {lo + 5}
+        assert lost_stripes(sim) == {lo + 5}
         del calls[:]
         sim.handle_bad_chip(0, 30.0)
         assert sim.records[1:] == [
@@ -669,7 +689,7 @@ class TestBadBlocks:
         ]
         # The lost stripe is skipped.
         assert calls == [(PMDS, 3, 2)] + [(PMDS, 2, 2)] * (cpb - 3) + [(PMDS, 3, 2)]
-        assert sim.recorded == set(range(lo, lo + cpb))
+        assert lost_stripes(sim) == set(range(lo, lo + cpb))
 
     def test_a_mission_of_blocks_lost_around_marked_stripes_matches_the_reference(
         self, monkeypatch
@@ -682,16 +702,16 @@ class TestBadBlocks:
         layouts = []
 
         class Judge(_Simulation):
-            def _judge_block(self, block, time, bdl_groups, lost=False):
+            def _judge_block(self, block, time, bdl_groups, unit_lost=False):
                 stripes = range(block * self.cpb, (block + 1) * self.cpb)
-                marked = [s for s in stripes if s in self.recorded or s in self.bs_stripe]
+                lost, symbols = set(self.lost.get(block, ())), self.bs_block.get(block, {})
+                marked = [s for s in stripes if s in lost or s in symbols]
                 plain = [s for s in stripes if s not in marked]
                 own = any(
-                    s not in self.recorded and self.bs_stripe[s].keys() <= self.bb_block[block]
-                    for s in marked
+                    s not in lost and symbols[s].keys() <= self.bb_block[block] for s in marked
                 )
-                super()._judge_block(block, time, bdl_groups, lost)
-                if self.failed and plain and self.recorded.issuperset(plain):
+                super()._judge_block(block, time, bdl_groups, unit_lost)
+                if self.failed and plain and lost_stripes(self).issuperset(plain):
                     between = any(plain[0] < s < plain[-1] for s in marked)
                     layouts.append((bool(marked) and marked[0] < plain[0], between, own))
 
@@ -896,13 +916,13 @@ class TestIsolation:
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [9])
         schedule(sim, EventKind.BAD_BLOCK, 1, [20.0], [5])
         consume(sim, 10.0)
-        assert pending_stripes(sim) == [9 // GEOMETRY.chunk_pages] and not sim.bs_stripe
+        assert pending_stripes(sim) == [9 // GEOMETRY.chunk_pages] and not sim.bs_block
         assert calls == [(R5, 1, 0)]
         del calls[:]
         consume(sim, 20.0)
         assert pending_blocks(sim) == [5] and not sim.bb_block
         assert calls == [(R5, 1, 1)] * self.CPB
-        assert not (sim.touched or sim.records)
+        assert not (sim.lost or sim.bs_block or sim.records)
 
     def test_bulk_path_raises_on_a_lost_lone_verdict(self, monkeypatch):
         # A healthy array's lone bad symbol is never lost (tests/test_codes.py);
@@ -977,7 +997,7 @@ class TestIsolation:
         boundaries = [(time, kind, i) for _, time, kind, i in sim.timeline.boundaries]
         assert boundaries[:2] == [(100.0, EventKind.WEAR_OUT, 1), (149.0, EventKind.BAD_CHIP, 0)]
         assert not (sim.pending or sim.pending_bb)
-        assert {s // sim.cpb for s in [*sim.bs_stripe, *sim.recorded]} <= sim.touched
+        check_layout(sim)
         return result, drops
 
     def test_pending_symbols_drop_and_materialise_like_taken_ones(self, monkeypatch):
@@ -992,7 +1012,7 @@ class TestIsolation:
 
     def test_pending_bad_blocks_drop_and_materialise_like_taken_ones(self, monkeypatch):
         # As above, on an array wide enough that most bad blocks are isolated.
-        # `touched` keeps the blocks of dropped symbols, which adds no call.
+        # A dropped symbol leaves no mark on its block, which adds no call.
         bb_times = range(1, 150, 2)
         pool = scripted_pool(
             [drive(0, bb_times, bc_time=149.0), drive(1, bb_times), drive(2, bb_times)]

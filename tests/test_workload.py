@@ -122,6 +122,17 @@ class TestSynthesis:
         with pytest.raises(WorkloadError, match="seed must be >= 0, got -1"):
             synthesize_usage_log(SynthWorkloadParams(), "d0", seed=-1)
 
+    @pytest.mark.parametrize("seed", [True, 2.0, "3", None])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(WorkloadError, match="seed must be an integer"):
+            synthesize_usage_log(SynthWorkloadParams(), "d0", seed=seed)
+
+    def test_takes_a_numpy_integer_seed_as_an_int(self):
+        p = SynthWorkloadParams()
+        assert synthesize_usage_log(p, "d0", seed=np.int64(3)) == synthesize_usage_log(
+            p, "d0", seed=3
+        )
+
     def test_param_validation(self):
         with pytest.raises(WorkloadError):
             SynthWorkloadParams(duration_hours=0)
