@@ -15,8 +15,8 @@ erasure code; uncorrectable stripes produce data loss records:
   * SDL: everything else; a single stripe.
 
 A stripe is lost at most once per fault epoch (until its latent faults
-are cleared): it then joins `lost` and is not judged again, so repeated
-scans never double count.
+are cleared): it then joins `lost`, or leaves pending (below), and is not
+judged again, so repeated scans never double count.
 
 Every event of a mission sits on one timeline of columns (times, kinds,
 bays, stripes, symbols), sorted by time, then `EventKind` (scrub,
@@ -47,12 +47,11 @@ then handles that event.  Arrivals on a failed bay are dropped.
 Latent faults live in three containers, each keyed by block, as the
 judge walks them: `bb_block` maps a block to the bays whose chunk of it
 is bad, `bs_block` maps a block to its stripes with bad symbols, each to
-its bays' bad symbol sets, and `lost` maps a block to its stripes lost
-in this fault epoch.  A block with no such fault has no entry.  Isolated symbols are pending
-(below); every other symbol is in `bs_block`, whether or not its stripe
-is lost.  A scan that loses the pending symbols adds their stripes to
-`lost` and gives them no `bs_block` entry, as a lost stripe is never
-judged again in its epoch.
+its bays' bad symbol sets, and `lost` maps a block to the stripes of
+those faults lost in this fault epoch.  A block with no such fault has
+no entry.  Isolated symbols and bad blocks are pending (below); every
+other arrival is in `bb_block` or `bs_block`, whether or not its stripe
+is lost, and only those arrivals' stripes are in `lost`.
 
 Most bad symbols and bad blocks stay out of the containers.  A bad
 symbol is isolated when, within its scrub interval, no other bad symbol
@@ -75,12 +74,13 @@ containers.  A pass with a failed device takes every arrival row by
 row: there a lone symbol or a clean bad block may be lost, and its
 record must keep its place in arrival order.  A pending symbol counts
 as a lone stripe at every scan, and a pending bad block as a clean one;
-both leave with their bay's latent faults and at a scrub.
-Pending bad blocks are copied into `bb_block` only when a scan finds the
-clean bad blocks lost (a bad chip under RAID5 or PMDS(1,1), or two under
-RAID6).  A scan that finds the pending symbols lost (a bad chip under
-RAID5, or two under RAID6) records their stripes straight from their
-positions and adds them to `lost`.
+both leave with their bay's latent faults and at a scrub.  A scan that
+finds the pending symbols lost (a bad chip under RAID5, or two under
+RAID6), or the pending bad blocks (a bad chip under RAID5 or PMDS(1,1),
+or two under RAID6), empties that pending list and records its arrivals
+straight from their positions; none of them enters a container.  No
+other arrival of their scrub interval hits a pending symbol's stripe or
+a pending bad block's block, so no later decision reads them.
 
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
@@ -100,15 +100,17 @@ which all count as the block does, as one unit at the first of them:
 they share one count and make their calls in a tight loop, and when they
 are lost they join `lost` at once and one BDL count.  A scan makes the
 calls of all pending bad blocks in one loop and gives them that one
-verdict; when it is lost, the block walk records each of them as one
-BDL, in block order, without a second call.  With no failed bay every
-code corrects a lone symbol and a clean bad block, so a healthy pass
-that gets any other verdict raises `EngineError` rather than drop the
-loss.  A scan (scrub or bad chip) walks the blocks of `bb_block` and
-`bs_block` in ascending order, and splices the SDL records of lost
-pending stripes into the walk by stripe.  Losses keep their record order:
-arrival order in a pass, stripe order among the SDL records of a scan,
-and first-lost-stripe order among its BDL records.
+verdict; when it is lost, each of them is one BDL of its block's
+stripes, without a second call.  With no failed bay every code corrects
+a lone symbol and a clean bad block, so a healthy pass that gets any
+other verdict raises `EngineError` rather than drop the loss.  A scan
+(scrub or bad chip) walks the blocks of `bb_block` and `bs_block` in
+ascending order.  Judging only decides: it marks `lost` and notes each
+loss.  One method, `_record_losses`, writes every SDL and BDL record of
+an arrival or a scan (a bad chip writes its ADL record itself).  Losses
+keep their record order: arrival order in a pass, stripe order among the
+SDL records of a scan, lost pending stripes included, and block order
+among its BDL records, a block's own in first-lost-stripe order.
 
 A drive installed at P/E offset 0 (every drive at the mission start)
 has a hazard that depends only on its usage log, the RBER curve and the
@@ -550,15 +552,13 @@ class _Simulation:
 
     # -- judging ----------------------------------------------------------
 
-    def _judge_stripes(self, block, stripes, time: float, bdl_groups: dict, lone_lost=()) -> None:
-        """Judge these stripes of `block` one by one: record SDL losses, count BDL losses.
+    def _judge_stripes(self, block, stripes, sdl: list, bdl_groups: dict) -> None:
+        """Judge these stripes of `block` one by one, and note their losses.
 
         Every stripe is lost or has bad symbols (`bs_block`).  A stripe that
-        is lost joins `lost`.  BDL losses are counted in `bdl_groups` by
-        (block, label); the caller records them with `_record_bdl`.
-        `lone_lost` holds pending stripes that their batch has just judged
-        lost (and added to `lost`); their SDL records take their stripe's
-        place.
+        is lost joins `lost`; its loss goes to `sdl` as a (stripe, label)
+        pair, or counts in `bdl_groups` by (block, label).  The caller
+        records them with `_record_losses`.
         """
         code = self.code
         nf = len(self.failed)
@@ -568,8 +568,6 @@ class _Simulation:
         judge = uncorrectable  # read per call: wrappers patch the module global
         for stripe in stripes:
             if stripe in lost:
-                if stripe in lone_lost:
-                    self.records.append(DataLossRecord(time, "SDL", _cause_label(nf, 0, 1), 1))
                 continue
             faulty, multi, n_bb, n_bs = stripe_counts(nf, bb_devs, symbols[stripe])
             if not judge(code, faulty, multi):
@@ -581,9 +579,9 @@ class _Simulation:
                 key = (block, label)
                 bdl_groups[key] = bdl_groups.get(key, 0) + 1
             else:
-                self.records.append(DataLossRecord(time, "SDL", label, 1))
+                sdl.append((stripe, label))
 
-    def _judge_block(self, block: int, time: float, bdl_groups: dict, unit_lost=False) -> None:
+    def _judge_block(self, block: int, sdl: list, bdl_groups: dict) -> None:
         """Judge bad block `block`: its marked stripes one by one, the rest as one unit.
 
         A marked stripe is lost or has bad symbols: the block's entries in
@@ -591,11 +589,10 @@ class _Simulation:
         their calls share one count, and when they are lost they join `lost`
         at once and one BDL count, as every code loses a stripe only to two
         whole-chunk faults, one of them the bad block.  The unit goes at its
-        first stripe, after the marked stripes below it, so the BDL groups
-        keep their first-lost-stripe order.  `unit_lost` says that the
-        caller has made the calls of a block with no marked stripe already
-        and they found it lost.  A block whose stripes are all lost has
-        nothing left to judge.
+        first stripe, after the marked stripes below it, so the block's BDL
+        groups keep their first-lost-stripe order.  Losses are noted in
+        `sdl` and `bdl_groups`, as `_judge_stripes` notes them.  A block
+        whose stripes are all lost has nothing left to judge.
         """
         lost = self.lost.get(block, ())
         if len(lost) == self.cpb:
@@ -606,21 +603,43 @@ class _Simulation:
             plain = [s for s in plain if s not in marked]
             marked = sorted(marked)
             below = plain[0] - lo if plain else len(marked)
-            self._judge_stripes(block, marked[:below], time, bdl_groups)
+            self._judge_stripes(block, marked[:below], sdl, bdl_groups)
             marked = marked[below:]
         nf = len(self.failed)
         faulty, multi, n_bb, _ = stripe_counts(nf, self.bb_block[block], None)
-        if plain and (unit_lost or _judge_many(self.code, faulty, multi, len(plain))):
+        if plain and _judge_many(self.code, faulty, multi, len(plain)):
             self.lost.setdefault(block, set()).update(plain)
             key = (block, _cause_label(nf, n_bb, 0))
             bdl_groups[key] = bdl_groups.get(key, 0) + len(plain)
         if marked:
-            self._judge_stripes(block, marked, time, bdl_groups)
+            self._judge_stripes(block, marked, sdl, bdl_groups)
 
-    def _record_bdl(self, bdl_groups: dict, time: float) -> None:
-        """Record one BDL per (block, label) group, in the order the groups were first lost."""
-        for (_, label), count in bdl_groups.items():
-            self.records.append(DataLossRecord(time, "BDL", label, count))
+    def _record_losses(self, time: float, sdl: list, bdl_groups: dict, lone=()) -> None:
+        """Write the SDL records, then the BDL records, of one arrival or scan.
+
+        `sdl` holds (stripe, label) pairs in stripe order, and `lone` the
+        sorted stripes of lost pending symbols, whose records are one shared
+        SDL record; the two merge by stripe.  Each (block, label) group of
+        `bdl_groups` is one BDL record.  The groups go in block order, and a
+        block's groups in the order they were first lost: a stable sort on
+        the block keeps the insertion order within a block.
+        """
+        records = self.records
+        if lone:
+            shared = DataLossRecord(time, "SDL", _cause_label(len(self.failed), 0, 1), 1)
+            j = 0  # lone[:j] have their records
+            for stripe, label in sdl:
+                k = bisect_left(lone, stripe, j)
+                records.extend(repeat(shared, k - j))
+                records.append(DataLossRecord(time, "SDL", label, 1))
+                j = k
+            records.extend(repeat(shared, len(lone) - j))
+        else:  # a plain loop: the merge would cost each record a bisect and a repeat
+            for _, label in sdl:
+                records.append(DataLossRecord(time, "SDL", label, 1))
+        if bdl_groups:
+            for (_, label), count in sorted(bdl_groups.items(), key=lambda g: g[0][0]):
+                records.append(DataLossRecord(time, "BDL", label, count))
 
     def _verdict(self, calls: int, bb_devs, bs_map) -> bool:
         """The verdict of `calls` judge calls on a stripe whose only latent faults are these.
@@ -631,74 +650,47 @@ class _Simulation:
         faulty, multi, _, _ = stripe_counts(len(self.failed), bb_devs, bs_map)
         return _judge_many(self.code, faulty, multi, calls)
 
-    def _lose_pending(self) -> list[int]:
-        """Add the stripes of the pending symbols to `lost` by block; return them in stripe order.
+    def _lose_pending(self, pending: list) -> list[int]:
+        """Empty `pending` or `pending_bb`; return its stripes, sorted.
 
-        They leave `pending`.  A lost stripe is never judged again in its
-        epoch, so no later decision reads their symbols, and they get no
-        `bs_block` entry.
+        A bad block's stripe is its block's first.  No container takes
+        them: no other arrival of their scrub interval hits a pending
+        symbol's stripe or a pending bad block's block, so no later
+        decision reads them.
         """
-        lone = sorted(self.columns[3][np.concatenate(self.pending)].tolist())
-        self.pending = []
-        for stripe in lone:
-            self.lost.setdefault(stripe // self.cpb, set()).add(stripe)
-        return lone
+        stripes = sorted(self.columns[3][np.concatenate(pending)].tolist())
+        pending.clear()
+        return stripes
 
     def _judge_latent(self, time: float) -> None:
-        """Judge every latent stripe: the pending ones in one batch, the rest block by block.
+        """Judge every latent fault: the pending ones in two batches, the rest block by block.
 
-        Pending symbols share one verdict; when it is lost, every one of
-        their stripes joins `lost` at once.  Pending bad blocks share
-        another; when it is lost, they join `bb_block` and the walk records
-        each without judging it again.  Blocks go in ascending order: a bad
-        block through `_judge_block`, any other block's `bs_block` stripes
-        one by one.  The lost pending stripes' SDL records are spliced into
-        the walk by stripe: those below a block of `bs_block` stripes come
-        before it, and those in it are judged with its stripes as
-        `lone_lost`.  No pending stripe lies in a bad block, and a bad block
-        adds no SDL record to a scan that loses pending stripes: there a bay
-        has failed, so each lost stripe of the block is a BDL.  The scan
-        shares one set of BDL groups, so the records come out as a judge of
-        all latent stripes in stripe order would make them.
+        Pending symbols share one verdict, and pending bad blocks another.
+        A batch that is lost leaves pending: each of its symbols is one SDL
+        of its stripe, and each of its bad blocks one BDL group of all its
+        stripes.  Then the blocks of `bb_block` and `bs_block` go in
+        ascending order: a bad block through `_judge_block`, any other
+        block's `bs_block` stripes one by one.  No container holds a pending
+        symbol's stripe or a pending bad block's block.  `_record_losses`
+        writes the scan's records as a judge of all latent stripes in stripe
+        order would make them.
         """
-        lone = []
+        lone = ()
         if self._verdict(sum(map(len, self.pending)), None, _ONE_SYMBOL):
-            lone = self._lose_pending()
-            sdl = DataLossRecord(time, "SDL", _cause_label(len(self.failed), 0, 1), 1)
+            lone = self._lose_pending(self.pending)
         cpb = self.cpb
-        lost_blocks = ()
+        sdl, bdl_groups = [], {}
         if self._verdict(cpb * sum(map(len, self.pending_bb)), _ONE_BAY, None):
-            lost_blocks = self._materialise_blocks()
-        bb_block, bs_block = self.bb_block, self.bs_block
-        bdl_groups: dict[tuple[int, str], int] = {}
-        j, n = 0, len(lone)  # lone[:j] have their records
-        for block in sorted(bb_block.keys() | bs_block.keys()):
-            if block in bb_block:
-                self._judge_block(block, time, bdl_groups, block in lost_blocks)
-                continue
-            stripes, inside = list(bs_block[block]), ()
-            hi = (block + 1) * cpb
-            if j < n and lone[j] < hi:
-                k = bisect_left(lone, hi - cpb, j)
-                self.records.extend(repeat(sdl, k - j))
-                j = bisect_left(lone, hi, k)
-                inside = lone[k:j]
-                stripes += inside
-            self._judge_stripes(block, sorted(stripes), time, bdl_groups, inside)
-        if j < n:
-            self.records.extend(repeat(sdl, n - j))
-        self._record_bdl(bdl_groups, time)
+            label = _cause_label(len(self.failed), 1, 0)
+            bdl_groups = {(s // cpb, label): cpb for s in self._lose_pending(self.pending_bb)}
+        for block in sorted(self.bb_block.keys() | self.bs_block.keys()):
+            if block in self.bb_block:
+                self._judge_block(block, sdl, bdl_groups)
+            else:
+                self._judge_stripes(block, sorted(self.bs_block[block]), sdl, bdl_groups)
+        self._record_losses(time, sdl, bdl_groups, lone)
 
     # -- timeline -----------------------------------------------------------
-
-    def _materialise_blocks(self) -> set[int]:
-        """Put the pending isolated bad blocks in `bb_block`; return their blocks."""
-        _, _, bays, stripes, _ = self.columns
-        k = np.concatenate(self.pending_bb)
-        self.pending_bb = []
-        blocks = (stripes[k] // self.cpb).tolist()
-        self.bb_block.update(zip(blocks, ({i} for i in bays[k].tolist())))
-        return set(blocks)
 
     def _consume_arrivals(self, end: int) -> None:
         """Mark and judge, in timeline order, the bad blocks and symbols left before `end`.
@@ -765,17 +757,17 @@ class _Simulation:
     def handle_bad_block(self, i: int, block: int, time: float) -> None:
         self.bb_block.setdefault(block, set()).add(i)
         if not self.adl_epoch:
-            bdl_groups: dict[tuple[int, str], int] = {}
-            self._judge_block(block, time, bdl_groups)
-            self._record_bdl(bdl_groups, time)
+            sdl, bdl_groups = [], {}
+            self._judge_block(block, sdl, bdl_groups)
+            self._record_losses(time, sdl, bdl_groups)
 
     def handle_bad_symbol(self, i: int, stripe: int, sym: int, time: float) -> None:
         block = stripe // self.cpb
         self.bs_block.setdefault(block, {}).setdefault(stripe, {}).setdefault(i, set()).add(sym)
         if not self.adl_epoch:
-            bdl_groups: dict[tuple[int, str], int] = {}
-            self._judge_stripes(block, (stripe,), time, bdl_groups)
-            self._record_bdl(bdl_groups, time)
+            sdl, bdl_groups = [], {}
+            self._judge_stripes(block, (stripe,), sdl, bdl_groups)
+            self._record_losses(time, sdl, bdl_groups)
 
     def apply_scrub(self, time: float) -> None:
         if not self.adl_epoch:

@@ -36,11 +36,13 @@ The bulk-intake test widens the
 array to 1,024 stripes and raises the bad-symbol rate tenfold, so that
 passes hold hundreds of isolated bad symbols (and a mission about twenty
 isolated bad blocks), which the production engine takes in bulk and keeps
-pending, across replacements, until a scan or a drop.  The splice test
-keeps that rate on sixteen blocks, so that the lone stripes a bad chip
-loses share blocks with multi-symbol stripes and lie around touched bad
-blocks, where the production engine splices their records into its block
-walk.
+pending, across replacements, until a scan or a drop; a scan that loses
+pending bad blocks there often loses walked bad blocks on both sides of
+them, and the production engine sorts their records in among the walk's
+by block.  The splice test keeps that rate on sixteen blocks, so that the
+lone stripes a bad chip loses share blocks with multi-symbol stripes and
+lie around touched bad blocks, where the production engine splices their
+records in among the walk's by stripe.
 """
 import dataclasses
 from collections import Counter
@@ -286,6 +288,9 @@ class _Pending(ssdfi.engine._Simulation):
 
     `kept` holds, per kind, the positions still pending after the last
     rebuild or wear-out; the next scan or scrub counts those still pending.
+    `lost_blocks` holds the blocks of the pending bad blocks that the
+    current scan has lost.  The scan interleaves them with its walk's BDL
+    groups when, in block order, neither side comes wholly first.
     """
 
     counts: Counter = Counter()
@@ -293,6 +298,7 @@ class _Pending(ssdfi.engine._Simulation):
     def __init__(self, *args):
         super().__init__(*args)
         self.kept = None
+        self.lost_blocks = set()
 
     def _pending(self) -> tuple[int, int]:
         return sum(map(len, self.pending)), sum(map(len, self.pending_bb))
@@ -310,7 +316,22 @@ class _Pending(ssdfi.engine._Simulation):
         before = self._pending()
         super()._judge_latent(time)
         for kind, b, a in zip(KINDS, before, self._pending()):
-            self.counts["materialising scans" + kind] += b > 0 and not a
+            self.counts["scans that lose them" + kind] += b > 0 and not a
+
+    def _lose_pending(self, pending):
+        bad_blocks = pending is self.pending_bb
+        stripes = super()._lose_pending(pending)
+        if bad_blocks:
+            self.lost_blocks = {s // self.cpb for s in stripes}
+        return stripes
+
+    def _record_losses(self, time, sdl, bdl_groups, lone=()):
+        lost, self.lost_blocks = self.lost_blocks, set()
+        walked = [b for b, _ in bdl_groups if b not in lost]
+        if lost and walked:
+            mixed = min(walked) < max(lost) and min(lost) < max(walked)
+            self.counts["scans interleaving lost bad blocks"] += mixed
+        super()._record_losses(time, sdl, bdl_groups, lone)
 
     def _count_kept(self):
         if self.kept is not None:
@@ -358,8 +379,9 @@ def test_bulk_intake_matches_reference(setups, monkeypatch):
             assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
     # Every way a pending arrival of either kind leaves must have been taken.
     counts = _Pending.counts
-    keys = ("materialising scans", "pending across replacements", "pending drops")
+    keys = ("scans that lose them", "pending across replacements", "pending drops")
     keys = ("bulk arrivals", "bulk bad blocks", *(k + kind for k in keys for kind in KINDS))
+    keys += ("scans interleaving lost bad blocks",)
     assert min(counts[k] for k in keys) > 0, counts
 
 
@@ -394,8 +416,11 @@ class _Splice(ssdfi.engine._Simulation):
 
     counts: Counter = Counter()
 
-    def _lose_pending(self):
-        lone = super()._lose_pending()
+    def _lose_pending(self, pending):
+        symbols = pending is self.pending
+        lone = super()._lose_pending(pending)
+        if not symbols:
+            return lone
         cpb = self.cpb
         multi = {
             b
@@ -412,9 +437,9 @@ class _Splice(ssdfi.engine._Simulation):
 
 
 def test_lost_lone_stripes_splice_into_the_scan(setups, monkeypatch):
-    # A scan records lost pending stripes without a `bs_block` entry and splices
-    # their records into its block walk: the records and their order must
-    # still be the reference engine's.
+    # A scan records lost pending stripes from their positions, with no container
+    # entry, and splices their records in among its walk's by stripe: the records
+    # and their order must still be the reference engine's.
     new_calls = _counting(monkeypatch, ssdfi.engine)
     ref_calls = _counting(monkeypatch, reference_engine)
     _Splice.counts.clear()

@@ -256,33 +256,45 @@ class TestAffectedStripes:
     """Which stripes each fault marks and judges."""
 
     def test_bad_chip_spans_array(self):
+        # A bad block on the first block and a symbol on the last stripe wait
+        # as pending; the chip's scan loses both, and no container takes them.
         sim = make_sim(clean_pool())
         last = GEOMETRY.symbols_per_device - 1
-        plant_block(sim, 1, 0, 10.0)
-        plant_symbol(sim, 2, last, 20.0)
+        schedule(sim, EventKind.BAD_BLOCK, 1, [10.0], [0])
+        schedule(sim, EventKind.BAD_SYMBOL, 2, [20.0], [last])
+        consume(sim)
+        assert pending_blocks(sim) == [0]
+        assert pending_stripes(sim) == [GEOMETRY.array_stripes - 1]
         assert sim.records == []
         sim.handle_bad_chip(0, 30.0)
         cpb = GEOMETRY.chunks_per_block
-        assert sorted(lost_stripes(sim)) == list(range(cpb)) + [GEOMETRY.array_stripes - 1]
+        assert not (sim.pending or sim.pending_bb)
+        assert not (sim.lost or sim.bb_block or sim.bs_block)
         assert [(r.scope, r.cause, r.stripes_lost) for r in sim.records] == [
             ("SDL", "BC+BS", 1),
             ("BDL", "BC+BB", cpb),
         ]
 
     def test_bad_block_spans_block(self, monkeypatch):
-        # A scrub judges the block's stripes; a bad chip's scan, which
-        # scrubs share, loses exactly those stripes.
+        # A scrub judges the pending block's stripes; a bad chip's scan,
+        # which scrubs share, loses exactly those stripes, as one BDL.
         calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
-        plant_block(sim, 0, 3, 10.0)
+        schedule(sim, EventKind.BAD_BLOCK, 0, [10.0, 30.0], [3, 3])
+        schedule(sim, EventKind.SCRUB, -1, [20.0])
         cpb = GEOMETRY.chunks_per_block
-        assert sim.bb_block == {3: {0}}
+        consume(sim, 10.0)
+        assert pending_blocks(sim) == [3] and not sim.bb_block
         del calls[:]
         sim.apply_scrub(20.0)
         assert calls == [(R5, 1, 1)] * cpb
-        plant_block(sim, 0, 3, 30.0)
+        consume(sim, 30.0)
+        assert pending_blocks(sim) == [3] and not sim.bb_block
+        del calls[:]
         sim.handle_bad_chip(1, 40.0)
-        assert sorted(lost_stripes(sim)) == list(range(3 * cpb, 4 * cpb))
+        assert calls == [(R5, 2, 2)] * cpb
+        assert sim.records == [DataLossRecord(40.0, "BDL", "BC+BB", cpb)]
+        assert not (sim.pending_bb or sim.bb_block or sim.lost)
 
     def test_bad_symbol_single_stripe(self):
         # An isolated symbol waits as pending; a bad chip's scan loses its
@@ -293,7 +305,7 @@ class TestAffectedStripes:
         assert pending_stripes(sim) == [9 // cp]
         assert not sim.bs_block
         sim.handle_bad_chip(1, 20.0)
-        assert lost_stripes(sim) == {9 // cp}
+        assert not (sim.pending or sim.lost or sim.bs_block)
         assert sim.records == [DataLossRecord(20.0, "SDL", "BC+BS", 1)]
 
     def test_out_of_range_location(self, monkeypatch):
@@ -316,12 +328,14 @@ class TestAffectedStripes:
     def test_non_failure_event(self):
         # Scrubs, rebuilds and wear-out replacements mark no stripe.
         sim = make_sim(clean_pool())
-        plant_block(sim, 0, 3, 10.0)
+        schedule(sim, EventKind.BAD_BLOCK, 0, [10.0], [3])
+        consume(sim)
+        assert pending_blocks(sim) == [3]
         sim.apply_scrub(20.0)
-        assert not sim.bb_block
+        assert not pending_blocks(sim)
         sim.replace_worn_out(1, 30.0)
         sim.apply_reconstruct(2, 40.0)
-        assert not sim.bb_block and not sim.bs_block
+        assert not (pending_blocks(sim) or sim.bb_block or sim.bs_block)
         assert sim.records == []
 
     def test_symbol_at_bad_chip_hour_comes_after_the_chip(self, monkeypatch):
@@ -409,7 +423,7 @@ class TestLoneSymbols:
 
     def test_bad_chip_on_the_lone_symbols_bay(self, monkeypatch):
         # Bay 0's chip drops bay 0's symbol; bay 2's pending symbol is lost:
-        # its stripe joins its block's entry in `lost`, with no `bs_block` entry.
+        # it leaves pending, and no container takes its stripe.
         calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
         plant_symbol(sim, 0, 9, 10.0)
@@ -418,24 +432,28 @@ class TestLoneSymbols:
         sim.handle_bad_chip(0, 30.0)
         assert sim.records == [DataLossRecord(30.0, "SDL", "BC+BS", 1)]
         assert calls == [(R5, 2, 1)]
-        stripe, sym = divmod(70, self.CP)
-        assert not sim.bs_block
-        assert sim.lost == {stripe // self.CPB: {stripe}}
+        assert not (sim.pending or sim.lost or sim.bs_block)
 
     def test_a_lost_lone_stripe_is_not_judged_again(self, monkeypatch):
-        # Bay 0's chip loses bay 2's lone stripe.  A second symbol on it
-        # (bay 1) and then a bad block on its block (bay 1) judge only the
+        # Bay 0's chip loses bay 2's lone stripe, which is in `bs_block`: a
+        # second symbol on it (bay 1) comes in its scrub interval.  That
+        # symbol and then a bad block on its block (bay 1) judge only the
         # block's other stripes, and record it no more.
         calls = count_judge_calls(monkeypatch)
         sim = make_sim(clean_pool())
         stripe = 5 * self.CPB + 3
-        plant_symbol(sim, 2, stripe * self.CP, 10.0)
+        schedule(sim, EventKind.BAD_SYMBOL, 2, [10.0], [stripe * self.CP])
+        schedule(sim, EventKind.BAD_SYMBOL, 1, [30.0], [stripe * self.CP + 1])
+        schedule(sim, EventKind.BAD_BLOCK, 1, [40.0], [5])
+        consume(sim, 10.0)
+        assert symbol_map(sim) == {stripe: {2: {0}}} and not sim.pending
         sim.handle_bad_chip(0, 20.0)
         assert sim.records == [DataLossRecord(20.0, "SDL", "BC+BS", 1)]
+        assert lost_stripes(sim) == {stripe}
         del calls[:]
-        plant_symbol(sim, 1, stripe * self.CP + 1, 30.0)
+        consume(sim, 30.0)
         assert calls == [] and len(sim.records) == 1
-        plant_block(sim, 1, 5, 40.0)
+        consume(sim, 40.0)
         assert calls == [(R5, 2, 2)] * (self.CPB - 1)
         assert sim.records[1:] == [DataLossRecord(40.0, "BDL", "BC+BB", self.CPB - 1)]
 
@@ -644,10 +662,12 @@ class TestBadBlocks:
             DataLossRecord(30.0, "BDL", "BC+BB", self.CPB - 2),
             DataLossRecord(30.0, "BDL", "BC+BB", self.CPB),
         ]
+        # The pending symbol (stripe 8 cpb) and bad block 9 leave pending,
+        # and no container takes them.
         cpb = self.CPB
-        assert lost_stripes(sim) == (
-            set(range(5 * cpb, 6 * cpb)) | set(range(9 * cpb, 10 * cpb)) | {8 * cpb}
-        )
+        assert lost_stripes(sim) == set(range(5 * cpb, 6 * cpb))
+        assert not (sim.pending or sim.pending_bb)
+        assert list(sim.bb_block) == [5] and list(sim.bs_block) == [5]
 
     def test_marked_stripes_below_and_between_the_unit(self, monkeypatch):
         # Under PMDS(1,1), block 5 on bay 1 keeps two marked stripes below
@@ -702,7 +722,7 @@ class TestBadBlocks:
         layouts = []
 
         class Judge(_Simulation):
-            def _judge_block(self, block, time, bdl_groups, unit_lost=False):
+            def _judge_block(self, block, sdl, bdl_groups):
                 stripes = range(block * self.cpb, (block + 1) * self.cpb)
                 lost, symbols = set(self.lost.get(block, ())), self.bs_block.get(block, {})
                 marked = [s for s in stripes if s in lost or s in symbols]
@@ -710,7 +730,7 @@ class TestBadBlocks:
                 own = any(
                     s not in lost and symbols[s].keys() <= self.bb_block[block] for s in marked
                 )
-                super()._judge_block(block, time, bdl_groups, unit_lost)
+                super()._judge_block(block, sdl, bdl_groups)
                 if self.failed and plain and lost_stripes(self).issuperset(plain):
                     between = any(plain[0] < s < plain[-1] for s in marked)
                     layouts.append((bool(marked) and marked[0] < plain[0], between, own))
@@ -1000,7 +1020,7 @@ class TestIsolation:
         check_layout(sim)
         return result, drops
 
-    def test_pending_symbols_drop_and_materialise_like_taken_ones(self, monkeypatch):
+    def test_pending_symbols_drop_and_are_lost_like_taken_ones(self, monkeypatch):
         # Pending symbols leave with their bay's drop, and the chip's scan
         # records the rest, as the reference engine does with every symbol
         # taken one by one.
@@ -1010,7 +1030,7 @@ class TestIsolation:
         assert pending > 100 and 0 < pending - left < pending
         assert [r.cause for r in result.records].count("BC+BS") > 100
 
-    def test_pending_bad_blocks_drop_and_materialise_like_taken_ones(self, monkeypatch):
+    def test_pending_bad_blocks_drop_and_are_lost_like_taken_ones(self, monkeypatch):
         # As above, on an array wide enough that most bad blocks are isolated.
         # A dropped symbol leaves no mark on its block, which adds no call.
         bb_times = range(1, 150, 2)
