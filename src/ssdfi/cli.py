@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import json
 import multiprocessing
+import numbers
 import sys
 from collections import Counter
 from pathlib import Path
@@ -83,12 +84,13 @@ def run_experiment(
     if each cell had run alone, so the reports do not depend on the
     worker count.  Reports and `manifest.json` are written atomically.
 
-    Raises `ValueError` for fewer than one worker or mission, for a
-    mission that is not a whole number of hours in 1..`MISSION_HOURS`,
-    for a code that is not an `ErasureCode` (such as the string "RAID5"),
-    for a pool smaller than the array, for a `tts` or `ttr` that is not
-    finite and positive, for a stripe size the array geometry rejects,
-    for a model with no profile, for grid lists whose cells repeat a
+    Raises `ValueError` for a `workers` or `n_sims` that is a bool, not
+    an integer or below 1, for a `mission` that is a bool or not a whole
+    number of hours in 1..`MISSION_HOURS`, for a code that is not an
+    `ErasureCode` (such as the string "RAID5"), for a pool smaller than
+    the array, for a `tts` or `ttr` that is a bool or not a finite,
+    positive number, for a stripe size the array geometry rejects, for a
+    model with no profile, for grid lists whose cells repeat a
     report key (such as tts 10000 and 1e4, or one code twice), for a
     report format other than json or csv, for a usage-log file that
     cannot be read or does not hold exactly one log per device, and for
@@ -96,10 +98,11 @@ def run_experiment(
     pool is generated.  `out_dir` is made after the pools, so a pool input
     that `generate_pool` rejects leaves no directory behind.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if n_sims < 1:
-        raise ValueError(f"n_sims must be at least 1, got {n_sims}")
+    for name, count in (("workers", workers), ("n_sims", n_sims)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     check_mission(mission)
     for code in codes:
         check_code(code)

@@ -84,10 +84,11 @@ a pending bad block's block, so no later decision reads them.
 
 Every judged stripe costs exactly one `uncorrectable` call, read through
 this module's global, because traced runs of the benchmark pin the call
-count (`codes.judge_calls`) and the differential test compares it with
-the reference engine.  A call that sees fewer than two faulty chunks
-(96-98% of them) returns at its first comparison, before the code is
-looked at, so such a call costs little more than the Python call itself.
+count (`codes.judge_calls`) and the tests' one judge probe
+(`judgements` in `tests/judge_view.py`) counts it against the reference
+engine's.  A call that sees fewer than two faulty chunks (96-98% of
+them) returns at its first comparison, before the code is looked at, so
+such a call costs little more than the Python call itself.
 A lone symbol's counts depend only on the number of failed bays, which
 no arrival changes: a pass makes one call per isolated symbol, and a
 scrub or bad chip one per pending symbol, and each gives them all that
@@ -130,6 +131,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import numbers
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -188,8 +190,20 @@ def _cause_label(n_bc: int, n_bb: int, n_bs: int) -> str:
     return "+".join(["BC"] * n_bc + ["BB"] * n_bb + ["BS"] * n_bs)
 
 
+def _check_number(name: str, value) -> None:
+    """Reject a bool (numpy's too) or a value that is not a real number.
+
+    A bool would pass for 0 or 1 hours, and a string would fail in the
+    comparisons with a `TypeError`; a numpy float or integer is a number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise EngineError(f"{name} must be a number, got {value!r}")
+
+
 def check_tts_ttr(tts: float, ttr: float) -> None:
-    """Reject a time to scrub or a time to repair that is not finite and positive."""
+    """Reject a time to scrub or a time to repair that is not a finite, positive number."""
+    _check_number("tts", tts)
+    _check_number("ttr", ttr)
     if not (math.isfinite(tts) and math.isfinite(ttr) and tts > 0 and ttr > 0):
         raise EngineError(
             f"tts and ttr must be finite and positive, got tts={tts:g} and ttr={ttr:g}"
@@ -202,6 +216,7 @@ def check_mission(mission: float) -> None:
     Pool schedules end at `MISSION_HOURS`; a longer mission would silently
     see no bad blocks or bad chips after that hour.
     """
+    _check_number("mission", mission)
     if not 1 <= mission <= MISSION_HOURS or mission != int(mission):
         raise EngineError(
             f"mission must be between 1 and {MISSION_HOURS} whole hours, got {mission:g}"
@@ -867,6 +882,10 @@ def run_simulation(
     """
     check_code(code)
     seed = check_seed(seed, EngineError)
+    # Before the memo: True == 1 with the same hash, so the lookup alone
+    # would judge the timeline of 1 hour.
+    check_tts_ttr(tts, ttr)
+    check_mission(mission)
     # Every input of the mission's draws but the pool, which keys `_SCHEDULES`.
     key = (geometry, profile, tuple(usage_logs), tts, ttr, mission, seed)
     memo = _SCHEDULES.get(pool)

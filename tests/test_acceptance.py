@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from judge_view import scheduled
 from ssdfi.cli import run_experiment
 from ssdfi.codes import (
     ErasureCode,
@@ -23,7 +24,7 @@ from ssdfi.codes import (
     uncorrectable,
     update_penalty,
 )
-from ssdfi.engine import EventKind, _Draw, _Simulation, run_simulation
+from ssdfi.engine import EventKind, _Draw, run_simulation
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import COND_MEDIAN_TARGETS, PooledSsd, SsdPool, generate_pool, validate_pool
 from ssdfi.profiles import MISSION_HOURS, RberCurve, SsdModelProfile, default_profiles
@@ -36,7 +37,6 @@ from stripe_oracle import (
     check_stripe_dl,
     chunk_sets,
 )
-from test_engine import scheduled
 
 R5, R6, PMDS = ErasureCode.RAID5, ErasureCode.RAID6, ErasureCode.PMDS11
 
@@ -452,7 +452,7 @@ def test_criterion_12_sampler_statistics(capfd):
     pool = SsdPool("stress", 2_048, 0, tuple(PooledSsd(i, (), None) for i in range(3)))
     geometry = ArrayGeometry(n_devices=3, blocks_per_device=512, stripe_size=3 * 4096 * 4)
     draw = _Draw(geometry, profile, pool, [log], 10_000.0, 10.0, mission, 2024)
-    times, locs = scheduled(_Simulation(draw.timeline(), R5), 0, EventKind.BAD_SYMBOL)
+    times, locs = scheduled(draw.timeline(), 0, EventKind.BAD_SYMBOL)
 
     pe = np.arange(mission) * pe_per_hour
     rate = np.minimum(r0 + (r1 - r0) * pe / knot, r1) * bits  # expected arrivals per hour

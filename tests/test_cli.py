@@ -196,6 +196,9 @@ class TestRunExperiment:
             ("workers", 0), ("workers", -3), ("n_sims", 0), ("n_sims", -1),
             ("mission", 0), ("mission", MISSION_HOURS + 1), ("mission", 200.5), ("fmt", "xml"),
             ("pool_size", 5),
+            # A bool would pass for 1, and a string fail with a TypeError.
+            ("workers", True), ("n_sims", True), ("n_sims", 2.0), ("mission", True),
+            ("mission", "100"),
             pytest.param("tts_values", [0.0], id="tts_values-0"),
             pytest.param("ttr_values", [-1.0], id="ttr_values--1"),
             pytest.param("stripe_kbs", [100], id="stripe_kbs-100"),
@@ -254,6 +257,25 @@ class TestRunExperiment:
 
         monkeypatch.setattr(cli, "generate_pool", no_pool)
         with pytest.raises(ValueError, match="tts and ttr must be finite and positive"):
+            run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("tts_values", [10_000.0, True], "tts must be a number, got True"),
+            ("ttr_values", ["10"], "ttr must be a number, got '10'"),
+        ],
+        ids=["tts-bool", "ttr-str"],
+    )
+    def test_rejects_a_bool_or_a_non_number_tts_or_ttr_before_any_pool(
+        self, tmp_path, small_kwargs, monkeypatch, name, value, message
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool generated before the check")
+
+        monkeypatch.setattr(cli, "generate_pool", no_pool)
+        with pytest.raises(ValueError, match=message):
             run_experiment(out_dir=tmp_path / "out", **{**small_kwargs, name: value})
         assert not (tmp_path / "out").exists()
 

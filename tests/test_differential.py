@@ -42,7 +42,11 @@ them, and the production engine sorts their records in among the walk's
 by block.  The splice test keeps that rate on sixteen blocks, so that the
 lone stripes a bad chip loses share blocks with multi-symbol stripes and
 lie around touched bad blocks, where the production engine splices their
-records in among the walk's by stripe.
+records in among the walk's by stripe.  A last sub-sweep of five bays
+whose drives never wear out reaches scans where those records splice
+around SDL records of another label (BC+BS+BS), from stripes that an
+ADL epoch left unjudged.  The judges read their state only through
+`judge_view`.
 """
 import dataclasses
 from collections import Counter
@@ -52,6 +56,7 @@ import pytest
 
 import reference_engine
 import ssdfi.engine
+from judge_view import Latent, judgements, latent, losses, replaced
 from ssdfi.codes import ErasureCode
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import SsdPool, generate_pool
@@ -138,24 +143,6 @@ def setups(pool, hourly_pool):
     }
 
 
-def _replacements(sim) -> int:
-    """The rebuilds and wear-outs on a production mission's timeline: one replacement each."""
-    kinds = (ssdfi.engine.EventKind.RECONSTRUCT, ssdfi.engine.EventKind.WEAR_OUT)
-    return sum(kind in kinds for _, _, kind, _ in sim.timeline.boundaries)
-
-
-def _counting(monkeypatch, module):
-    calls = [0]
-    judge = module.uncorrectable
-
-    def uncorrectable(code, faulty, multi):
-        calls[0] += 1
-        return judge(code, faulty, multi)
-
-    monkeypatch.setattr(module, "uncorrectable", uncorrectable)
-    return calls
-
-
 @pytest.fixture(scope="module")
 def sweep(setups):
     """Each seed's timeline drawn once and judged under every code, by both engines.
@@ -173,8 +160,8 @@ def sweep(setups):
     calls_diff = dict.fromkeys(ErasureCode)
     judge_drew = None
     with pytest.MonkeyPatch.context() as monkeypatch:
-        new_calls = _counting(monkeypatch, ssdfi.engine)
-        ref_calls = _counting(monkeypatch, reference_engine)
+        new_calls = judgements(monkeypatch)
+        ref_calls = judgements(monkeypatch, reference_engine)
         draws = [0]  # drive installs, initial and replacement
         install = ssdfi.engine._Draw._install
         monkeypatch.setattr(
@@ -185,10 +172,10 @@ def sweep(setups):
         handle = ssdfi.engine._Simulation.handle_bad_symbol
 
         def handle_bad_symbol(sim, *args):
-            counts, records = totals[sim.code], len(sim.records)
+            counts, records = totals[sim.code], len(losses(sim))
             counts["degraded"] += bool(sim.failed)
             handle(sim, *args)
-            counts["lost_on_arrival"] += len(sim.records) > records
+            counts["lost_on_arrival"] += len(losses(sim)) > records
 
         monkeypatch.setattr(ssdfi.engine._Simulation, "handle_bad_symbol", handle_bad_symbol)
         for seed in range(SEEDS):
@@ -198,20 +185,19 @@ def sweep(setups):
             drawn = draws[0]
             for code in ErasureCode:
                 args = (GEOMETRY, code, PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
-                before = new_calls[0], ref_calls[0]
+                del new_calls[:], ref_calls[:]
                 sim = ssdfi.engine._Simulation(timeline, code)
                 got, want = sim.run(), ref(*args, 1.0).run()
-                judged = new_calls[0] - before[0]
                 if got != want and result_diff[code] is None:
                     result_diff[code] = seed
-                if judged != ref_calls[0] - before[1] and calls_diff[code] is None:
+                if len(new_calls) != len(ref_calls) and calls_diff[code] is None:
                     calls_diff[code] = seed
                 if draws[0] != drawn and judge_drew is None:
                     judge_drew = seed, code.value
                 counts = totals[code]
                 counts["records"] += len(got.records)
-                counts["judged"] += judged
-                counts["replaced"] += _replacements(sim)
+                counts["judged"] += len(new_calls)
+                counts["replaced"] += len(replaced(sim))
                 for rec in got.records:
                     counts[rec.scope] += 1
     return {"totals": totals, "result": result_diff, "calls": calls_diff, "drew": judge_drew}
@@ -279,69 +265,94 @@ WIDE_PROFILE = dataclasses.replace(PROFILE, rber_curve=RberCurve(points=((0.0, 5
 BULK_SEEDS = 60
 
 
-# The two kinds of pending arrival, as `_Pending._pending` counts them.
+# The two kinds of pending arrival, as `_Pending` counts them.
 KINDS = ("", " bad blocks")
+
+
+def _judge_like_reference(
+    monkeypatch, setups, judge, geometry, profile, seeds, log=LOG, times=None
+):
+    """Judge each seed's mission under every code with `judge`, as the reference does.
+
+    Seed-major, so a seed's codes share one timeline and its isolation
+    index.  A seed's (tts, ttr) are `times`, or the sweep's by default.
+    Each result and its judge-call count must be the reference engine's.
+    Returns the judge's `counts`, cleared first.
+    """
+    new_calls = judgements(monkeypatch)
+    ref_calls = judgements(monkeypatch, reference_engine)
+    judge.counts.clear()
+    for seed in range(seeds):
+        tts, ttr = times or (TTS[seed % 3], TTR[seed // 3 % 3])
+        draw, ref, seed_pool = setups[seed % 2 == 1]
+        timeline = draw(geometry, profile, seed_pool, [log], tts, ttr, MISSION, seed).timeline()
+        for code in ErasureCode:
+            args = (geometry, code, profile, seed_pool, [log], tts, ttr, MISSION, seed)
+            del new_calls[:], ref_calls[:]
+            got, want = judge(timeline, code).run(), ref(*args, 1.0).run()
+            assert got == want, f"seed {seed}, {code.value}"
+            assert len(new_calls) == len(ref_calls), f"seed {seed}, {code.value}"
+    return judge.counts
+
+
+def _pending(state) -> tuple[tuple, tuple]:
+    """The two kinds of pending arrival of a `Latent`, in `KINDS` order."""
+    return state.pending_symbols, state.pending_blocks
 
 
 class _Pending(ssdfi.engine._Simulation):
     """The production judge, counting how its pending isolated arrivals come and go.
 
-    `kept` holds, per kind, the positions still pending after the last
-    rebuild or wear-out; the next scan or scrub counts those still pending.
-    `lost_blocks` holds the blocks of the pending bad blocks that the
-    current scan has lost.  The scan interleaves them with its walk's BDL
-    groups when, in block order, neither side comes wholly first.
+    `state` is the judge's state after its last intake, scan, drop or
+    scrub; each of them counts, per kind, what it changed.  `kept` holds
+    the stripes pending after the last rebuild or wear-out (an isolated
+    arrival's stripe, or its block, is the only one of its scrub
+    interval); the next scan or scrub counts those still pending.  A scan
+    interleaves the pending bad blocks it loses with its walk's BDL groups
+    when, in block order, neither side comes wholly first.  It loses
+    pending bad blocks only on a degraded array, where every stripe it
+    loses on a bad block of the walk is in a BDL group.
     """
 
     counts: Counter = Counter()
+    state, kept = Latent(), None  # a new judge's
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.kept = None
-        self.lost_blocks = set()
-
-    def _pending(self) -> tuple[int, int]:
-        return sum(map(len, self.pending)), sum(map(len, self.pending_bb))
-
-    def _positions(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(np.concatenate([[], *p]) for p in (self.pending, self.pending_bb))
+    def _step(self, key, count):
+        """Count, per kind, `count(before, after)` of the step that has just run."""
+        before, self.state = self.state, latent(self)
+        for kind, b, a in zip(KINDS, _pending(before), _pending(self.state)):
+            self.counts[key + kind] += count(b, a)
+        return before
 
     def _consume_arrivals(self, end):
-        before = self._pending()
         super()._consume_arrivals(end)
-        for kind, b, a in zip(("arrivals", "bad blocks"), before, self._pending()):
-            self.counts["bulk " + kind] += a - b
+        self._step("bulk arrivals", lambda b, a: len(a) - len(b))
 
     def _judge_latent(self, time):
-        before = self._pending()
         super()._judge_latent(time)
-        for kind, b, a in zip(KINDS, before, self._pending()):
-            self.counts["scans that lose them" + kind] += b > 0 and not a
-
-    def _lose_pending(self, pending):
-        bad_blocks = pending is self.pending_bb
-        stripes = super()._lose_pending(pending)
-        if bad_blocks:
-            self.lost_blocks = {s // self.cpb for s in stripes}
-        return stripes
-
-    def _record_losses(self, time, sdl, bdl_groups, lone=()):
-        lost, self.lost_blocks = self.lost_blocks, set()
-        walked = [b for b, _ in bdl_groups if b not in lost]
+        before = self._step("scans that lose them", lambda b, a: bool(b) and not a)
+        after = self.state
+        lost = set(before.pending_blocks) - set(after.pending_blocks)
+        newly = after.lost_stripes - before.lost_stripes
+        walked = {s // self.cpb for s in newly} & before.bad_blocks.keys()
         if lost and walked:
             mixed = min(walked) < max(lost) and min(lost) < max(walked)
             self.counts["scans interleaving lost bad blocks"] += mixed
-        super()._record_losses(time, sdl, bdl_groups, lone)
+
+    def _drop_latent(self, i):
+        super()._drop_latent(i)
+        self._step("pending drops", lambda b, a: len(b) > len(a))
 
     def _count_kept(self):
         if self.kept is not None:
-            for kind, kept, now in zip(KINDS, self.kept, self._positions()):
-                self.counts["pending across replacements" + kind] += int(np.isin(kept, now).sum())
+            for kind, kept, now in zip(KINDS, self.kept, _pending(self.state)):
+                self.counts["pending across replacements" + kind] += len(set(kept) & set(now))
             self.kept = None
 
     def apply_scrub(self, time):
         self._count_kept()
         super().apply_scrub(time)
+        self.state = latent(self)
 
     def handle_bad_chip(self, i, time):
         self._count_kept()
@@ -349,39 +360,18 @@ class _Pending(ssdfi.engine._Simulation):
 
     def apply_reconstruct(self, i, time):
         super().apply_reconstruct(i, time)
-        self.kept = self._positions()
+        self.kept = _pending(self.state)
 
     def replace_worn_out(self, i, time):
         super().replace_worn_out(i, time)
-        self.kept = self._positions()
-
-    def _drop_latent(self, i):
-        before = self._pending()
-        super()._drop_latent(i)
-        for kind, b, a in zip(KINDS, before, self._pending()):
-            self.counts["pending drops" + kind] += b > a
+        self.kept = _pending(self.state)
 
 
 def test_bulk_intake_matches_reference(setups, monkeypatch):
-    # Seed-major, so a seed's codes share one timeline and its isolation index.
-    new_calls = _counting(monkeypatch, ssdfi.engine)
-    ref_calls = _counting(monkeypatch, reference_engine)
-    _Pending.counts.clear()
-    for seed in range(BULK_SEEDS):
-        tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        draw, ref, seed_pool = setups[seed % 2 == 1]
-        timeline = draw(WIDE, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
-        for code in ErasureCode:
-            args = (WIDE, code, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
-            before = new_calls[0], ref_calls[0]
-            got, want = _Pending(timeline, code).run(), ref(*args, 1.0).run()
-            assert got == want, f"seed {seed}, {code.value}"
-            assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
-    # Every way a pending arrival of either kind leaves must have been taken.
-    counts = _Pending.counts
-    keys = ("scans that lose them", "pending across replacements", "pending drops")
-    keys = ("bulk arrivals", "bulk bad blocks", *(k + kind for k in keys for kind in KINDS))
-    keys += ("scans interleaving lost bad blocks",)
+    counts = _judge_like_reference(monkeypatch, setups, _Pending, WIDE, WIDE_PROFILE, BULK_SEEDS)
+    # Every way a pending arrival of either kind comes and leaves must have been taken.
+    ways = "bulk arrivals", "scans that lose them", "pending across replacements", "pending drops"
+    keys = [way + kind for way in ways for kind in KINDS] + ["scans interleaving lost bad blocks"]
     assert min(counts[k] for k in keys) > 0, counts
 
 
@@ -412,45 +402,62 @@ SPLICE_SEEDS = 40
 
 
 class _Splice(ssdfi.engine._Simulation):
-    """The production judge, counting the scans whose lost pending stripes meet other faults."""
+    """The production judge, counting the scans whose lost pending stripes meet other faults.
+
+    A scan loses pending symbols only on a degraded array, where a stripe
+    it loses on a bad block is a BDL and any other is an SDL.  An SDL whose
+    stripe holds symbols from two bays or more has another label than the
+    lost pending stripes' shared record; when it lies above one of them,
+    only the splice by stripe puts the records in the reference's order.
+    """
 
     counts: Counter = Counter()
 
-    def _lose_pending(self, pending):
-        symbols = pending is self.pending
-        lone = super()._lose_pending(pending)
-        if not symbols:
-            return lone
+    def _judge_latent(self, time):
+        before = latent(self)
+        super()._judge_latent(time)
+        after = latent(self)
+        if not before.pending_symbols or after.pending_symbols:
+            return  # no pending symbol lost
         cpb = self.cpb
-        multi = {
-            b
-            for b, stripes in self.bs_block.items()
-            if any(sum(map(len, per.values())) > 1 for per in stripes.values())
-        }
+        lone = sorted(before.pending_symbols)
+        multi = {s // cpb for s, per in before.symbols.items() if sum(map(len, per.values())) > 1}
         shared = not multi.isdisjoint(s // cpb for s in lone)
-        walked = [b for b in self.bb_block if b in self.bs_block or b in self.lost]
-        around = any(lone[0] < b * cpb <= lone[-1] for b in walked)
+        touched = {s // cpb for s in (*before.symbols, *before.lost_stripes)}
+        around = any(lone[0] < b * cpb <= lone[-1] for b in before.bad_blocks if b in touched)
         self.counts["lone in multi-symbol blocks"] += shared
         self.counts["lone around touched bad blocks"] += around
         self.counts["both"] += shared and around
-        return lone
+        newly = after.lost_stripes - before.lost_stripes
+        sdl = [s for s in newly if s // cpb not in before.bad_blocks]
+        if any(s > lone[0] and len(before.symbols[s]) > 1 for s in sdl):
+            self.counts["lone below an SDL of another label"] += 1
 
 
 def test_lost_lone_stripes_splice_into_the_scan(setups, monkeypatch):
     # A scan records lost pending stripes from their positions, with no container
     # entry, and splices their records in among its walk's by stripe: the records
     # and their order must still be the reference engine's.
-    new_calls = _counting(monkeypatch, ssdfi.engine)
-    ref_calls = _counting(monkeypatch, reference_engine)
-    _Splice.counts.clear()
-    for seed in range(SPLICE_SEEDS):
-        tts, ttr = TTS[seed % 3], TTR[seed // 3 % 3]
-        draw, ref, seed_pool = setups[seed % 2 == 1]
-        timeline = draw(DENSE, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed).timeline()
-        for code in ErasureCode:
-            args = (DENSE, code, WIDE_PROFILE, seed_pool, [LOG], tts, ttr, MISSION, seed)
-            before = new_calls[0], ref_calls[0]
-            got, want = _Splice(timeline, code).run(), ref(*args, 1.0).run()
-            assert got == want, f"seed {seed}, {code.value}"
-            assert new_calls[0] - before[0] == ref_calls[0] - before[1], f"seed {seed}"
-    assert min(_Splice.counts.values()) > 0 and len(_Splice.counts) == 3, _Splice.counts
+    counts = _judge_like_reference(monkeypatch, setups, _Splice, DENSE, WIDE_PROFILE, SPLICE_SEEDS)
+    assert min(counts.values()) > 0 and len(counts) >= 3, counts
+
+
+# Five bays whose drives never wear out, four times the base bad-symbol rate,
+# long rebuilds and no scrub in the mission.  Under RAID5 an ADL epoch takes
+# symbols unjudged, some of them on stripes that another bay's symbol holds;
+# once both bays are rebuilt, the next bad chip's scan loses those stripes
+# (BC+BS+BS) together with the pending lone stripes (BC+BS) around them.
+FIVE = dataclasses.replace(WIDE, n_devices=5, stripe_size=5 * 4096 * 2)
+FIVE_PROFILE = dataclasses.replace(PROFILE, rber_curve=RberCurve(points=((0.0, 2e-7), (1e9, 2e-7))))
+UNWORN_LOG = dataclasses.replace(LOG, pe_cycles=(0.0,) * len(LOG.hours))
+TIMES = (2.0 * MISSION, 300.0)  # tts, ttr
+EPOCH_SEEDS = 20
+
+
+def test_lost_lone_stripes_splice_around_sdl_records_of_another_label(setups, monkeypatch):
+    # Appending the shared records after the walk's would put them after a
+    # BC+BS+BS record of a higher stripe: only the splice matches the reference.
+    counts = _judge_like_reference(
+        monkeypatch, setups, _Splice, FIVE, FIVE_PROFILE, EPOCH_SEEDS, UNWORN_LOG, TIMES
+    )
+    assert counts["lone below an SDL of another label"] > 0, counts

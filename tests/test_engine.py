@@ -7,7 +7,20 @@ import pytest
 
 import reference_engine
 import ssdfi.engine
-from ssdfi.codes import ErasureCode
+from judge_view import (
+    Latent,
+    break_layout,
+    consume,
+    judgements,
+    latent,
+    losses,
+    plant_block,
+    plant_symbol,
+    replaced,
+    schedule,
+    scheduled,
+)
+from ssdfi.codes import ErasureCode, uncorrectable
 from ssdfi.engine import (
     MISSION_HOURS,
     DataLossRecord,
@@ -121,97 +134,6 @@ def clean_pool(n=3):
     return scripted_pool([drive(i) for i in range(n)])
 
 
-def count_judge_calls(monkeypatch):
-    """Patch the engine's judge to log its arguments; return the log."""
-    calls = []
-    judge = ssdfi.engine.uncorrectable
-    monkeypatch.setattr(ssdfi.engine, "uncorrectable", lambda *a: calls.append(a) or judge(*a))
-    return calls
-
-
-def plant_block(sim, i, block, time):
-    sim.handle_bad_block(i, block, time)
-
-
-def schedule(sim, kind, i, times, locs=()):
-    """Put scripted events of one kind on bay i onto the simulation's timeline.
-
-    `locs` are blocks for bad blocks and device symbols for bad symbols; a
-    bad chip also schedules its rebuild `ttr` hours later.  The events join
-    the timeline's columns, which then go through the draw's replacement
-    walk, and the judge takes the new timeline.  `make_sim`'s drives
-    neither fail nor wear out, so its timeline is the set-up one; the walk
-    takes a replaced bay's later events out again, so a timeline that has
-    walked once walks to itself.
-    """
-    stripes, syms = -1, -1
-    if kind == EventKind.BAD_BLOCK:
-        stripes = np.asarray(locs) * sim.cpb
-    elif kind == EventKind.BAD_SYMBOL:
-        stripes, syms = np.divmod(np.asarray(locs), sim.timeline.geometry.chunk_pages)
-    new = [_columns(i, times, kind, stripes, syms)]
-    if kind == EventKind.BAD_CHIP:
-        new.append(_columns(i, np.asarray(times) + sim.draw.ttr, EventKind.RECONSTRUCT))
-    columns = (np.concatenate((old, *c)) for old, *c in zip(sim.columns, *new))
-    sim.timeline = sim.draw._walk(columns)
-    sim.columns = sim.timeline.columns
-
-
-def scheduled(sim, i, kind):
-    """Bay i's events from `next_event` on of one kind: (times, locs), as `schedule` takes them."""
-    times, kinds, bays, stripes, syms = (c[sim.next_event:] for c in sim.columns)
-    mine = (bays == i) & (kinds == kind)
-    if kind == EventKind.BAD_BLOCK:
-        return times[mine], stripes[mine] // sim.cpb
-    return times[mine], stripes[mine] * sim.timeline.geometry.chunk_pages + syms[mine]
-
-
-def replaced(sim):
-    """The bays that the timeline's rebuilds and wear-outs replace, in order."""
-    kinds = (EventKind.RECONSTRUCT, EventKind.WEAR_OUT)
-    return [i for _, _, kind, i in sim.timeline.boundaries if kind in kinds]
-
-
-def consume(sim, time=np.inf):
-    """Take the timeline's arrivals up to `time` in one pass, as the main loop does."""
-    sim._consume_arrivals(int(np.searchsorted(sim.columns[0], time, side="right")))
-
-
-def plant_symbol(sim, i, symbol, time):
-    schedule(sim, EventKind.BAD_SYMBOL, i, [time], [symbol])
-    consume(sim, time)
-
-
-def pending_stripes(sim):
-    """The stripes of the pending isolated bad symbols, in timeline order."""
-    return [s for k in sim.pending for s in sim.columns[3][k].tolist()]
-
-
-def pending_blocks(sim):
-    """The blocks of the pending isolated bad blocks, in timeline order."""
-    return [s // sim.cpb for k in sim.pending_bb for s in sim.columns[3][k].tolist()]
-
-
-def lost_stripes(sim):
-    """The stripes lost in this fault epoch, from every block's entry in `lost`."""
-    return {s for stripes in sim.lost.values() for s in stripes}
-
-
-def symbol_map(sim):
-    """The bad symbols in `bs_block`, flattened to {stripe: {bay: symbols}}."""
-    return {s: per for stripes in sim.bs_block.values() for s, per in stripes.items()}
-
-
-def check_layout(sim):
-    """Each block's entries in `bs_block` and `lost` hold its own stripes, and none is empty."""
-    cpb = sim.cpb
-    for block, stripes in sim.bs_block.items():
-        assert stripes
-        assert all(s // cpb == block and per and all(per.values()) for s, per in stripes.items())
-    for block, stripes in sim.lost.items():
-        assert stripes and all(s // cpb == block for s in stripes)
-
-
 class TestSamplers:
     """The bad-symbol and bad-block schedules `_install` draws."""
 
@@ -225,7 +147,7 @@ class TestSamplers:
         assert times == pytest.approx(np.cumsum(gaps) / 2.0, rel=1e-9)
 
     def test_offset_validation(self):
-        times, _ = scheduled(make_sim(clean_pool()), 0, EventKind.BAD_SYMBOL)
+        times, _ = scheduled(make_draw(clean_pool()).timeline(), 0, EventKind.BAD_SYMBOL)
         assert len(times) == 0  # zero hazard
         draw = make_draw(clean_pool(), rber=1e-6, bits=1e6)
         times, kinds, *_ = draw._install(0, drive(9), 75.5, 1)
@@ -234,18 +156,18 @@ class TestSamplers:
         assert times.min() > 75.5 and times.max() < 150
 
     def test_location_value(self):
-        sim = make_sim(clean_pool(), rber=1e-3, bits=1e6)
-        times, locs = scheduled(sim, 0, EventKind.BAD_SYMBOL)
+        timeline = make_draw(clean_pool(), rber=1e-3, bits=1e6).timeline()
+        times, locs = scheduled(timeline, 0, EventKind.BAD_SYMBOL)
         assert len(locs) == len(times) > 100_000
         assert locs.min() >= 0
         assert locs.max() < GEOMETRY.symbols_per_device
 
     def test_location_validation(self):
-        sim = make_sim(scripted_pool([drive(i, bb_times=(10.0, 60.0, 140.0)) for i in range(3)]))
-        assert list(scheduled(sim, 0, EventKind.BAD_BLOCK)[0]) == [10.0, 60.0, 140.0]
-        times, kinds, _, stripes, _ = sim.draw._install(0, sim.draw.pool.drives[0], 75.0, 1)
+        draw = make_draw(scripted_pool([drive(i, bb_times=(10.0, 60.0, 140.0)) for i in range(3)]))
+        assert list(scheduled(draw.timeline(), 0, EventKind.BAD_BLOCK)[0]) == [10.0, 60.0, 140.0]
+        times, kinds, _, stripes, _ = draw._install(0, draw.pool.drives[0], 75.0, 1)
         bad_block = kinds == EventKind.BAD_BLOCK
-        times, blocks = times[bad_block], stripes[bad_block] // sim.cpb
+        times, blocks = times[bad_block], stripes[bad_block] // GEOMETRY.chunks_per_block
         # Pool times count from the install; those past the mission drop.
         assert list(times) == [85.0, 135.0]
         assert len(blocks) == 2
@@ -263,14 +185,13 @@ class TestAffectedStripes:
         schedule(sim, EventKind.BAD_BLOCK, 1, [10.0], [0])
         schedule(sim, EventKind.BAD_SYMBOL, 2, [20.0], [last])
         consume(sim)
-        assert pending_blocks(sim) == [0]
-        assert pending_stripes(sim) == [GEOMETRY.array_stripes - 1]
-        assert sim.records == []
+        last = GEOMETRY.array_stripes - 1
+        assert latent(sim) == Latent(pending_symbols=(last,), pending_blocks=(0,))
+        assert losses(sim) == ()
         sim.handle_bad_chip(0, 30.0)
         cpb = GEOMETRY.chunks_per_block
-        assert not (sim.pending or sim.pending_bb)
-        assert not (sim.lost or sim.bb_block or sim.bs_block)
-        assert [(r.scope, r.cause, r.stripes_lost) for r in sim.records] == [
+        assert latent(sim) == Latent()
+        assert [(r.scope, r.cause, r.stripes_lost) for r in losses(sim)] == [
             ("SDL", "BC+BS", 1),
             ("BDL", "BC+BB", cpb),
         ]
@@ -278,72 +199,71 @@ class TestAffectedStripes:
     def test_bad_block_spans_block(self, monkeypatch):
         # A scrub judges the pending block's stripes; a bad chip's scan,
         # which scrubs share, loses exactly those stripes, as one BDL.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_BLOCK, 0, [10.0, 30.0], [3, 3])
         schedule(sim, EventKind.SCRUB, -1, [20.0])
         cpb = GEOMETRY.chunks_per_block
         consume(sim, 10.0)
-        assert pending_blocks(sim) == [3] and not sim.bb_block
+        assert latent(sim) == Latent(pending_blocks=(3,))
         del calls[:]
         sim.apply_scrub(20.0)
         assert calls == [(R5, 1, 1)] * cpb
         consume(sim, 30.0)
-        assert pending_blocks(sim) == [3] and not sim.bb_block
+        assert latent(sim) == Latent(pending_blocks=(3,))
         del calls[:]
         sim.handle_bad_chip(1, 40.0)
         assert calls == [(R5, 2, 2)] * cpb
-        assert sim.records == [DataLossRecord(40.0, "BDL", "BC+BB", cpb)]
-        assert not (sim.pending_bb or sim.bb_block or sim.lost)
+        assert losses(sim) == (DataLossRecord(40.0, "BDL", "BC+BB", cpb),)
+        assert latent(sim) == Latent()
 
     def test_bad_symbol_single_stripe(self):
         # An isolated symbol waits as pending; a bad chip's scan loses its
         # stripe and no other.
         sim = make_sim(clean_pool())
         plant_symbol(sim, 0, 9, 10.0)
-        cp = GEOMETRY.chunk_pages
-        assert pending_stripes(sim) == [9 // cp]
-        assert not sim.bs_block
+        assert latent(sim) == Latent(pending_symbols=(9 // GEOMETRY.chunk_pages,))
         sim.handle_bad_chip(1, 20.0)
-        assert not (sim.pending or sim.lost or sim.bs_block)
-        assert sim.records == [DataLossRecord(20.0, "SDL", "BC+BS", 1)]
+        assert latent(sim) == Latent()
+        assert losses(sim) == (DataLossRecord(20.0, "SDL", "BC+BS", 1),)
 
     def test_out_of_range_location(self, monkeypatch):
         # Faults at the very end of a device stay inside the array.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_BLOCK, 0, [10.0], [GEOMETRY.blocks_per_device - 1])
         schedule(sim, EventKind.BAD_SYMBOL, 1, [20.0], [GEOMETRY.symbols_per_device - 1])
         consume(sim)
         last = GEOMETRY.array_stripes - 1
         cpb = GEOMETRY.chunks_per_block
-        assert list(sim.bb_block) == [GEOMETRY.blocks_per_device - 1]
-        assert list(symbol_map(sim)) == [last]
-        assert sim.records == [DataLossRecord(20.0, "SDL", "BB+BS", 1)]
+        symbols = {last: {1: {GEOMETRY.chunk_pages - 1}}}
+        bad_blocks = {GEOMETRY.blocks_per_device - 1: {0}}
+        assert latent(sim) == Latent(bad_blocks, symbols, lost_stripes={last})
+        assert losses(sim) == (DataLossRecord(20.0, "SDL", "BB+BS", 1),)
         del calls[:]
         sim.handle_bad_chip(2, 30.0)  # the scan a scrub makes, short one bay
         assert calls == [(R5, 2, 2)] * (cpb - 1)
-        assert sorted(lost_stripes(sim)) == list(range(last + 1 - cpb, last + 1))
+        assert latent(sim).lost_stripes == set(range(last + 1 - cpb, last + 1))
 
     def test_non_failure_event(self):
         # Scrubs, rebuilds and wear-out replacements mark no stripe.
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_BLOCK, 0, [10.0], [3])
         consume(sim)
-        assert pending_blocks(sim) == [3]
+        assert latent(sim) == Latent(pending_blocks=(3,))
         sim.apply_scrub(20.0)
-        assert not pending_blocks(sim)
+        assert latent(sim) == Latent()
         sim.replace_worn_out(1, 30.0)
         sim.apply_reconstruct(2, 40.0)
-        assert not (pending_blocks(sim) or sim.bb_block or sim.bs_block)
-        assert sim.records == []
+        assert latent(sim) == Latent()
+        assert losses(sim) == ()
 
     def test_symbol_at_bad_chip_hour_comes_after_the_chip(self, monkeypatch):
         # The chip fails bay 1 at 30 h first; the symbol then lands on a
         # stripe already short one chunk, and its own judgement is the one
         # that records the loss (judged first, it would pass, and the
         # chip's latent scan would judge the stripe a second time).
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_SYMBOL, 2, [30.0], [9])
         schedule(sim, EventKind.BAD_CHIP, 1, [30.0])
@@ -361,7 +281,7 @@ class TestAffectedStripes:
         schedule(sim, EventKind.BAD_CHIP, 1, [100.0])
         result = sim.run()
         assert replaced(sim) == [0]  # rebuilt
-        assert not sim.bs_block
+        assert latent(sim) == Latent()
         assert result.records == ()
 
 
@@ -382,80 +302,82 @@ class TestLoneSymbols:
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [9])
         schedule(sim, EventKind.BAD_SYMBOL, 1, [20.0], [10])
+        stripe = 9 // self.CP
         consume(sim, 10.0)
-        assert symbol_map(sim) == {9 // self.CP: {0: {9 % self.CP}}} and not sim.pending
+        assert latent(sim) == Latent(symbols={stripe: {0: {9 % self.CP}}})
         consume(sim)
-        assert sim.records == [DataLossRecord(20.0, "SDL", "BS+BS", 1)]
-        assert symbol_map(sim) == {9 // self.CP: {0: {9 % self.CP}, 1: {10 % self.CP}}}
+        assert losses(sim) == (DataLossRecord(20.0, "SDL", "BS+BS", 1),)
+        symbols = {stripe: {0: {9 % self.CP}, 1: {10 % self.CP}}}
+        assert latent(sim) == Latent(symbols=symbols, lost_stripes={stripe})
 
     def test_same_symbol_again_is_judged_again(self, monkeypatch):
         # The symbol arrives unjudged in an ADL epoch; after a rebuild the
         # array is short one bay, and its second arrival records the loss.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         sim.handle_bad_chip(0, 10.0)
         sim.handle_bad_chip(1, 11.0)
         plant_symbol(sim, 2, 9, 20.0)
-        assert symbol_map(sim) == {9 // self.CP: {2: {9 % self.CP}}} and calls == []
+        symbols = {9 // self.CP: {2: {9 % self.CP}}}
+        assert latent(sim) == Latent(symbols=symbols) and calls == []
         sim.apply_reconstruct(0, 30.0)
         plant_symbol(sim, 2, 9, 40.0)
-        assert sim.records[1:] == [DataLossRecord(40.0, "SDL", "BC+BS", 1)]
+        assert losses(sim)[1:] == (DataLossRecord(40.0, "SDL", "BC+BS", 1),)
         assert calls == [(R5, 2, 1)]
-        assert symbol_map(sim) == {9 // self.CP: {2: {9 % self.CP}}}
-        assert lost_stripes(sim) == {9 // self.CP}
+        assert latent(sim) == Latent(symbols=symbols, lost_stripes={9 // self.CP})
 
     @pytest.mark.parametrize("block_bay, causes", [(0, []), (1, ["BB+BS"])])
     def test_bad_block_on_a_lone_stripe_then_scrub(self, monkeypatch, block_bay, causes):
         # On its own bay the bad block covers the symbol; on another bay
         # the two chunks lose the stripe.  Either way the scrub judges each
         # stripe of the block once.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [5 * self.CPB * self.CP + 2])
         schedule(sim, EventKind.BAD_BLOCK, block_bay, [20.0], [5])
         consume(sim)
-        assert symbol_map(sim) == {5 * self.CPB: {0: {2}}}
-        assert [r.cause for r in sim.records] == causes
+        assert latent(sim).symbols == {5 * self.CPB: {0: {2}}}
+        assert [r.cause for r in losses(sim)] == causes
         del calls[:]
         sim.apply_scrub(30.0)
-        assert [r.cause for r in sim.records] == causes
+        assert [r.cause for r in losses(sim)] == causes
         assert len(calls) == self.CPB - len(causes)
 
     def test_bad_chip_on_the_lone_symbols_bay(self, monkeypatch):
         # Bay 0's chip drops bay 0's symbol; bay 2's pending symbol is lost:
         # it leaves pending, and no container takes its stripe.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         plant_symbol(sim, 0, 9, 10.0)
         plant_symbol(sim, 2, 70, 20.0)
         del calls[:]
         sim.handle_bad_chip(0, 30.0)
-        assert sim.records == [DataLossRecord(30.0, "SDL", "BC+BS", 1)]
+        assert losses(sim) == (DataLossRecord(30.0, "SDL", "BC+BS", 1),)
         assert calls == [(R5, 2, 1)]
-        assert not (sim.pending or sim.lost or sim.bs_block)
+        assert latent(sim) == Latent()
 
     def test_a_lost_lone_stripe_is_not_judged_again(self, monkeypatch):
         # Bay 0's chip loses bay 2's lone stripe, which is in `bs_block`: a
         # second symbol on it (bay 1) comes in its scrub interval.  That
         # symbol and then a bad block on its block (bay 1) judge only the
         # block's other stripes, and record it no more.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         stripe = 5 * self.CPB + 3
         schedule(sim, EventKind.BAD_SYMBOL, 2, [10.0], [stripe * self.CP])
         schedule(sim, EventKind.BAD_SYMBOL, 1, [30.0], [stripe * self.CP + 1])
         schedule(sim, EventKind.BAD_BLOCK, 1, [40.0], [5])
         consume(sim, 10.0)
-        assert symbol_map(sim) == {stripe: {2: {0}}} and not sim.pending
+        assert latent(sim) == Latent(symbols={stripe: {2: {0}}})
         sim.handle_bad_chip(0, 20.0)
-        assert sim.records == [DataLossRecord(20.0, "SDL", "BC+BS", 1)]
-        assert lost_stripes(sim) == {stripe}
+        assert losses(sim) == (DataLossRecord(20.0, "SDL", "BC+BS", 1),)
+        assert latent(sim).lost_stripes == {stripe}
         del calls[:]
         consume(sim, 30.0)
-        assert calls == [] and len(sim.records) == 1
+        assert calls == [] and len(losses(sim)) == 1
         consume(sim, 40.0)
         assert calls == [(R5, 2, 2)] * (self.CPB - 1)
-        assert sim.records[1:] == [DataLossRecord(40.0, "BDL", "BC+BB", self.CPB - 1)]
+        assert losses(sim)[1:] == (DataLossRecord(40.0, "BDL", "BC+BB", self.CPB - 1),)
 
     def test_scrub_with_a_failed_bay_merges_lone_losses_in_stripe_order(self, monkeypatch):
         # Four bays; 0 and 1 fail, so bays 2 and 3 collect faults unjudged:
@@ -475,9 +397,9 @@ class TestLoneSymbols:
         plant_symbol(sim, 3, 20 * cp + 3, 23.0)
         plant_block(sim, 3, 5, 24.0)
         sim.apply_reconstruct(0, 30.0)
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim.apply_scrub(40.0)
-        assert [(r.time, r.scope, r.cause, r.stripes_lost) for r in sim.records[1:]] == [
+        assert [(r.time, r.scope, r.cause, r.stripes_lost) for r in losses(sim)[1:]] == [
             (40.0, "SDL", "BC+BS", 1),  # stripe 3
             (40.0, "SDL", "BC+BS+BS", 1),  # stripe 20
             (40.0, "SDL", "BC+BS", 1),  # stripe 40
@@ -488,7 +410,7 @@ class TestLoneSymbols:
     def test_lone_losses_around_a_bad_block_keep_arrival_order(self, monkeypatch):
         # Bay 0 is down; in one pass, lone symbols at 10 h and 30 h are
         # lost, and so is bay 2's bad block at 20 h.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_CHIP, 0, [5.0])
         schedule(sim, EventKind.BAD_SYMBOL, 1, [10.0, 30.0], [9, 70])
@@ -528,7 +450,7 @@ class TestLoneSymbols:
 
         class Judge(_Simulation):
             def _judge_latent(self, time):
-                scans.append((time, pending_stripes(self), sorted(symbol_map(self))))
+                scans.append((time, latent(self)))
                 super()._judge_latent(time)
 
         draw = (geometry, flat_profile(), pool, [quiet_log()], 1e6, 10.0, 60, 0)
@@ -538,7 +460,9 @@ class TestLoneSymbols:
             (35.0, EventKind.RECONSTRUCT), (36.0, EventKind.RECONSTRUCT),
             (45.0, EventKind.BAD_CHIP), (55.0, EventKind.RECONSTRUCT),
         ]
-        assert scans == [(25.0, [], []), (45.0, [lo + 4], [lo + 1, lo + 9])]
+        symbols = {lo + 1: {0: {2}}, lo + 9: {0: {0}, 3: {1}}}  # drive 2 is in bay 0
+        at_45 = Latent(symbols=symbols, pending_symbols=(lo + 4,))
+        assert scans == [(25.0, Latent()), (45.0, at_45)]
         assert result.records == (
             DataLossRecord(26.0, "ADL", "BC+BC", geometry.array_stripes),
             DataLossRecord(45.0, "SDL", "BC+BS", 1),  # lo + 1
@@ -591,15 +515,15 @@ class TestBadBlocks:
     def test_clean_block_is_lost_as_one_bdl(self, monkeypatch):
         sim = make_sim(clean_pool())
         sim.handle_bad_chip(0, 5.0)
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         plant_block(sim, 1, 5, 10.0)
         assert calls == [(R5, 2, 2)] * self.CPB
-        assert sim.records == [DataLossRecord(10.0, "BDL", "BC+BB", self.CPB)]
-        assert lost_stripes(sim) == set(range(5 * self.CPB, 6 * self.CPB))
+        assert losses(sim) == (DataLossRecord(10.0, "BDL", "BC+BB", self.CPB),)
+        assert latent(sim).lost_stripes == set(range(5 * self.CPB, 6 * self.CPB))
         # The same block from another bay: every stripe is already lost.
         del calls[:]
         plant_block(sim, 2, 5, 20.0)
-        assert calls == [] and len(sim.records) == 1
+        assert calls == [] and len(losses(sim)) == 1
 
     def plant_touched_block(self, sim):
         """Block 5 on bay 2 over a lost stripe (bays 0 and 1) and bay 0's lone symbol.
@@ -626,48 +550,51 @@ class TestBadBlocks:
         return lost, lone
 
     def test_touched_block_on_arrival_then_scrub(self, monkeypatch):
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         lost, lone = self.plant_touched_block(sim)
-        expected = [
+        expected = (
             DataLossRecord(11.0, "SDL", "BS+BS", 1),
             DataLossRecord(20.0, "SDL", "BB+BS", 1),  # the lone symbol's stripe
-        ]
-        assert sim.records == expected
+        )
+        assert losses(sim) == expected
         # Block 5: its unmarked stripes as one unit at the first of them,
         # then its marked ones: the lost stripe is skipped and the lone
         # symbol's stripe is judged.
         assert calls[-(self.CPB - 1):] == [(R5, 1, 1)] * (self.CPB - 2) + [(R5, 2, 1)]
-        assert lost_stripes(sim) == {lost, lone}
-        assert pending_stripes(sim) == [2 * self.CPB + 1, 8 * self.CPB]
-        assert symbol_map(sim) == {lost: {0: {0}, 1: {1}}, lone: {0: {3}}}
-        assert pending_blocks(sim) == [9] and list(sim.bb_block) == [5]
+        assert latent(sim) == Latent(
+            bad_blocks={5: {2}},
+            symbols={lost: {0: {0}, 1: {1}}, lone: {0: {3}}},
+            lost_stripes={lost, lone},
+            pending_symbols=(2 * self.CPB + 1, 8 * self.CPB),
+            pending_blocks=(9,),
+        )
         del calls[:]
         sim.apply_scrub(30.0)
-        assert sim.records == expected
+        assert losses(sim) == expected
         # Two lone symbols, block 9, block 5 but its two lost stripes.
         assert calls == [(R5, 1, 0)] * 2 + [(R5, 1, 1)] * (self.CPB + self.CPB - 2)
-        assert not (sim.lost or sim.bb_block or sim.bs_block)
-        assert not (sim.pending or sim.pending_bb)
+        assert latent(sim) == Latent()
 
     def test_touched_block_at_a_bad_chip_scan(self):
         # Bay 1 fails: its symbols go, bay 2's lone symbol is lost, and both
         # bad blocks are lost but for the two stripes of block 5 lost before.  SDL
         # records come in stripe order, then BDL records in block order.
         sim = make_sim(clean_pool())
-        self.plant_touched_block(sim)
+        lost, lone = self.plant_touched_block(sim)
         sim.handle_bad_chip(1, 30.0)
-        assert sim.records[2:] == [
+        assert losses(sim)[2:] == (
             DataLossRecord(30.0, "SDL", "BC+BS", 1),
             DataLossRecord(30.0, "BDL", "BC+BB", self.CPB - 2),
             DataLossRecord(30.0, "BDL", "BC+BB", self.CPB),
-        ]
+        )
         # The pending symbol (stripe 8 cpb) and bad block 9 leave pending,
-        # and no container takes them.
-        cpb = self.CPB
-        assert lost_stripes(sim) == set(range(5 * cpb, 6 * cpb))
-        assert not (sim.pending or sim.pending_bb)
-        assert list(sim.bb_block) == [5] and list(sim.bs_block) == [5]
+        # and no container takes them; bay 0's symbols stay.
+        assert latent(sim) == Latent(
+            bad_blocks={5: {2}},
+            symbols={lost: {0: {0}}, lone: {0: {3}}},
+            lost_stripes=set(range(5 * self.CPB, 6 * self.CPB)),
+        )
 
     def test_marked_stripes_below_and_between_the_unit(self, monkeypatch):
         # Under PMDS(1,1), block 5 on bay 1 keeps two marked stripes below
@@ -678,7 +605,7 @@ class TestBadBlocks:
         # the block at its scan: the bay-1 stripe joins the unit's BDL
         # count, and the bay-2 stripes make one count that comes first, as
         # its first stripe lies below the unit.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool(), code=PMDS)
         cp, cpb = self.CP, self.CPB
         lo = 5 * cpb
@@ -693,23 +620,23 @@ class TestBadBlocks:
             schedule(sim, EventKind.BAD_SYMBOL, i, [time], [symbol])
         schedule(sim, EventKind.BAD_BLOCK, 1, [20.0], [5])
         consume(sim)
-        assert sim.records == [DataLossRecord(20.0, "SDL", "BB+BS", 1)]
+        assert losses(sim) == (DataLossRecord(20.0, "SDL", "BB+BS", 1),)
         # Four fresh lone symbols, the fifth's stripe, then block 5: its two
         # stripes below the unit, the unit, and its other marked stripes.
         assert calls == (
             [(PMDS, 1, 0)] * 4 + [(PMDS, 1, 1)]
             + [(PMDS, 2, 1)] + [(PMDS, 1, 1)] * (cpb - 3) + [(PMDS, 2, 1), (PMDS, 2, 2)]
         )
-        assert lost_stripes(sim) == {lo + 5}
+        assert latent(sim).lost_stripes == {lo + 5}
         del calls[:]
         sim.handle_bad_chip(0, 30.0)
-        assert sim.records[1:] == [
+        assert losses(sim)[1:] == (
             DataLossRecord(30.0, "BDL", "BC+BB+BS", 2),
             DataLossRecord(30.0, "BDL", "BC+BB", cpb - 3),
-        ]
+        )
         # The lost stripe is skipped.
         assert calls == [(PMDS, 3, 2)] + [(PMDS, 2, 2)] * (cpb - 3) + [(PMDS, 3, 2)]
-        assert lost_stripes(sim) == set(range(lo, lo + cpb))
+        assert latent(sim).lost_stripes == set(range(lo, lo + cpb))
 
     def test_a_mission_of_blocks_lost_around_marked_stripes_matches_the_reference(
         self, monkeypatch
@@ -723,15 +650,14 @@ class TestBadBlocks:
 
         class Judge(_Simulation):
             def _judge_block(self, block, sdl, bdl_groups):
+                state = latent(self)
+                lost, symbols, bays = state.lost_stripes, state.symbols, state.bad_blocks[block]
                 stripes = range(block * self.cpb, (block + 1) * self.cpb)
-                lost, symbols = set(self.lost.get(block, ())), self.bs_block.get(block, {})
                 marked = [s for s in stripes if s in lost or s in symbols]
                 plain = [s for s in stripes if s not in marked]
-                own = any(
-                    s not in lost and symbols[s].keys() <= self.bb_block[block] for s in marked
-                )
+                own = any(s not in lost and symbols[s].keys() <= bays for s in marked)
                 super()._judge_block(block, sdl, bdl_groups)
-                if self.failed and plain and lost_stripes(self).issuperset(plain):
+                if self.failed and plain and latent(self).lost_stripes.issuperset(plain):
                     between = any(plain[0] < s < plain[-1] for s in marked)
                     layouts.append((bool(marked) and marked[0] < plain[0], between, own))
 
@@ -795,7 +721,7 @@ class TestTimeline:
         # new drive still brings its bad block at 149.5 h.
         sim = make_sim(scripted_pool([drive(i, bb_times=(0.5,)) for i in range(3)]))
         schedule(sim, EventKind.WEAR_OUT, 0, [149.0])
-        assert list(scheduled(sim, 0, EventKind.BAD_BLOCK)[0]) == [0.5, 149.5]
+        assert list(scheduled(sim.timeline, 0, EventKind.BAD_BLOCK)[0]) == [0.5, 149.5]
 
     def test_arrivals_at_a_replacement_hour(self):
         # Every drive takes a bad block at its install hour.  Bay 0 wears out
@@ -931,24 +857,24 @@ class TestIsolation:
         # On a healthy array the intake does not depend on the pass's size:
         # an isolated symbol alone in its pass waits as pending with one judge
         # call, and an isolated bad block alone in its pass with cpb calls.
-        calls = count_judge_calls(monkeypatch)
+        calls = judgements(monkeypatch)
         sim = make_sim(clean_pool())
         schedule(sim, EventKind.BAD_SYMBOL, 0, [10.0], [9])
         schedule(sim, EventKind.BAD_BLOCK, 1, [20.0], [5])
+        pending = (9 // GEOMETRY.chunk_pages,)
         consume(sim, 10.0)
-        assert pending_stripes(sim) == [9 // GEOMETRY.chunk_pages] and not sim.bs_block
+        assert latent(sim) == Latent(pending_symbols=pending)
         assert calls == [(R5, 1, 0)]
         del calls[:]
         consume(sim, 20.0)
-        assert pending_blocks(sim) == [5] and not sim.bb_block
+        assert latent(sim) == Latent(pending_symbols=pending, pending_blocks=(5,))
         assert calls == [(R5, 1, 1)] * self.CPB
-        assert not (sim.lost or sim.bs_block or sim.records)
+        assert losses(sim) == ()
 
     def test_bulk_path_raises_on_a_lost_lone_verdict(self, monkeypatch):
         # A healthy array's lone bad symbol is never lost (tests/test_codes.py);
         # a judge that says otherwise stops the bulk path instead of being ignored.
-        judge = ssdfi.engine.uncorrectable
-        monkeypatch.setattr(ssdfi.engine, "uncorrectable", lambda c, f, m: f > 0 or judge(c, f, m))
+        judgements(monkeypatch, judge=lambda c, f, m: f > 0 or uncorrectable(c, f, m))
         sim = make_sim(clean_pool(), rber=1e-6, bits=1e6)  # about one symbol per bay-hour
         with pytest.raises(EngineError, match="loses a lone bad symbol"):
             sim.run()
@@ -956,8 +882,7 @@ class TestIsolation:
     def test_bulk_path_raises_on_a_lost_lone_bad_block_verdict(self, monkeypatch):
         # No code loses a clean bad block on a healthy array: a judge that loses
         # a multi-symbol chunk there stops the bulk path at its isolated bad blocks.
-        judge = ssdfi.engine.uncorrectable
-        monkeypatch.setattr(ssdfi.engine, "uncorrectable", lambda c, f, m: m > 0 or judge(c, f, m))
+        judgements(monkeypatch, judge=lambda c, f, m: m > 0 or uncorrectable(c, f, m))
         sim = make_sim(self.bad_block_pool(), rber=1e-6, bits=1e6, geometry=WIDE)
         assert len(sim.timeline.isolation[1])
         with pytest.raises(EngineError, match="loses a lone bad block"):
@@ -981,14 +906,16 @@ class TestIsolation:
         sim, result = judge_like_reference(monkeypatch, draw)
         assert replaced(sim) == [0, 1, 2]
         assert {row[1] for row in sim.timeline.boundaries} == {75.0}
-        times = sim.columns[0]
+        times, _, _, stripes, _ = sim.columns
         symbols, blocks, *_ = sim.timeline.isolation
-        for isolated in (symbols, blocks):
+        state = latent(sim)
+        pending_blocks = np.multiply(state.pending_blocks, WIDE.chunks_per_block)
+        for isolated, pending in ((symbols, state.pending_symbols), (blocks, pending_blocks)):
             assert (times[isolated] < 75).any() and (times[isolated] > 75).any()
-        # The wear-outs dropped what came before them; what is left came after.
-        for pending in (sim.pending, sim.pending_bb):
-            after = times[np.concatenate(pending)]
-            assert len(after) and after.min() > 75
+            # The wear-outs dropped what came before them; what is left came
+            # after.  An isolated arrival's stripe is the only one in its interval.
+            left = times[isolated][np.isin(stripes[isolated], pending)]
+            assert len(left) == len(pending) > 0 and left.min() > 75
         assert result.records
 
     def drops(self, monkeypatch, pool, geometry):
@@ -997,27 +924,24 @@ class TestIsolation:
         Bay 1's wear-out drops its pending arrivals; bay 0's chip drops bay
         0's, and its scan (RAID5, one bay down) loses every lone stripe and
         clean bad block, pending ones included.  Returns the result and, per
-        drop, how many arrivals of each kind were pending before and after.
+        drop, the states before and after it.
         """
         profile = dataclasses.replace(flat_profile(1e-6), wol=100)
         logs = [quiet_log(bits=1e6), quiet_log(pe_per_hour=1.0, bits=1e6)]
         drops = []
 
         class Judge(_Simulation):
-            def counts(self):
-                return sum(map(len, self.pending)), sum(map(len, self.pending_bb))
-
             def _drop_latent(self, i):
-                before = self.counts()
+                before = latent(self)
                 super()._drop_latent(i)
-                drops.append((before, self.counts()))
+                drops.append((before, latent(self)))
 
         draw = (geometry, profile, pool, logs, 1e6, 1e6, 150, 0)
         sim, result = judge_like_reference(monkeypatch, draw, Judge)
         boundaries = [(time, kind, i) for _, time, kind, i in sim.timeline.boundaries]
         assert boundaries[:2] == [(100.0, EventKind.WEAR_OUT, 1), (149.0, EventKind.BAD_CHIP, 0)]
-        assert not (sim.pending or sim.pending_bb)
-        check_layout(sim)
+        state = latent(sim)
+        assert state.pending_symbols == state.pending_blocks == ()
         return result, drops
 
     def test_pending_symbols_drop_and_are_lost_like_taken_ones(self, monkeypatch):
@@ -1026,7 +950,7 @@ class TestIsolation:
         # taken one by one.
         pool = scripted_pool([drive(0, bc_time=149.0), drive(1), drive(2)])
         result, drops = self.drops(monkeypatch, pool, GEOMETRY)
-        (pending, _), (left, _) = drops[0]
+        pending, left = (len(state.pending_symbols) for state in drops[0])
         assert pending > 100 and 0 < pending - left < pending
         assert [r.cause for r in result.records].count("BC+BS") > 100
 
@@ -1038,9 +962,25 @@ class TestIsolation:
             [drive(0, bb_times, bc_time=149.0), drive(1, bb_times), drive(2, bb_times)]
         )
         result, drops = self.drops(monkeypatch, pool, WIDE)
-        (_, pending), (_, left) = drops[0]
+        pending, left = (len(state.pending_blocks) for state in drops[0])
         assert pending > 100 and 0 < pending - left < pending
         assert [r.cause for r in result.records].count("BC+BB") > 50
+
+
+class TestJudgeView:
+    """The view's layout check, which every state read makes."""
+
+    @pytest.mark.parametrize("how, message", [
+        ("empty block", "an empty block entry"),
+        ("empty stripe", "a stripe or a bay with no bad symbol"),
+        ("foreign lost", "a stripe filed under another block"),
+    ])
+    def test_a_broken_layout_fails_the_read(self, how, message):
+        sim = make_sim(clean_pool())
+        assert latent(sim) == Latent()
+        break_layout(sim, how)
+        with pytest.raises(AssertionError, match=message):
+            latent(sim)
 
 
 def judge_like_reference(monkeypatch, draw, judge=_Simulation, code=R5):
@@ -1049,14 +989,10 @@ def judge_like_reference(monkeypatch, draw, judge=_Simulation, code=R5):
     The result and the number of judge calls must be the reference
     engine's.  Returns the judge and its result.
     """
-    calls = count_judge_calls(monkeypatch)
+    calls = judgements(monkeypatch)
     sim = judge(_Draw(*draw).timeline(), code)
     result = sim.run()
-    ref_calls = []
-    ref_judge = reference_engine.uncorrectable
-    monkeypatch.setattr(
-        reference_engine, "uncorrectable", lambda *a: ref_calls.append(a) or ref_judge(*a)
-    )
+    ref_calls = judgements(monkeypatch, reference_engine)
     geometry, *rest = draw
     assert result == reference_engine._Simulation(geometry, code, *rest, 1.0).run()
     assert len(calls) == len(ref_calls)
@@ -1199,6 +1135,24 @@ class TestSetUp:
     def test_rejects_non_finite_tts_and_ttr(self, tts, ttr):
         with pytest.raises(EngineError, match="tts and ttr must be finite and positive"):
             run(clean_pool(), tts=tts, ttr=ttr)
+
+    @pytest.mark.parametrize("name, value", [
+        ("mission", True), ("mission", np.True_), ("mission", "150"),
+        ("tts", True), ("ttr", np.True_), ("ttr", "10"),
+    ], ids=["mission-bool", "mission-numpy-bool", "mission-str", "tts-bool", "ttr-numpy-bool",
+            "ttr-str"])
+    def test_rejects_a_bool_or_a_non_number_of_hours(self, name, value):
+        # True == 1 with the same hash: after a mission drawn with 1 hour, the
+        # memo alone would judge its timeline; a string failed with a TypeError.
+        pool = clean_pool()
+        run(pool, **{name: 1})
+        with pytest.raises(EngineError, match=f"{name} must be a number, got "):
+            run(pool, **{name: value})
+
+    def test_numpy_numbers_of_hours_echo_as_before(self):
+        want = run(clean_pool()).config
+        got = run(clean_pool(), mission=np.int64(150), tts=np.float64(1e6), ttr=np.float32(1e6))
+        assert json.dumps(got.config, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     @pytest.mark.parametrize("n_logs, seed, message", [
         (4, 0, "need 1 to 3 usage logs, one per bay, got 4"),

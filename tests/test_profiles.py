@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ssdfi.codes import ErasureCode
-from ssdfi.engine import EventKind, _Draw, _Simulation
+from judge_view import scheduled
+from ssdfi.engine import EventKind, _Draw
 from ssdfi.geometry import ArrayGeometry
 from ssdfi.pool import PooledSsd, SsdPool
 from ssdfi.profiles import (
@@ -16,7 +16,6 @@ from ssdfi.profiles import (
     profile_by_name,
 )
 from ssdfi.workload import UsageLog, WorkloadError
-from test_engine import scheduled
 
 
 def make_curve():
@@ -38,8 +37,7 @@ def hourly_rates(curve, bits, pe):
     pool = SsdPool("X", 64, 0, (PooledSsd(0, (), None),) * 3)
     geometry = ArrayGeometry(n_devices=3, blocks_per_device=64, stripe_size=3 * 4096 * 4)
     draw = _Draw(geometry, profile, pool, [log], 1e6, 1e6, hours, 0)
-    sim = _Simulation(draw.timeline(), ErasureCode.RAID5)
-    return np.diff(draw._hazard(0, 0.0)), scheduled(sim, 0, EventKind.BAD_SYMBOL)[0]
+    return np.diff(draw._hazard(0, 0.0)), scheduled(draw.timeline(), 0, EventKind.BAD_SYMBOL)[0]
 
 
 class TestRberCurve:
